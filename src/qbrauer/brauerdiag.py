@@ -10,13 +10,15 @@ the closed loops removed; in the diagram algebra each loop contributes a
 factor of the loop parameter x.  With the permutation conventions of
 :mod:`qbrauer.symgrp` (products read left to right), the map
 w -> perm_diagram(w) is multiplicative.
+
+The length of a diagram w1 e_(k) w2 is the least l(w1) + l(w2) over all
+ways to write it; the table of lengths is built by breadth-first search
+from e_(k) under the left and right generator actions.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-from . import symgrp
 
 __all__ = [
     "perm_diagram",
@@ -131,21 +133,31 @@ def order_preserving_throughs(d, n):
 
 @lru_cache(maxsize=None)
 def _length_table(n, k):
-    """Map each diagram omega1 e_(k) omega2 to its minimal word length."""
-    e_k = e_k_diagram(n, k)
-    table = {}
-    perms = symgrp.all_perms(n)
-    by_len = sorted(perms, key=symgrp.length)
-    for w1 in by_len:
-        l1 = symgrp.length(w1)
-        left, lp = compose(perm_diagram(w1), e_k)
-        assert lp == 0
-        for w2 in by_len:
-            l = l1 + symgrp.length(w2)
-            d, loops = compose(left, perm_diagram(w2))
-            assert loops == 0
-            if l < table.get(d, n * n + 1):
-                table[d] = l
+    """Map each diagram omega1 e_(k) omega2 to its minimal word length.
+
+    Breadth-first search from e_(k).  Stacking s_i above a diagram swaps
+    its top vertices i-1 and i; stacking it below swaps its bottom
+    vertices n+i-1 and n+i.  Neither closes a loop, so a path of m steps
+    reaches w1 e_(k) w2 with l(w1) + l(w2) <= m, and reduced words for w1
+    and w2 give a path of exactly l(w1) + l(w2) steps.  The first visit
+    to a diagram is therefore at min l(w1) + l(w2).
+    """
+    swaps = [(i - 1, i) for i in range(1, n)]
+    swaps += [(n + i - 1, n + i) for i in range(1, n)]
+    start = e_k_diagram(n, k)
+    table = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for d in frontier:
+            l = table[d] + 1
+            for a, b in swaps:
+                t = {a: b, b: a}
+                d2 = frozenset(frozenset(t.get(x, x) for x in e) for e in d)
+                if d2 not in table:
+                    table[d2] = l
+                    nxt.append(d2)
+        frontier = nxt
     return table
 
 

@@ -33,43 +33,29 @@ against the Gram determinants.
 from __future__ import annotations
 
 from . import symgrp as sg
-from .coefficients import INFINITY, RatFunc, quantum_char
-from .hecke import HeckeWindow, is_restricted
+from .coefficients import RatFunc, quantum_char
+from .hecke import HeckeWindow, _acc, is_restricted
 
 __all__ = ["Cellular", "closed_form_criterion", "det", "rank"]
 
 
-def det(mat, field):
-    """Exact determinant over a field by Gaussian elimination."""
-    m = [list(row) for row in mat]
-    n = len(m)
-    out = field.one()
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-        if piv is None:
-            return field.zero()
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            out = -out
-        out = out * m[col][col]
-        inv = field.one() / m[col][col]
-        for r in range(col + 1, n):
-            if not m[r][col].is_zero():
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return out
+def _eliminate(mat, field):
+    """Forward elimination on a copy of mat, one column at a time.
 
-
-def rank(mat, field):
-    """Exact rank over a field."""
-    if not mat:
-        return 0
+    Yields (pivot, swapped) per column: the pivot is the first nonzero
+    entry at or below the next unused row (None if there is none), and
+    swapped says whether its row was exchanged with that one.  Stops once
+    every row holds a pivot.
+    """
     m = [list(row) for row in mat]
-    rows, cols = len(m), len(m[0])
+    rows, cols = len(m), len(m[0]) if m else 0
     rk = 0
     for col in range(cols):
+        if rk == rows:
+            return
         piv = next((r for r in range(rk, rows) if not m[r][col].is_zero()), None)
         if piv is None:
+            yield None, False
             continue
         m[rk], m[piv] = m[piv], m[rk]
         inv = field.one() / m[rk][col]
@@ -77,10 +63,25 @@ def rank(mat, field):
             if not m[r][col].is_zero():
                 f = m[r][col] * inv
                 m[r] = [x - f * y for x, y in zip(m[r], m[rk])]
+        yield m[rk][col], piv != rk
         rk += 1
-        if rk == rows:
-            break
-    return rk
+
+
+def det(mat, field):
+    """Exact determinant over a field by Gaussian elimination."""
+    out = field.one()
+    for pivot, swapped in _eliminate(mat, field):
+        if pivot is None:
+            return field.zero()
+        if swapped:
+            out = -out
+        out = out * pivot
+    return out
+
+
+def rank(mat, field):
+    """Exact rank over a field."""
+    return sum(1 for pivot, _ in _eliminate(mat, field) if pivot is not None)
 
 
 class Cellular:
@@ -153,12 +154,7 @@ class Cellular:
         out = {}
         for (k, lam, (s, u), (t, v)), c in y.items():
             for idx, c2 in self.cell_basis_element(k, lam, (s, u), (t, v)).items():
-                cur = out.get(idx)
-                cur = c * c2 if cur is None else cur + c * c2
-                if cur.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = cur
+                _acc(out, idx, c * c2)
         return out
 
     def _module_vector(self, k, lam, tv):

@@ -7,13 +7,15 @@ Four subcommands:
   semisimple  semisimplicity verdict at a point, or an (r, q) grid over F_p
   verify      run the internal consistency suites
 
-Output is JSON by default ({config, result, timing, cache_hit}), with
-coefficients rendered as canonical strings; ``semisimple --grid all``
-emits CSV rows r, q, semisimple, witness_label, closed_form_agrees.
+Output is JSON by default ({config, result, timing}), with coefficients
+rendered as canonical strings; ``semisimple --grid all`` emits CSV rows
+r, q, semisimple, witness_label, closed_form_agrees.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
-3 rewrite step budget exceeded.  Env vars: QBR_MAX_REWRITE_STEPS bounds
-the rewrite engine, QBR_CACHE_DIR enables the structure-constant cache.
+Exit codes: 0 success, 1 verification failure, 2 invalid configuration
+(including a parameter point where a defining scalar has a vanishing
+denominator), 3 rewrite step budget exceeded.  Configuration errors print
+one ``error:`` line to stderr.  The environment variable
+QBR_MAX_REWRITE_STEPS bounds the rewrite engine.
 """
 
 import argparse
@@ -83,6 +85,16 @@ def _parse_cyclo_scalar(m, tok):
         raise ConfigError(f"cannot parse scalar {tok!r}")
 
 
+def _fp_modulus(field_text):
+    """The prime p of a field 'fp:<p>'."""
+    try:
+        p = int(field_text[3:])
+        Specialization.prime_field(p, 1, 1)  # rejects a p that is not prime
+    except ValueError as exc:
+        raise ConfigError(f"bad field {field_text!r}: {exc}")
+    return p
+
+
 def build_spec(field_text, q_tok, r_tok):
     t = (field_text or "generic").strip().lower()
     if t == "generic":
@@ -90,15 +102,12 @@ def build_spec(field_text, q_tok, r_tok):
             raise ConfigError("the generic field keeps q and r symbolic")
         return Specialization.generic()
     if t.startswith("fp:"):
-        try:
-            p = int(t[3:])
-        except ValueError:
-            raise ConfigError(f"bad field {field_text!r}")
+        p = _fp_modulus(t)
         if q_tok is None or r_tok is None:
             raise ConfigError("fp fields need --q and --r")
         try:
             return Specialization.prime_field(p, int(q_tok), int(r_tok))
-        except (ValueError, DenominatorVanishes) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc))
     if t.startswith("cyclo:"):
         try:
@@ -107,12 +116,9 @@ def build_spec(field_text, q_tok, r_tok):
             raise ConfigError(f"bad field {field_text!r}")
         if q_tok is None or r_tok is None:
             raise ConfigError("cyclotomic fields need --q and --r")
-        try:
-            return Specialization.cyclotomic(
-                m, _parse_cyclo_scalar(m, q_tok), _parse_cyclo_scalar(m, r_tok)
-            )
-        except DenominatorVanishes as exc:
-            raise ConfigError(str(exc))
+        return Specialization.cyclotomic(
+            m, _parse_cyclo_scalar(m, q_tok), _parse_cyclo_scalar(m, r_tok)
+        )
     raise ConfigError(f"unknown field {field_text!r}")
 
 
@@ -162,7 +168,7 @@ def cellular_index_str(idx):
     )
 
 
-def emit(args, config, result, t0, cache_hit=False):
+def emit(args, config, result, t0):
     if getattr(args, "format", "json") == "text":
         for key, val in result.items():
             if isinstance(val, list):
@@ -175,7 +181,6 @@ def emit(args, config, result, t0, cache_hit=False):
         "config": config,
         "result": result,
         "timing": {"seconds": round(time.time() - t0, 6)},
-        "cache_hit": cache_hit,
     }
     print(json.dumps(doc, indent=2))
 
@@ -265,7 +270,7 @@ def cmd_semisimple(args):
     if args.grid:
         if not field.startswith("fp:"):
             raise ConfigError("grid sweeps need a finite field fp:<p>")
-        p = int(field[3:])
+        p = _fp_modulus(field)
         rows = []
         for r_img in range(1, p):
             for q_img in range(1, p):
@@ -289,10 +294,7 @@ def cmd_semisimple(args):
             print(",".join(str(x) for x in row))
         return EXIT_OK
     spec = build_spec(args.field, args.q, args.r)
-    try:
-        verdict, wl, agrees = _point_verdict(args.n, version, N, spec)
-    except DenominatorVanishes as exc:
-        raise ConfigError(str(exc))
+    verdict, wl, agrees = _point_verdict(args.n, version, N, spec)
     config = {
         "command": "semisimple",
         "n": args.n,
@@ -455,7 +457,7 @@ def make_parser():
     g.set_defaults(func=cmd_gram)
 
     s = sub.add_parser("semisimple", parents=[common])
-    s.add_argument("--grid", default=None, help="'all' sweeps the full (r,q) grid over fp:<p>")
+    s.add_argument("--grid", default=None, choices=("all",), help="'all' sweeps the full (r,q) grid over fp:<p>")
     s.set_defaults(func=cmd_semisimple)
 
     v = sub.add_parser("verify", parents=[common])
@@ -471,8 +473,10 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
+        if args.n < 2:
+            raise ConfigError("need n >= 2")
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DenominatorVanishes) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RewriteBudgetExceeded as exc:

@@ -887,6 +887,9 @@ class Specialization:
 
     @classmethod
     def prime_field(cls, p, q_img, r_img):
+        # Fp divides by Fermat inverses, which are wrong unless p is prime
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            raise ValueError(f"{p} is not a prime")
         return cls(("fp", p), Fp(p, q_img), Fp(p, r_img))
 
     @classmethod
@@ -915,9 +918,6 @@ class Specialization:
             return self.zero()
         num = x.num.evaluate(self.q_img, self.r_img, one)
         return num / den
-
-    def tag(self):
-        return (self.field, repr(self.q_img), repr(self.r_img))
 
 
 def quantum_char(x):

@@ -9,8 +9,9 @@ and N-version) or Q = q (one-parameter version).
 
 The Murphy cellular basis c_{st} = g*_{d(s)} c_lam g_{d(t)} with
 c_lam = sum of g_sigma over the row stabiliser of t^lam is provided along
-with the change of basis to and from {g_w}, Specht module Gram matrices,
-and the Dipper-James semisimplicity criteria.
+with the change of basis to and from {g_w}, and the e-restrictedness test
+of the classification of simple modules.  Specht module Gram matrices are
+the k = 0 cell forms of :class:`qbrauer.cellular.Cellular`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from . import symgrp as sg
 
 __all__ = [
     "HeckeWindow",
-    "hecke_semisimple",
     "is_restricted",
 ]
 
@@ -32,12 +32,6 @@ def is_restricted(lam, e):
         return True
     parts = tuple(lam) + (0,)
     return all(parts[i] - parts[i + 1] < e for i in range(len(parts) - 1))
-
-
-def hecke_semisimple(m, e):
-    """Dipper-James: H of S_m with quantum characteristic e is semisimple
-    iff e > m (with e infinite always semisimple)."""
-    return e > m
 
 
 class HeckeWindow:
@@ -69,14 +63,7 @@ class HeckeWindow:
     def add(self, x, y):
         out = dict(x)
         for w, c in y.items():
-            if w in out:
-                s = out[w] + c
-                if s.is_zero():
-                    del out[w]
-                else:
-                    out[w] = s
-            else:
-                out[w] = c
+            _acc(out, w, c)
         return out
 
     def scale(self, x, c):
@@ -95,7 +82,7 @@ class HeckeWindow:
                 _acc(out, wi, c * self.Q)
             else:
                 _acc(out, wi, c)
-        return {w: c for w, c in out.items() if not c.is_zero()}
+        return out
 
     def lmul_gen(self, i, x):
         """g_i * x."""
@@ -107,7 +94,7 @@ class HeckeWindow:
                 _acc(out, wi, c * self.Q)
             else:
                 _acc(out, wi, c)
-        return {w: c for w, c in out.items() if not c.is_zero()}
+        return out
 
     def rmul_gen_inv(self, x, i):
         """x * g_i^{-1} = x * (Q^{-1} g_i + (Q^{-1} - 1))."""
@@ -202,32 +189,9 @@ class HeckeWindow:
                 out[lab] = c
         return out
 
-    def specht_gram(self, lam):
-        """Gram matrix of the Specht (cell) module of shape lam.
-
-        Entry (s, t) is the coefficient of c_{t^lam t^lam} in c_s c_t*,
-        where c_s = c_lam g_{d(s)}.
-        """
-        lam = sg.Partition(lam)
-        tabs = sg.standard_tableaux(lam, self.lo)
-        clam = self.c_lambda(lam)
-        sup = sg.superstandard(lam, self.lo)
-        rows = []
-        for s in tabs:
-            ds = sg.tableau_perm(self.n, s, self.lo)
-            xs = self.rmul_perm(dict(clam), ds)
-            row = []
-            for t in tabs:
-                dt = sg.tableau_perm(self.n, t, self.lo)
-                prod = self.rmul_perm(xs, sg.inv(dt))  # c_lam g_{d(s)} g*_{d(t)}
-                prod = self.mul(prod, clam)
-                coords = self.to_murphy(prod)
-                row.append(coords.get((lam, sup, sup), self.field.zero()))
-            rows.append(row)
-        return rows
-
 
 def _acc(out, w, c):
+    """Add c to out[w], keeping no zero values."""
     if w in out:
         s = out[w] + c
         if s.is_zero():

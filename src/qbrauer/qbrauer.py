@@ -60,14 +60,12 @@ assumed.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
-import pickle
 
 from . import symgrp as sg
 from .coefficients import RatFunc, Specialization
-from .hecke import HeckeWindow
+from .hecke import HeckeWindow, _acc
 
 __all__ = [
     "QBrAlgebra",
@@ -245,7 +243,7 @@ class QBrAlgebra:
             for y, cy in self.H.rmul_perm({sg.inv(pi): c}, u).items():
                 for idx, cn in self._normalize(sg.inv(v), k, y).items():
                     _acc(out, idx, cy * cn)
-        return _clean(out)
+        return out
 
     def mul(self, x, y):
         """The product x y in the normal basis."""
@@ -261,11 +259,9 @@ class QBrAlgebra:
             for atom in self._index_atoms(idx2):
                 states = self._apply_atom(states, atom)
             for (A, k, w), c in states.items():
-                if c.is_zero():
-                    continue
                 for idx, cn in self._normalize(A, k, w).items():
                     _acc(out, idx, c * cn * cy)
-        return _clean(out)
+        return out
 
     def _index_atoms(self, idx):
         k, u, pi, v = idx
@@ -317,7 +313,7 @@ class QBrAlgebra:
                 for (B, k3, w3), ce in self._emul(k, w).items():
                     for C, cc in self.H.rmul_perm({A: ce}, B).items():
                         _acc(out, (C, k3, w3), c * cc)
-        return _clean(out)
+        return out
 
     def _lmul_gen_states(self, i, states, inverse=False):
         out = {}
@@ -332,7 +328,7 @@ class QBrAlgebra:
                 )
             for B, cb in prod.items():
                 _acc(out, (B, k, w), cb)
-        return _clean(out)
+        return out
 
     def _lmul_e_states(self, states):
         out = {}
@@ -345,7 +341,7 @@ class QBrAlgebra:
             for (A3, k3, w3), cl in self._lefte(k, A).items():
                 for y, cy in self.H.rmul_perm({w3: cl}, w).items():
                     _acc(out, (A3, k3, y), c * cy)
-        return _clean(out)
+        return out
 
     def _lefte(self, k, A):
         """e g_A e_(k) as states, via the involution of e_(k) g_{A^{-1}} e."""
@@ -387,14 +383,14 @@ class QBrAlgebra:
             for (pi, v), c in self._red(k, w).items():
                 for s, cs in self._emul(k, sg.mul(pi, v)).items():
                     _acc(out, s, c * cs)
-            return _clean(out)
+            return out
         # absorb or commute generators on the left of g_w
         for i in range(1, n):
             if w[i - 1] > w[i]:
                 if i % 2 == 1 and i < 2 * k:
                     # e_(k) g_i = Q e_(k) for odd i < 2k
                     sub = self._emul(k, sg.lmul_gen(i, w))
-                    return _clean({s: c * self.Q for s, c in sub.items()})
+                    return {s: c * self.Q for s, c in sub.items()}
                 if i >= 2 * k + 1:
                     # g_i commutes with e_(k)
                     return self._lmul_gen_states(i, self._emul(k, sg.lmul_gen(i, w)))
@@ -404,14 +400,14 @@ class QBrAlgebra:
             if iw[j] < iw[j - 1]:
                 if j == 1:
                     sub = self._emul(k, sg.rmul_gen(w, 1))
-                    return _clean({s: c * self.Q for s, c in sub.items()})
+                    return {s: c * self.Q for s, c in sub.items()}
                 if j >= 3:
                     sub = self._emul(k, sg.rmul_gen(w, j))
                     out = {}
                     for (A, k3, w3), c in sub.items():
                         for y, cy in self.H.rmul_gen({w3: c}, j).items():
                             _acc(out, (A, k3, y), cy)
-                    return _clean(out)
+                    return out
         # core elements: left descents even and <= 2k, right descents = {2}
         if k == 1:
             s2 = sg.gen(n, 2)
@@ -426,7 +422,8 @@ class QBrAlgebra:
                     (self.id, 1, self.id): c1,
                     (self.id, 2, self.id): self.Q * self.Q,
                 }
-                return _clean(out)
+                # c1 vanishes when Q = 1, in the classical version
+                return {s: c for s, c in out.items() if not c.is_zero()}
             raise InternalInconsistency(f"unexpected level-1 core {w}")
         # shift the level down through
         # e_(k) = e g_2 ... g_{2k-1} g_1^{-1} ... g_{2k-2}^{-1} e_(k-1)
@@ -463,7 +460,7 @@ class QBrAlgebra:
         for i in range(1, 2 * k, 2):
             if x[i - 1] > x[i]:
                 sub = self._red(k, sg.lmul_gen(i, x))
-                return _clean({p: c * self.Q for p, c in sub.items()})
+                return {p: c * self.Q for p, c in sub.items()}
         lx = sg.length(x)
         one = self.field.one()
         for j in range(1, k):
@@ -478,7 +475,7 @@ class QBrAlgebra:
                 t = self.H.lmul_gen(2 * j, {y: one})
                 self._red_acc(out, k, t, self.Q * (self.Q - 1))
                 self._red_acc(out, k, {y: one}, self.Q * self.Q)
-                return _clean(out)
+                return out
             if delta == 2:
                 # interleaved blocks: through e_(k) g_{2j} g_{2j-1}
                 # = e_(k) g_{2j} g_{2j+1} both sides drop to shorter words
@@ -490,7 +487,7 @@ class QBrAlgebra:
                     _acc(out, p, c * (self.Q - 1))
                 for p, c in self._red(k, z2).items():
                     _acc(out, p, c * self.Q)
-                return _clean(out)
+                return out
         for j in range(1, k):
             # block j+1 nested inside block j: both words are reduced and
             # e_(k) g_x = e_(k) g_{p_j x} exactly, again by the exchange
@@ -529,7 +526,6 @@ class QBrAlgebra:
                 for y, c3 in self.H.rmul_perm({sg.inv(pi1): c1}, w).items():
                     for (pi2, v2), c4 in self._red(k, y).items():
                         _acc(out, (k, v1, pi2, v2), c3 * c4)
-            out = _clean(out)
         self._norm_memo[key] = out
         return out
 
@@ -623,51 +619,3 @@ class QBrAlgebra:
                 if lhs != self.scale(ek, self.b):
                     fails.append(f"e_({k}) g_2 e = b e_({k})")
         return fails
-
-    # -- structure constants and caching --------------------------------------------
-
-    def cache_key(self):
-        payload = repr((self.n, self.version, self.N, self.spec.tag(), 1))
-        return hashlib.sha256(payload.encode()).hexdigest()[:24]
-
-    def structure_constants(self):
-        """Products of all basis element pairs, as {(i, j): element}.
-
-        Results are cached on disk when QBR_CACHE_DIR is set.  The cache
-        key hashes n, the version, and the coefficient specialization.
-        """
-        cache_dir = os.environ.get("QBR_CACHE_DIR")
-        path = None
-        self.cache_hit = False
-        if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
-            path = os.path.join(cache_dir, f"qbr-{self.cache_key()}.pkl")
-            if os.path.exists(path):
-                with open(path, "rb") as fh:
-                    self.cache_hit = True
-                    return pickle.load(fh)
-        idxs = self.basis_indices()
-        elts = [{idx: self.field.one()} for idx in idxs]
-        out = {}
-        for i, x in enumerate(elts):
-            for j, y in enumerate(elts):
-                out[(i, j)] = self.mul(x, y)
-        if path:
-            with open(path, "wb") as fh:
-                pickle.dump(out, fh)
-        return out
-
-
-def _acc(out, key, c):
-    if key in out:
-        s = out[key] + c
-        if s.is_zero():
-            del out[key]
-        else:
-            out[key] = s
-    elif not c.is_zero():
-        out[key] = c
-
-
-def _clean(d):
-    return {k: c for k, c in d.items() if not c.is_zero()}

@@ -18,6 +18,8 @@ from __future__ import annotations
 from functools import lru_cache
 import itertools
 
+from . import brauerdiag
+
 __all__ = [
     "identity",
     "gen",
@@ -87,11 +89,6 @@ def rmul_gen(u, i):
     a, b = inv(u)[i - 1], inv(u)[i]
     img[a], img[b] = img[b], img[a]
     return tuple(img)
-
-
-def has_left_descent(u, i):
-    """True iff length(s_i * u) < length(u)."""
-    return u[i - 1] > u[i]
 
 
 def reduced_word(u):
@@ -324,8 +321,6 @@ def enumerate_Bkn(n, k):
     preserve order) the unique candidate whose Coxeter length equals the
     diagram length is kept.
     """
-    from . import brauerdiag  # local import: brauerdiag depends on symgrp
-
     if k == 0:
         return [identity(n)]
     by_diag = {}

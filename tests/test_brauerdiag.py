@@ -70,3 +70,21 @@ def test_diagram_length_of_basis_words():
     d, loops = bd.compose(bd.perm_diagram(sg.gen(n, 2)), e)
     assert loops == 0
     assert bd.diagram_length(n, 1, d) == 1
+
+
+def test_length_table_matches_brute_force():
+    # the breadth-first table against every product w1 e_(k) w2
+    for n in range(2, 6):
+        perms = sg.all_perms(n)
+        for k in range(n // 2 + 1):
+            e_k = bd.e_k_diagram(n, k)
+            expect = {}
+            for w1 in perms:
+                left, loops = bd.compose(bd.perm_diagram(w1), e_k)
+                assert loops == 0
+                for w2 in perms:
+                    d, loops = bd.compose(left, bd.perm_diagram(w2))
+                    assert loops == 0
+                    l = sg.length(w1) + sg.length(w2)
+                    expect[d] = min(l, expect.get(d, l))
+            assert bd._length_table(n, k) == expect

@@ -18,7 +18,7 @@ def test_basis_normal_count(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["result"]["count"] == 15
-    assert set(doc) == {"config", "result", "timing", "cache_hit"}
+    assert set(doc) == {"config", "result", "timing"}
 
 
 def test_basis_cellular_count(capsys):
@@ -59,10 +59,34 @@ def test_gram_empty_partition(capsys):
     assert res["dim_C"] == 1
 
 
-def test_gram_bad_partition_exit2(capsys):
-    code, _, err = run(capsys, "gram", "--n", "3", "--k", "1", "--lambda", "3")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gram", "--n", "3", "--k", "1", "--lambda", "3"),
+        # q = 1 makes the denominator q^2 - 1 of the scalar a vanish
+        ("gram", "--n", "3", "--k", "1", "--lambda", "1",
+         "--field", "fp:5", "--q", "1", "--r", "2"),
+        ("gram", "--n", "3", "--k", "1", "--lambda", "1",
+         "--field", "fp:9", "--q", "2", "--r", "2"),
+        ("semisimple", "--n", "2", "--field", "fp:x", "--grid", "all"),
+        ("semisimple", "--n", "2", "--field", "fp:4", "--grid", "all"),
+        ("semisimple", "--n", "2", "--field", "fp:5", "--grid", "some"),
+        ("basis", "--n", "1"),
+    ],
+    ids=[
+        "bad-partition",
+        "vanishing-denominator",
+        "composite-modulus",
+        "grid-bad-modulus",
+        "grid-composite-modulus",
+        "grid-bad-choice",
+        "n-too-small",
+    ],
+)
+def test_bad_config_exit2(capsys, argv):
+    code, _, err = run(capsys, *argv)
     assert code == 2
-    assert "error" in err
+    assert "error:" in err.strip().splitlines()[-1]
 
 
 def test_semisimple_grid_two_param(capsys):

@@ -101,6 +101,10 @@ def test_specialization_prime_field():
     assert spec((q + r) / r) == Fp(5, 0)
     with pytest.raises(DenominatorVanishes):
         spec(1 / (q + r))
+    # Fermat inverses are wrong modulo a composite
+    for p in (1, 4, 9):
+        with pytest.raises(ValueError):
+            Specialization.prime_field(p, 2, 3)
 
 
 def test_specialization_rejects_zero_images():

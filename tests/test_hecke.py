@@ -2,8 +2,10 @@
 transition matrices, and Specht-module Gram matrices."""
 
 from qbrauer import symgrp as sg
+from qbrauer.cellular import Cellular, det
 from qbrauer.coefficients import RatFunc, Specialization
-from qbrauer.hecke import HeckeWindow, hecke_semisimple, is_restricted
+from qbrauer.hecke import HeckeWindow, is_restricted
+from qbrauer.qbrauer import QBrAlgebra
 
 
 q = RatFunc.q()
@@ -82,28 +84,26 @@ def test_murphy_unit_coordinates():
 
 
 def test_specht_gram_small():
-    H2 = window(2)
-    assert H2.specht_gram((2,)) == [[RatFunc.from_int(1) + Q]]
-    assert H2.specht_gram((1, 1)) == [[RatFunc.from_int(1)]]
-    H3 = window(3)
+    # the Specht module Gram matrices are the k = 0 cell forms
+    C2 = Cellular(QBrAlgebra(2))
+    assert C2.gram(0, (2,)) == [[RatFunc.from_int(1) + Q]]
+    assert C2.gram(0, (1, 1)) == [[RatFunc.from_int(1)]]
+    C3 = Cellular(QBrAlgebra(3))
     # shape (3): 1x1 Poincare polynomial of S_3 in Q
     poincare = 1 + 2 * Q + 2 * Q * Q + Q**3
-    assert H3.specht_gram((3,)) == [[poincare]]
-    g = H3.specht_gram((2, 1))
+    assert C3.gram(0, (3,)) == [[poincare]]
+    g = C3.gram(0, (2, 1))
     assert g[0][0] == 1 + Q
     assert g[0][1] == g[1][0] == RatFunc.from_int(-1)
     assert g[1][1] == 1 + Q * Q
-    from qbrauer.cellular import det
-
     assert det(g, Specialization.generic()) == Q * (1 + Q + Q * Q)
 
 
 def test_window_translation_invariance():
     # the window 3..5 behaves exactly like S_3 with shifted letters
-    H = window(5, 3)
-    g = H.specht_gram((2, 1))
-    H3 = window(3, 1)
-    assert g == H3.specht_gram((2, 1))
+    _, _, mat, _ = window(5, 3).murphy_data()
+    _, _, mat3, _ = window(3, 1).murphy_data()
+    assert mat == mat3
 
 
 def test_is_restricted():
@@ -115,8 +115,3 @@ def test_is_restricted():
     from qbrauer.coefficients import INFINITY
 
     assert is_restricted((7,), INFINITY)
-
-
-def test_hecke_semisimple():
-    assert hecke_semisimple(3, 4)
-    assert not hecke_semisimple(3, 3)

@@ -195,22 +195,6 @@ def test_rewrite_budget():
         del os.environ["QBR_MAX_REWRITE_STEPS"]
 
 
-def test_structure_constants_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("QBR_CACHE_DIR", str(tmp_path))
-    alg = QBrAlgebra(2)
-    table = alg.structure_constants()
-    assert not alg.cache_hit
-    assert len(table) == 9
-    alg2 = QBrAlgebra(2)
-    table2 = alg2.structure_constants()
-    assert alg2.cache_hit
-    assert table2 == table
-    # (e, e) entry is a e
-    idxs = alg.basis_indices()
-    i = idxs.index((1, alg.id, alg.id, alg.id))
-    assert table[(i, i)] == alg.scale(alg.e_k(1), alg.a)
-
-
 def test_commutation_with_window_letters():
     # e_(k) commutes with every permutation of the letters 2k+1..n
     alg = QBrAlgebra(5)
