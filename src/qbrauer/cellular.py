@@ -19,9 +19,14 @@ The cell (Specht) module C(k, lam) has basis indexed by pairs (t, v) and
 carries the bilinear form
 
     <x_{(t,v)}, x_{(s,u)}> m_lam = m_lam g_{d(t)} g_v g*_u g*_{d(s)} m_lam
-                                    mod more dominant cells,
+                                    mod more dominant cells.
 
-whose Gram matrix decides everything representation-theoretic here: the
+The form is symmetric, as for every cellular algebra (Graham-Lehrer): the
+anti-involution star fixes m_lam and swaps the two factors.  Gram matrices
+are therefore filled from the entries with i <= j, each of which is one
+Murphy coordinate (lam, t^lam, t^lam) of a product.
+
+The Gram matrix decides everything representation-theoretic here: the
 simple head D(k, lam) is nonzero iff the form is nonzero, the algebra is
 semisimple iff every Gram matrix is nonsingular, and by the
 classification theorem D(k, lam) is nonzero iff lam is e(Q)-restricted,
@@ -167,7 +172,11 @@ class Cellular:
         return {(k, self.alg.id, pi, v): c for pi, c in helt.items()}
 
     def gram(self, k, lam):
-        """Gram matrix of C(k, lam) in the (t, v) basis order."""
+        """Gram matrix of C(k, lam) in the (t, v) basis order.
+
+        The form is symmetric (star is an anti-involution fixing m_lam), so
+        only the entries with i <= j are computed and the rest mirrored.
+        """
         key = (k, lam)
         if key not in self._gram:
             alg = self.alg
@@ -176,19 +185,18 @@ class Cellular:
             idx = self.module_index(k, lam)
             vecs = [self._module_vector(k, lam, tv) for tv in idx]
             stars = [alg.star(x) for x in vecs]
-            mat = []
-            for x in vecs:
-                row = []
-                for y in stars:
-                    p = alg.mul(x, y)
+            zero = self.field.zero()
+            mat = [[None] * len(idx) for _ in idx]
+            for i, x in enumerate(vecs):
+                for j in range(i, len(idx)):
+                    p = alg.mul(x, stars[j])
                     helt = {
                         pi: c
                         for (k2, u2, pi, v2), c in p.items()
                         if k2 == k and u2 == alg.id and v2 == alg.id
                     }
-                    coords = H.to_murphy(helt) if helt else {}
-                    row.append(coords.get((lam, sup, sup), self.field.zero()))
-                mat.append(row)
+                    c = H.murphy_coordinate(helt, (lam, sup, sup)) if helt else zero
+                    mat[i][j] = mat[j][i] = c
             self._gram[key] = mat
         return self._gram[key]
 

@@ -9,13 +9,14 @@ Four subcommands:
 
 Output is JSON by default ({config, result, timing}), with coefficients
 rendered as canonical strings; ``semisimple --grid all`` emits CSV rows
-r, q, semisimple, witness_label, closed_form_agrees.
+r, q, semisimple, witness_label, closed_form_agrees.  ``--format csv`` is
+accepted only there.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration
 (including a parameter point where a defining scalar has a vanishing
 denominator), 3 rewrite step budget exceeded.  Configuration errors print
 one ``error:`` line to stderr.  The environment variable
-QBR_MAX_REWRITE_STEPS bounds the rewrite engine.
+QBR_MAX_REWRITE_STEPS (an integer >= 1) bounds the rewrite engine.
 """
 
 import argparse
@@ -29,7 +30,7 @@ from . import brauerdiag as bd
 from . import symgrp as sg
 from .cellular import Cellular, closed_form_criterion
 from .coefficients import Cyclo, DenominatorVanishes, Specialization
-from .qbrauer import QBrAlgebra, RewriteBudgetExceeded
+from .qbrauer import QBrAlgebra, RewriteBudgetExceeded, max_rewrite_steps
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -475,6 +476,12 @@ def main(argv=None):
     try:
         if args.n < 2:
             raise ConfigError("need n >= 2")
+        if args.format == "csv" and not getattr(args, "grid", None):
+            raise ConfigError("--format csv is only for semisimple --grid")
+        try:
+            max_rewrite_steps()
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         return args.func(args)
     except (ConfigError, DenominatorVanishes) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -72,9 +72,28 @@ __all__ = [
     "version_scalars",
     "RewriteBudgetExceeded",
     "InternalInconsistency",
+    "max_rewrite_steps",
 ]
 
 DEFAULT_MAX_REWRITE_STEPS = 10**6
+
+
+def max_rewrite_steps():
+    """The step budget per product from QBR_MAX_REWRITE_STEPS.
+
+    Raises ValueError unless the variable is unset or an integer >= 1.
+    """
+    text = os.environ.get("QBR_MAX_REWRITE_STEPS")
+    if text is None:
+        return DEFAULT_MAX_REWRITE_STEPS
+    try:
+        steps = int(text)
+    except ValueError:
+        steps = 0
+    if steps < 1:
+        raise ValueError(f"QBR_MAX_REWRITE_STEPS must be an integer >= 1, not {text!r}")
+    return steps
+
 
 VERSIONS = ("two_param", "one_param", "n_version", "classical")
 
@@ -139,9 +158,7 @@ class QBrAlgebra:
         self.field = self.spec
         self.H = HeckeWindow(n, 1, self.spec, self.Q)
         self.id = sg.identity(n)
-        self.max_steps = int(
-            os.environ.get("QBR_MAX_REWRITE_STEPS", DEFAULT_MAX_REWRITE_STEPS)
-        )
+        self.max_steps = max_rewrite_steps()
         self._steps = 0
 
         self.Bkn = [sg.enumerate_Bkn(n, k) for k in range(n // 2 + 1)]

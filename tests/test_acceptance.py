@@ -344,9 +344,12 @@ def test_criterion_8_property_suites():
     for n in (2, 3, 4, 5):
         for lo in range(1, n + 1):
             H = HeckeWindow(n, lo, spec, Q)
-            labels, perms, _, inv = H.murphy_data()
+            labels, perms, _, lu = H.murphy_data()
             ok &= len(labels) == len(perms) == math.factorial(n - lo + 1)
-            ok &= len(inv) == len(labels)
+            # a pivot row per column, reduced rows upper triangular with
+            # the (nonzero, as stored) pivot on the diagonal
+            ok &= sorted(lu.pivots) == list(range(len(labels)))
+            ok &= [min(row) for row in lu.upper] == list(range(len(labels)))
     elapsed = time.time() - t0
     report(8, ok, f"relation/associativity/involution/cellularity/Murphy"
                   f" suites, zero failures, in {elapsed:.1f}s")

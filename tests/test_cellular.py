@@ -182,3 +182,46 @@ def test_det_and_rank_helpers():
     assert det(mat, spec).is_zero()
     assert rank(mat, spec) == 1
     assert det([[two]], spec) == two
+
+
+def full_gram(cell, k, lam):
+    """Every Gram entry from its own product, the oracle for Cellular.gram."""
+    alg = cell.alg
+    H = cell.window(k)
+    sup = sg.superstandard(lam, 2 * k + 1)
+    vecs = [
+        cell.cell_basis_element(k, lam, (sup, alg.id), tv)
+        for tv in cell.module_index(k, lam)
+    ]
+    mat = []
+    for x in vecs:
+        row = []
+        for y in vecs:
+            p = alg.mul(x, alg.star(y))
+            helt = {
+                pi: c for (k2, u, pi, v), c in p.items()
+                if k2 == k and u == alg.id and v == alg.id
+            }
+            row.append(H.to_murphy(helt).get((lam, sup, sup), alg.field.zero()))
+        mat.append(row)
+    return mat
+
+
+def test_gram_matches_full_fill():
+    # Cellular.gram computes only i <= j; the full fill pins the symmetry
+    algebras = [
+        QBrAlgebra(n, version=version, N=N)
+        for n in (2, 3, 4)
+        for version, N in (
+            ("two_param", None), ("one_param", None),
+            ("n_version", 3), ("classical", None),
+        )
+    ]
+    # cell (2, (1)) at n = 5 raises InternalInconsistency (level-2 rewriting)
+    fp5 = QBrAlgebra(5, spec=Specialization.prime_field(101, 3, 5))
+    for alg in algebras + [fp5]:
+        cell = Cellular(alg)
+        for k, lam in cell.labels():
+            if alg.n == 5 and (k, lam) == (2, (1,)):
+                continue
+            assert cell.gram(k, lam) == full_gram(cell, k, lam), (alg.n, alg.version, k, lam)

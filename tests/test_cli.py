@@ -60,18 +60,21 @@ def test_gram_empty_partition(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, env",
     [
-        ("gram", "--n", "3", "--k", "1", "--lambda", "3"),
+        (("gram", "--n", "3", "--k", "1", "--lambda", "3"), {}),
         # q = 1 makes the denominator q^2 - 1 of the scalar a vanish
-        ("gram", "--n", "3", "--k", "1", "--lambda", "1",
-         "--field", "fp:5", "--q", "1", "--r", "2"),
-        ("gram", "--n", "3", "--k", "1", "--lambda", "1",
-         "--field", "fp:9", "--q", "2", "--r", "2"),
-        ("semisimple", "--n", "2", "--field", "fp:x", "--grid", "all"),
-        ("semisimple", "--n", "2", "--field", "fp:4", "--grid", "all"),
-        ("semisimple", "--n", "2", "--field", "fp:5", "--grid", "some"),
-        ("basis", "--n", "1"),
+        (("gram", "--n", "3", "--k", "1", "--lambda", "1",
+          "--field", "fp:5", "--q", "1", "--r", "2"), {}),
+        (("gram", "--n", "3", "--k", "1", "--lambda", "1",
+          "--field", "fp:9", "--q", "2", "--r", "2"), {}),
+        (("semisimple", "--n", "2", "--field", "fp:x", "--grid", "all"), {}),
+        (("semisimple", "--n", "2", "--field", "fp:4", "--grid", "all"), {}),
+        (("semisimple", "--n", "2", "--field", "fp:5", "--grid", "some"), {}),
+        (("basis", "--n", "1"), {}),
+        (("basis", "--n", "2"), {"QBR_MAX_REWRITE_STEPS": "abc"}),
+        (("basis", "--n", "2"), {"QBR_MAX_REWRITE_STEPS": "-5"}),
+        (("gram", "--n", "3", "--k", "1", "--lambda", "1", "--format", "csv"), {}),
     ],
     ids=[
         "bad-partition",
@@ -81,9 +84,14 @@ def test_gram_empty_partition(capsys):
         "grid-composite-modulus",
         "grid-bad-choice",
         "n-too-small",
+        "rewrite-steps-not-integer",
+        "rewrite-steps-below-one",
+        "csv-outside-grid",
     ],
 )
-def test_bad_config_exit2(capsys, argv):
+def test_bad_config_exit2(capsys, monkeypatch, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error:" in err.strip().splitlines()[-1]
@@ -164,3 +172,21 @@ def test_version_parsing_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "basis", "--n", "3", "--version", "N=0")
     assert code == 2
+
+
+def test_gram_n5_fp_det(capsys):
+    # determinant and rank as printed by the dense-inverse implementation
+    code, out, _ = run(
+        capsys, "gram", "--n", "5", "--k", "0", "--lambda", "4,1",
+        "--field", "fp:101", "--q", "3", "--r", "5",
+    )
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert res["dim_C"] == 4
+    assert res["det"] == "55" and res["rank"] == 4
+
+
+def test_verify_cellularity_n4(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "4", "--suite", "cellularity")
+    assert code == 0
+    assert out.startswith("PASS cellularity")

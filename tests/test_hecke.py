@@ -1,10 +1,16 @@
 """Hecke algebra on a letter window: quadratic relation, Murphy basis,
-transition matrices, and Specht-module Gram matrices."""
+transition matrices and their sparse factorisation, and Specht-module Gram
+matrices."""
+
+import math
+import random
+
+import pytest
 
 from qbrauer import symgrp as sg
 from qbrauer.cellular import Cellular, det
 from qbrauer.coefficients import RatFunc, Specialization
-from qbrauer.hecke import HeckeWindow, is_restricted
+from qbrauer.hecke import HeckeWindow, SparseLU, is_restricted
 from qbrauer.qbrauer import QBrAlgebra
 
 
@@ -54,11 +60,22 @@ def test_star_antiautomorphism():
     assert H.star(H.mul(x, y)) == H.mul(H.star(y), H.star(x))
 
 
+def assert_invertible(lu, size):
+    # a pivot row per column, and the reduced rows upper triangular with
+    # the pivot on the diagonal, which is nonzero as no zero is stored
+    assert sorted(lu.pivots) == list(range(size))
+    assert [min(row) for row in lu.upper] == list(range(size))
+
+
 def test_murphy_transition_invertible_n4():
+    # the factorisation exists for every window with n <= 5
+    for n in (2, 3, 4, 5):
+        for lo in range(1, n + 1):
+            labels, perms, _, lu = window(n, lo).murphy_data()
+            assert len(labels) == len(perms) == math.factorial(n - lo + 1)
+            assert_invertible(lu, len(labels))
     for lo in (1, 2, 3, 4):
         H = window(4, lo)
-        labels, perms, mat, inv = H.murphy_data()
-        assert len(labels) == len(perms)
         # round trip through coordinates
         x = H.rmul_word(H.unit(), (lo,) if lo < 4 else ())
         coords = H.to_murphy(x)
@@ -71,6 +88,78 @@ def test_murphy_transition_invertible_n4():
                 else:
                     back[w] = cur
         assert back == x
+
+
+def dense_inverse(mat, field):
+    """Exact Gauss-Jordan inverse, the oracle for the sparse factorisation."""
+    n = len(mat)
+    a = [list(row) + [field.one() if i == j else field.zero() for j in range(n)]
+         for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+        if piv is None:
+            raise ArithmeticError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv = field.one() / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for r in range(n):
+            if r != col and not a[r][col].is_zero():
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def oracle_windows():
+    for n in (2, 3, 4):
+        for lo in range(1, n + 1):
+            yield window(n, lo)
+    fp = Specialization.prime_field(101, 3, 5)
+    for lo in (1, 2):
+        yield HeckeWindow(5, lo, fp, fp(Q))
+
+
+def test_sparse_solves_match_dense_inverse():
+    rng = random.Random(5)
+    for H in oracle_windows():
+        labels, perms, mat, lu = H.murphy_data()
+        zero = H.field.zero()
+        inv = dense_inverse(mat, H.field)
+        for j in range(len(labels)):
+            dual = lu.dual_row(j)
+            assert [dual.get(i, zero) for i in range(len(perms))] == inv[j]
+        for _ in range(5):
+            support = rng.sample(perms, min(6, len(perms)))
+            x = {w: H.field.from_int(rng.randrange(1, 100)) for w in support}
+            want = {}
+            for j, lab in enumerate(labels):
+                c = zero
+                for i, w in enumerate(perms):
+                    if w in x:
+                        c = c + inv[j][i] * x[w]
+                if not c.is_zero():
+                    want[lab] = c
+            assert H.to_murphy(x) == want
+            lab = labels[rng.randrange(len(labels))]
+            assert H.murphy_coordinate(x, lab) == want.get(lab, zero)
+
+
+def test_sparse_lu_singular():
+    fp = Specialization.prime_field(101, 3, 5)
+    one, zero = fp.one(), fp.zero()
+    two, four = fp.from_int(2), fp.from_int(4)
+    for mat in (
+        [[one, two], [two, four]],
+        [[one, zero], [two, zero]],
+        [[zero, zero], [zero, zero]],
+    ):
+        with pytest.raises(ArithmeticError):
+            SparseLU(mat, fp)
+    # a Murphy transition with one column zeroed
+    H = window(4)
+    _, _, mat, _ = H.murphy_data()
+    mat = [row[:7] + [H.field.zero()] + row[8:] for row in mat]
+    with pytest.raises(ArithmeticError):
+        SparseLU(mat, H.field)
 
 
 def test_murphy_unit_coordinates():
