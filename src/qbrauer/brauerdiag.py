@@ -1,5 +1,8 @@
 """Brauer diagrams and the classical diagram algebra D_n(x).
 
+The q = 1 oracle: nothing on the construction path (QBrAlgebra,
+Cellular) imports it, so it checks that code independently.
+
 A diagram on n strands is a perfect matching of 2n vertices.  Vertex ids
 are 0..2n-1: top row positions 1..n are 0..n-1 (left to right), bottom row
 positions 1..n are n..2n-1.  A diagram is stored as a frozenset of

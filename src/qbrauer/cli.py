@@ -7,10 +7,13 @@ Four subcommands:
   semisimple  semisimplicity verdict at a point, or an (r, q) grid over F_p
   verify      run the internal consistency suites
 
-Output is JSON by default ({config, result, timing}), with coefficients
-rendered as canonical strings; ``semisimple --grid all`` emits CSV rows
-r, q, semisimple, witness_label, closed_form_agrees.  ``--format csv`` is
-accepted only there.
+``--field``, ``--q`` and ``--r`` belong to ``gram`` and ``semisimple``
+(``verify`` works over the generic field), ``--format`` to ``basis``,
+``gram`` and ``semisimple``.  Output is JSON by default ({config, result,
+timing}), with coefficients rendered as canonical strings; ``semisimple
+--grid all`` sweeps every (r, q) and emits CSV rows r, q, semisimple,
+witness_label, closed_form_agrees.  ``--format csv`` is accepted only
+there, and ``--q``, ``--r`` and ``--format json|text`` are not.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration
 (including a parameter point where a defining scalar has a vanishing
@@ -170,7 +173,7 @@ def cellular_index_str(idx):
 
 
 def emit(args, config, result, t0):
-    if getattr(args, "format", "json") == "text":
+    if args.format == "text":
         for key, val in result.items():
             if isinstance(val, list):
                 for item in val:
@@ -192,6 +195,8 @@ def emit(args, config, result, t0):
 def cmd_basis(args):
     t0 = time.time()
     version, N = parse_version(args.version)
+    if args.k is not None and not 0 <= args.k <= args.n // 2:
+        raise ConfigError(f"k must be in 0..{args.n // 2}")
     alg = QBrAlgebra(args.n, version=version, N=N)
     if args.kind == "normal":
         idxs = alg.basis_indices()
@@ -271,6 +276,8 @@ def cmd_semisimple(args):
     if args.grid:
         if not field.startswith("fp:"):
             raise ConfigError("grid sweeps need a finite field fp:<p>")
+        if args.q is not None or args.r is not None or args.format in ("json", "text"):
+            raise ConfigError("grid sweeps print csv over every (r, q); drop --q, --r, --format")
         p = _fp_modulus(field)
         rows = []
         for r_img in range(1, p):
@@ -442,22 +449,24 @@ def make_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int, required=True)
     common.add_argument("--version", default=None, help="two-param | oneparam | N=<int> | classical")
-    common.add_argument("--field", default=None, help="generic | fp:<p> | cyclo:<m>")
-    common.add_argument("--q", default=None, help="image of q (int, or zeta^e for cyclo)")
-    common.add_argument("--r", default=None, help="image of r")
-    common.add_argument("--format", default="json", choices=("json", "text", "csv"))
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--field", default=None, help="generic | fp:<p> | cyclo:<m>")
+    field.add_argument("--q", default=None, help="image of q (int, or zeta^e for cyclo)")
+    field.add_argument("--r", default=None, help="image of r")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", default=None, choices=("json", "text", "csv"), help="default json; csv under --grid")
 
-    b = sub.add_parser("basis", parents=[common])
+    b = sub.add_parser("basis", parents=[common, fmt])
     b.add_argument("--kind", default="normal", choices=("normal", "cellular"))
     b.add_argument("--k", type=int, default=None)
     b.set_defaults(func=cmd_basis)
 
-    g = sub.add_parser("gram", parents=[common])
+    g = sub.add_parser("gram", parents=[common, field, fmt])
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--lambda", dest="lam", required=True, help="partition of n-2k, e.g. '2,1' or ''")
     g.set_defaults(func=cmd_gram)
 
-    s = sub.add_parser("semisimple", parents=[common])
+    s = sub.add_parser("semisimple", parents=[common, field, fmt])
     s.add_argument("--grid", default=None, choices=("all",), help="'all' sweeps the full (r,q) grid over fp:<p>")
     s.set_defaults(func=cmd_semisimple)
 
@@ -476,7 +485,7 @@ def main(argv=None):
     try:
         if args.n < 2:
             raise ConfigError("need n >= 2")
-        if args.format == "csv" and not getattr(args, "grid", None):
+        if getattr(args, "format", None) == "csv" and not getattr(args, "grid", None):
             raise ConfigError("--format csv is only for semisimple --grid")
         try:
             max_rewrite_steps()

@@ -11,14 +11,15 @@ Generators are labelled 1..n-1; ``s_i`` swaps the letters i and i+1.
 Tableaux live on a window {lo, ..., n} of letters (lo = 2k+1 when k pairs
 have been used up by the diagram part), with shape a partition of
 n - lo + 1.
+
+B_{k,n} is built in closed form; :mod:`qbrauer.brauerdiag`, the q = 1
+oracle that checks it, is not on this construction path.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 import itertools
-
-from . import brauerdiag
 
 __all__ = [
     "identity",
@@ -292,56 +293,38 @@ def window_perms(n, lo):
 # ---------------------------------------------------------------------------
 
 
-def _bk_candidates(n, k):
-    """All products t_2 t_4 ... t_{2k} t_{2k+1} ... t_{n-1}.
-
-    Each factor t_j is either trivial or a descending run
-    s_j s_{j-1} ... s_i for some 1 <= i <= j.
-    """
-    positions = [2 * j for j in range(1, k + 1) if 2 * j <= n - 1]
-    positions += [j for j in range(2 * k + 1, n)]
-    choices = []
-    for j in positions:
-        opts = [()]
-        for i in range(j, 0, -1):
-            opts.append(tuple(range(j, i - 1, -1)))
-        choices.append(opts)
-    cands = set()
-    for combo in itertools.product(*choices):
-        word = tuple(itertools.chain(*combo))
-        cands.add(from_word(n, word))
-    return cands
+def _matchings(points):
+    """All perfect matchings of an increasing tuple, as lists of arcs (a, b)."""
+    if not points:
+        yield []
+        return
+    for j in range(1, len(points)):
+        for rest in _matchings(points[1:j] + points[j + 1:]):
+            yield [(points[0], points[j])] + rest
 
 
 def enumerate_Bkn(n, k):
     """The representatives B_{k,n}, sorted by (length, one-line form).
 
-    Candidates in the normal form above are grouped by the diagram
-    e_(k) * omega; for each admissible diagram (the through strands must
-    preserve order) the unique candidate whose Coxeter length equals the
-    diagram length is kept.
+    v in B_{k,n} is the minimal-length permutation whose diagram e_(k) * v
+    has a given set of k bottom arcs {v(2i-2), v(2i-1)}, with its through
+    strands (top 2k+j to v(2k+j)) in order.  For each set of k disjoint
+    arcs (a, b), a < b, on 0..n-1, v lists the arcs by increasing b, each
+    as a then b, then the free points in increasing order.
+
+    Minimality: arc entries precede free ones in every v with the same
+    diagram, so those inversions are fixed, and a then b costs none.  Of
+    two arcs, the one with the smaller b first gives 0 inversions when
+    they are disjoint and 1 (against 3) when they interleave.  Nested
+    arcs give 2 either way; there the descending-run normal form
+    t_2 t_4 ... t_{2k} t_{2k+1} ... t_{n-1} of B_{k,n} keeps the inner
+    arc first, as "smaller b first" does.
     """
-    if k == 0:
-        return [identity(n)]
-    by_diag = {}
-    e_k = brauerdiag.e_k_diagram(n, k)
-    for w in _bk_candidates(n, k):
-        d, loops = brauerdiag.compose(e_k, brauerdiag.perm_diagram(w))
-        if loops:
-            raise AssertionError("e_(k) * permutation cannot close a loop")
-        if not brauerdiag.order_preserving_throughs(d, n):
-            continue
-        by_diag.setdefault(d, []).append(w)
     out = []
-    for d, ws in by_diag.items():
-        target = brauerdiag.diagram_length(n, k, d)
-        best = [w for w in ws if length(w) == target]
-        if len(best) != 1:
-            raise AssertionError(
-                f"expected a unique minimal representative for {d}, got {best}"
-            )
-        out.append(best[0])
-    if len(out) != len(by_diag):
-        raise AssertionError("representative count mismatch")
+    for ends in itertools.combinations(range(n), 2 * k):
+        free = [x for x in range(n) if x not in ends]
+        for arcs in _matchings(ends):
+            arcs.sort(key=lambda ab: ab[1])
+            out.append(tuple(itertools.chain(*arcs, free)))
     out.sort(key=lambda w: (length(w), w))
     return out

@@ -1,7 +1,11 @@
 """Brauer diagrams: composition with loop counting, the involution, and
 the diagram algebra used as the q = 1 oracle."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from qbrauer import brauerdiag as bd
 from qbrauer import symgrp as sg
@@ -38,7 +42,7 @@ def test_diagram_count():
 def test_normal_index_bijection():
     from qbrauer.qbrauer import QBrAlgebra
 
-    for n in (3, 4):
+    for n in (3, 4, 5, 6):
         alg = QBrAlgebra(n, version="classical")
         seen = set()
         for idx in alg.basis_indices():
@@ -46,6 +50,33 @@ def test_normal_index_bijection():
             assert d not in seen
             seen.add(d)
         assert len(seen) == bd.diagram_count(n)
+
+
+def test_dimension_n7():
+    from qbrauer.qbrauer import QBrAlgebra
+
+    alg = QBrAlgebra(7)
+    assert alg.dim() == len(alg.basis_indices()) == bd.diagram_count(7)
+
+
+def test_construction_does_not_import_the_oracle():
+    # the diagram algebra checks the construction; it is no part of it
+    code = (
+        "import sys\n"
+        "from qbrauer.cellular import Cellular\n"
+        "from qbrauer.qbrauer import QBrAlgebra\n"
+        "Cellular(QBrAlgebra(4)).gram(1, (2,))\n"
+        "print('qbrauer.brauerdiag' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_diag_element_algebra():

@@ -75,6 +75,21 @@ def test_gram_empty_partition(capsys):
         (("basis", "--n", "2"), {"QBR_MAX_REWRITE_STEPS": "abc"}),
         (("basis", "--n", "2"), {"QBR_MAX_REWRITE_STEPS": "-5"}),
         (("gram", "--n", "3", "--k", "1", "--lambda", "1", "--format", "csv"), {}),
+        (("semisimple", "--n", "2", "--field", "fp:5", "--grid", "all",
+          "--format", "text"), {}),
+        (("semisimple", "--n", "2", "--field", "fp:5", "--grid", "all",
+          "--format", "json"), {}),
+        (("semisimple", "--n", "2", "--field", "fp:5", "--grid", "all",
+          "--q", "2"), {}),
+        (("semisimple", "--n", "2", "--field", "fp:5", "--grid", "all",
+          "--r", "3"), {}),
+        (("basis", "--n", "3", "--field", "fp:4"), {}),
+        (("basis", "--n", "3", "--q", "2"), {}),
+        (("verify", "--n", "3", "--suite", "dimension",
+          "--field", "fp:5", "--q", "2", "--r", "3"), {}),
+        (("verify", "--n", "3", "--suite", "dimension", "--format", "text"), {}),
+        (("basis", "--n", "3", "--k", "7"), {}),
+        (("basis", "--n", "3", "--k", "-1"), {}),
     ],
     ids=[
         "bad-partition",
@@ -87,6 +102,16 @@ def test_gram_empty_partition(capsys):
         "rewrite-steps-not-integer",
         "rewrite-steps-below-one",
         "csv-outside-grid",
+        "grid-format-text",
+        "grid-format-json",
+        "grid-q",
+        "grid-r",
+        "basis-field",
+        "basis-q",
+        "verify-field",
+        "verify-format",
+        "basis-k-above-range",
+        "basis-k-below-range",
     ],
 )
 def test_bad_config_exit2(capsys, monkeypatch, argv, env):
@@ -112,6 +137,23 @@ def test_semisimple_grid_two_param(capsys):
         if verdict in ("true", "false"):
             assert line.split(",")[4] == "true"  # closed form agrees
     assert non_ss == {(ri, qi) for ri in (2, 3) for qi in (2, 3)}
+
+
+def test_semisimple_grid_explicit_csv(capsys):
+    code, out, _ = run(
+        capsys,
+        "semisimple", "--n", "2", "--field", "fp:5", "--grid", "all",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "r,q,semisimple,witness_label,closed_form_agrees"
+    assert len(out.strip().splitlines()) == 1 + 4 * 4
+
+
+def test_basis_k_range_matches_gram(capsys):
+    _, _, basis_err = run(capsys, "basis", "--n", "3", "--k", "7")
+    _, _, gram_err = run(capsys, "gram", "--n", "3", "--k", "7", "--lambda", "")
+    assert basis_err == gram_err == "error: k must be in 0..1\n"
 
 
 def test_semisimple_grid_one_param(capsys):

@@ -1,8 +1,10 @@
 """Symmetric group combinatorics: permutations, partitions, tableaux,
 letter windows and the transversals B_{k,n}."""
 
+import itertools
 import math
 
+from qbrauer import brauerdiag as bd
 from qbrauer import symgrp as sg
 
 
@@ -88,12 +90,49 @@ def test_window_perms():
 
 def test_Bkn_counts():
     # |B_{k,n}| = n! / (2^k k! (n-2k)!)
-    for n in range(2, 7):
+    for n in range(2, 9):
         for k in range(n // 2 + 1):
             expect = math.factorial(n) // (
                 2**k * math.factorial(k) * math.factorial(n - 2 * k)
             )
             assert len(sg.enumerate_Bkn(n, k)) == expect
+
+
+def _descending_run_Bkn(n, k):
+    """B_{k,n} by brute force: the descending-run normal form, grouped by
+    the diagram e_(k) * w (ordered throughs only), keeping the candidate
+    whose length is the diagram length."""
+    positions = [j for j in range(2, 2 * k + 1, 2) if j <= n - 1]
+    positions += list(range(2 * k + 1, n))
+    runs = [
+        [()] + [tuple(range(j, i - 1, -1)) for i in range(j, 0, -1)]
+        for j in positions
+    ]
+    cands = {
+        sg.from_word(n, tuple(itertools.chain(*combo)))
+        for combo in itertools.product(*runs)
+    }
+    e_k = bd.e_k_diagram(n, k)
+    by_diag = {}
+    for w in cands:
+        d, loops = bd.compose(e_k, bd.perm_diagram(w))
+        assert loops == 0
+        if bd.order_preserving_throughs(d, n):
+            by_diag.setdefault(d, []).append(w)
+    out = []
+    for d, ws in by_diag.items():
+        best = [w for w in ws if sg.length(w) == bd.diagram_length(n, k, d)]
+        assert len(best) == 1
+        out.append(best[0])
+    out.sort(key=lambda w: (sg.length(w), w))
+    return out
+
+
+def test_Bkn_matches_descending_run_construction():
+    # the closed form against the brute force it replaced, order included
+    for n in range(2, 7):
+        for k in range(n // 2 + 1):
+            assert sg.enumerate_Bkn(n, k) == _descending_run_Bkn(n, k)
 
 
 def test_B13_ordering():
