@@ -17,8 +17,10 @@ there, and ``--q``, ``--r`` and ``--format json|text`` are not.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration
 (including a parameter point where a defining scalar has a vanishing
-denominator), 3 rewrite step budget exceeded.  Configuration errors print
-one ``error:`` line to stderr.  The environment variable
+denominator), 3 rewrite step budget exceeded, 4 internal inconsistency (a
+product reached a rewriting state no rule covers, as some products with a
+level-2 factor do at n >= 5).  Errors with exit codes 2 to 4 print one
+``error:`` line to stderr.  The environment variable
 QBR_MAX_REWRITE_STEPS (an integer >= 1) bounds the rewrite engine.
 """
 
@@ -33,12 +35,18 @@ from . import brauerdiag as bd
 from . import symgrp as sg
 from .cellular import Cellular, closed_form_criterion
 from .coefficients import Cyclo, DenominatorVanishes, Specialization
-from .qbrauer import QBrAlgebra, RewriteBudgetExceeded, max_rewrite_steps
+from .qbrauer import (
+    InternalInconsistency,
+    QBrAlgebra,
+    RewriteBudgetExceeded,
+    max_rewrite_steps,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
+EXIT_INCONSISTENT = 4
 
 
 class ConfigError(ValueError):
@@ -498,6 +506,9 @@ def main(argv=None):
     except RewriteBudgetExceeded as exc:
         print(f"error: rewrite budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InternalInconsistency as exc:
+        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

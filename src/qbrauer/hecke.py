@@ -87,7 +87,7 @@ class HeckeWindow:
         out = {}
         for w, c in x.items():
             wi = sg.rmul_gen(w, i)
-            if sg.inv(w)[i] < sg.inv(w)[i - 1]:
+            if w.index(i) < w.index(i - 1):
                 # letter i+1 occurs before letter i: quadratic case
                 _acc(out, w, c * (self.Q - 1))
                 _acc(out, wi, c * self.Q)

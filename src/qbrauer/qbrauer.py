@@ -31,8 +31,10 @@ u, v in B_{k,n} and pi a permutation of the letters 2k+1, ..., n.  The
 rank is sum_k |B_{k,n}|^2 (n-2k)!.
 
 Products are computed by an exact straightening algorithm.  Intermediate
-terms are triples (A, k, w) standing for g_A e_(k) g_w.  Two rewriting
-routines do the work:
+terms are triples (A, k, w) standing for g_A e_(k) g_w.  In x y every
+term of y is a generator word; the words of all of y's terms form a prefix
+tree, and the states of x are pushed through each shared prefix once.  Two
+rewriting routines do the work:
 
 * e_(k) g_x is straightened onto the normal indices by reducing x to the
   minimal length representative of its coset H_k x, where H_k is the
@@ -51,11 +53,11 @@ routines do the work:
   k >= 2 the recursion e_(k) = e g_2 ... g_{2k-1} g_1^{-1} ... g_{2k-2}^{-1}
   e_(k-1) shifts the level down.
 
-The amount of rewriting per product call is capped; the limit is read
-from the environment variable QBR_MAX_REWRITE_STEPS (default 10^6) and
-exceeding it raises RewriteBudgetExceeded.  A reduction reaching a state
-no rule applies to raises InternalInconsistency; this is checked, never
-assumed.
+The amount of rewriting per product call, over all of y's words, is
+capped; the limit is read from the environment variable
+QBR_MAX_REWRITE_STEPS (default 10^6) and exceeding it raises
+RewriteBudgetExceeded.  A reduction reaching a state no rule applies to
+raises InternalInconsistency; this is checked, never assumed.
 """
 
 from __future__ import annotations
@@ -263,21 +265,39 @@ class QBrAlgebra:
         return out
 
     def mul(self, x, y):
-        """The product x y in the normal basis."""
+        """The product x y in the normal basis.
+
+        Each term of y is a generator word (``_index_atoms``).  Taken in
+        sorted order the words form a prefix tree, and the states of x are
+        pushed through each edge of that tree once: ``path[d]`` holds the
+        states after the first d atoms of the current word, and only the
+        states on the current path are kept.  The rewrite budget counts the
+        steps of the whole call.
+        """
         if not x or not y:
             return {}
         self._steps = 0
         xstates = {}
         for (k, u, pi, v), c in x.items():
             _acc(xstates, (sg.inv(u), k, sg.mul(pi, v)), c)
+        words = sorted(
+            ((self._index_atoms(idx2), cy) for idx2, cy in y.items()),
+            key=lambda t: t[0],
+        )
         out = {}
-        for idx2, cy in y.items():
-            states = xstates
-            for atom in self._index_atoms(idx2):
-                states = self._apply_atom(states, atom)
-            for (A, k, w), c in states.items():
+        path = [xstates]
+        prev = []
+        for word, cy in words:
+            d = 0
+            while d < len(prev) and d < len(word) and prev[d] == word[d]:
+                d += 1
+            del path[d + 1:]
+            for atom in word[d:]:
+                path.append(self._apply_atom(path[-1], atom))
+            for (A, k, w), c in path[-1].items():
                 for idx, cn in self._normalize(A, k, w).items():
                     _acc(out, idx, c * cn * cy)
+            prev = word
         return out
 
     def _index_atoms(self, idx):

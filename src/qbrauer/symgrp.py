@@ -87,8 +87,7 @@ def lmul_gen(i, u):
 def rmul_gen(u, i):
     """u * s_i, i.e. swap the letters i, i+1 in the one-line form."""
     img = list(u)
-    a, b = inv(u)[i - 1], inv(u)[i]
-    img[a], img[b] = img[b], img[a]
+    img[u.index(i - 1)], img[u.index(i)] = i, i - 1
     return tuple(img)
 
 

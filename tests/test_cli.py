@@ -232,3 +232,22 @@ def test_verify_cellularity_n4(capsys):
     code, out, _ = run(capsys, "verify", "--n", "4", "--suite", "cellularity")
     assert code == 0
     assert out.startswith("PASS cellularity")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("semisimple", "--n", "5", "--field", "fp:101", "--q", "3", "--r", "5"),
+        ("gram", "--n", "5", "--k", "2", "--lambda", "1",
+         "--field", "fp:101", "--q", "3", "--r", "5"),
+    ],
+    ids=["semisimple-n5", "gram-n5-level2"],
+)
+def test_internal_inconsistency_exit4(capsys, argv):
+    # these n = 5 products still raise InternalInconsistency (the open
+    # level-2 defect); the CLI reports it with its own exit code
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: internal inconsistency")

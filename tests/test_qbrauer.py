@@ -10,7 +10,9 @@ import pytest
 from qbrauer import brauerdiag as bd
 from qbrauer import symgrp as sg
 from qbrauer.coefficients import RatFunc, Specialization
+from qbrauer.hecke import _acc
 from qbrauer.qbrauer import (
+    InternalInconsistency,
     QBrAlgebra,
     RewriteBudgetExceeded,
     version_scalars,
@@ -202,3 +204,128 @@ def test_commutation_with_window_letters():
         ek = alg.e_k(k)
         for i in range(2 * k + 1, 5):
             assert alg.mul(ek, alg.g(i)) == alg.mul(alg.g(i), ek)
+
+
+# -- products against the term-by-term reference --------------------------------------
+
+
+def termwise_mul(alg, x, y):
+    """x y with every term of y replaying its whole generator word from the
+    states of x: the product before shared prefixes were replayed once."""
+    if not x or not y:
+        return {}
+    alg._steps = 0
+    xstates = {}
+    for (k, u, pi, v), c in x.items():
+        _acc(xstates, (sg.inv(u), k, sg.mul(pi, v)), c)
+    out = {}
+    for idx2, cy in y.items():
+        states = xstates
+        for atom in alg._index_atoms(idx2):
+            states = alg._apply_atom(states, atom)
+        for (A, k, w), c in states.items():
+            for idx, cn in alg._normalize(A, k, w).items():
+                _acc(out, idx, c * cn * cy)
+    return out
+
+
+def random_element(alg, rng, idxs, lo, hi):
+    """Between lo and hi terms drawn from idxs, with nonzero coefficients."""
+    out = {}
+    for _ in range(rng.randrange(lo, hi + 1)):
+        c = alg.field.from_int(rng.randrange(1, 50)) * alg.b ** rng.randrange(3)
+        _acc(out, rng.choice(idxs), c)
+    return out
+
+
+def product_or_raise(mul, alg, x, y):
+    try:
+        return mul(alg, x, y)
+    except InternalInconsistency:
+        return "raises"
+
+
+VERSIONS = [("two_param", None), ("one_param", None), ("n_version", 2), ("classical", None)]
+FP101 = Specialization.prime_field(101, 3, 5)
+
+
+def level_pairs(alg, rng, per_level_pair):
+    """Random multi-term pairs (x, y), per_level_pair for each pair of levels."""
+    levels = {}
+    for idx in alg.basis_indices():
+        levels.setdefault(idx[0], []).append(idx)
+    for kx in levels:
+        for ky in levels:
+            for _ in range(per_level_pair):
+                x = random_element(alg, rng, levels[kx], 1, 3)
+                y = random_element(alg, rng, levels[ky], 2, 5)
+                yield x, y
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("version, N", VERSIONS)
+def test_mul_matches_termwise_reference(n, version, N):
+    alg = QBrAlgebra(n, version=version, N=N)
+    rng = random.Random(17 * n + len(version))
+    for x, y in level_pairs(alg, rng, 4):
+        assert alg.mul(x, y) == termwise_mul(alg, x, y)
+
+
+def test_mul_matches_termwise_reference_n5_fp():
+    # products with a level-2 factor can raise (the self-referential core
+    # e_(2) g_w e, an open defect); both products must raise on the same
+    # pairs, 18 of the 54 drawn here
+    alg = QBrAlgebra(5, spec=FP101)
+    rng = random.Random(5)
+    raising = 0
+    for x, y in level_pairs(alg, rng, 6):
+        expect = product_or_raise(termwise_mul, alg, x, y)
+        got = product_or_raise(QBrAlgebra.mul, alg, x, y)
+        assert got == expect
+        raising += expect == "raises"
+    assert raising == 18
+
+
+def test_mul_steps_at_most_termwise():
+    # on fresh algebras both products fill the same memo entries, and the
+    # prefix tree replays no atom more often than the term-by-term loop;
+    # levels 0 and 1 only, where no product raises
+    rng = random.Random(23)
+    configs = [(4, {"version": v, "N": N}) for v, N in VERSIONS]
+    configs.append((5, {"spec": FP101}))
+    saved = 0
+    for n, kwargs in configs:
+        idxs = [i for i in QBrAlgebra(n, **kwargs).basis_indices() if i[0] < 2]
+        for _ in range(8):
+            alg, ref = QBrAlgebra(n, **kwargs), QBrAlgebra(n, **kwargs)
+            x = random_element(alg, rng, idxs, 1, 3)
+            y = random_element(alg, rng, idxs, 2, 5)
+            assert alg.mul(x, y) == termwise_mul(ref, x, y)
+            assert alg._steps <= ref._steps
+            saved += ref._steps - alg._steps
+    assert saved > 0
+
+
+def test_rewrite_budget_covers_the_whole_walk(monkeypatch):
+    # the budget is per product call: a budget one below the steps of a
+    # product with several terms in y fails inside the walk, the exact
+    # count succeeds, and a second call starts counting afresh
+    alg = QBrAlgebra(4)
+    e2, g2 = alg.e_k(2), alg.g(2)
+    x = alg.add(alg.e_k(1), g2)
+    y = alg.add(alg.add(e2, alg.mul(g2, e2)), alg.mul(alg.g(3), alg.e_k(1)))
+    assert len(y) >= 3
+    fresh = QBrAlgebra(4)
+    expect = fresh.mul(x, y)
+    steps = fresh._steps
+    monkeypatch.setenv("QBR_MAX_REWRITE_STEPS", str(steps - 1))
+    short = QBrAlgebra(4)
+    with pytest.raises(RewriteBudgetExceeded):
+        short.mul(x, y)
+    assert short._steps == steps
+    monkeypatch.setenv("QBR_MAX_REWRITE_STEPS", str(steps))
+    exact = QBrAlgebra(4)
+    assert exact.mul(x, y) == expect
+    assert exact._steps == steps
+    exact.mul(x, y)
+    assert exact._steps < steps
