@@ -97,6 +97,14 @@ def _parse_cyclo_scalar(m, tok):
         raise ConfigError(f"cannot parse scalar {tok!r}")
 
 
+def _parse_int_scalar(tok):
+    """An integer scalar, as F_p needs."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ConfigError(f"cannot parse scalar {tok!r}")
+
+
 def _fp_modulus(field_text):
     """The prime p of a field 'fp:<p>'."""
     try:
@@ -117,8 +125,9 @@ def build_spec(field_text, q_tok, r_tok):
         p = _fp_modulus(t)
         if q_tok is None or r_tok is None:
             raise ConfigError("fp fields need --q and --r")
+        q, r = _parse_int_scalar(q_tok), _parse_int_scalar(r_tok)
         try:
-            return Specialization.prime_field(p, int(q_tok), int(r_tok))
+            return Specialization.prime_field(p, q, r)
         except ValueError as exc:
             raise ConfigError(str(exc))
     if t.startswith("cyclo:"):

@@ -608,8 +608,11 @@ class Fp:
             return other
         raise TypeError(f"cannot coerce {other!r} into F_{self.p}")
 
+    # a same-prime Fp operand, the hot case, skips _lift
+
     def __add__(self, other):
-        other = self._lift(other)
+        if other.__class__ is not Fp or other.p != self.p:
+            other = self._lift(other)
         return Fp(self.p, self.v + other.v)
 
     __radd__ = __add__
@@ -618,19 +621,23 @@ class Fp:
         return Fp(self.p, -self.v)
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        if other.__class__ is not Fp or other.p != self.p:
+            other = self._lift(other)
+        return Fp(self.p, self.v - other.v)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return Fp(self.p, self._lift(other).v - self.v)
 
     def __mul__(self, other):
-        other = self._lift(other)
+        if other.__class__ is not Fp or other.p != self.p:
+            other = self._lift(other)
         return Fp(self.p, self.v * other.v)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._lift(other)
+        if other.__class__ is not Fp or other.p != self.p:
+            other = self._lift(other)
         if other.v == 0:
             raise NotInvertible(f"division by zero in F_{self.p}")
         return Fp(self.p, self.v * pow(other.v, self.p - 2, self.p))

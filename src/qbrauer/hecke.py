@@ -13,6 +13,10 @@ with the change of basis to and from {g_w}, and the e-restrictedness test
 of the classification of simple modules.  Specht module Gram matrices are
 the k = 0 cell forms of :class:`qbrauer.cellular.Cellular`.
 
+The rewrite engine of :mod:`qbrauer.qbrauer` applies its generator atoms
+g_i and g_i^{-1} to whole state dicts itself, one pass per atom; it comes
+here for whole permutations (``rmul_perm``) and for straightening.
+
 The transition matrix from the Murphy basis to {g_w} is sparse (1,715 of
 14,400 entries are nonzero at m = 5) while its inverse is not, so it is
 never inverted.  Each window factors it once by sparse exact elimination
@@ -58,9 +62,10 @@ class HeckeWindow:
         self.m = n - lo + 1
         self.field = field
         self.Q = Q
-        self.Qinv = field.one() / Q
+        self.Qm1 = Q - 1
         self.id = sg.identity(n)
         self._murphy = None
+        self._pidx = None
         self._dual = {}
 
     # -- elements -------------------------------------------------------------
@@ -84,33 +89,30 @@ class HeckeWindow:
 
     def rmul_gen(self, x, i):
         """x * g_i (generator label i, must lie in the window)."""
+        Q, Qm1 = self.Q, self.Qm1
         out = {}
         for w, c in x.items():
             wi = sg.rmul_gen(w, i)
             if w.index(i) < w.index(i - 1):
                 # letter i+1 occurs before letter i: quadratic case
-                _acc(out, w, c * (self.Q - 1))
-                _acc(out, wi, c * self.Q)
+                _acc(out, w, c * Qm1)
+                _acc(out, wi, c * Q)
             else:
                 _acc(out, wi, c)
         return out
 
     def lmul_gen(self, i, x):
         """g_i * x."""
+        Q, Qm1 = self.Q, self.Qm1
         out = {}
         for w, c in x.items():
             wi = sg.lmul_gen(i, w)
             if w[i - 1] > w[i]:
-                _acc(out, w, c * (self.Q - 1))
-                _acc(out, wi, c * self.Q)
+                _acc(out, w, c * Qm1)
+                _acc(out, wi, c * Q)
             else:
                 _acc(out, wi, c)
         return out
-
-    def rmul_gen_inv(self, x, i):
-        """x * g_i^{-1} = x * (Q^{-1} g_i + (Q^{-1} - 1))."""
-        out = self.scale(self.rmul_gen(x, i), self.Qinv)
-        return self.add(out, self.scale(x, self.Qinv - self.field.one()))
 
     def rmul_word(self, x, word):
         for i in word:
@@ -165,7 +167,8 @@ class HeckeWindow:
 
         Column j of the transition matrix is murphy_element(labels[j]) in
         the g-basis coordinates given by the perm order.  The factorisation
-        is a :class:`SparseLU` of that matrix, made here once per window.
+        is a :class:`SparseLU` of that matrix, made here once per window,
+        and the perm -> row dict of the perm order is kept for ``to_murphy``.
         """
         if self._murphy is None:
             labels = self.murphy_labels()
@@ -181,12 +184,13 @@ class HeckeWindow:
                 cols.append(col)
             mat = [[cols[j][i] for j in range(len(labels))] for i in range(len(perms))]
             self._murphy = (labels, perms, mat, SparseLU(mat, self.field))
+            self._pidx = pidx
         return self._murphy
 
     def to_murphy(self, x):
         """Coordinates of x in the Murphy basis, as {(lam,s,t): coeff}."""
-        labels, perms, _, lu = self.murphy_data()
-        pidx = {w: i for i, w in enumerate(perms)}
+        labels, _, _, lu = self.murphy_data()
+        pidx = self._pidx
         sol = lu.solve({pidx[w]: c for w, c in x.items()})
         return {labels[j]: sol[j] for j in sorted(sol)}
 

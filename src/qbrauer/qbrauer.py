@@ -33,8 +33,11 @@ rank is sum_k |B_{k,n}|^2 (n-2k)!.
 Products are computed by an exact straightening algorithm.  Intermediate
 terms are triples (A, k, w) standing for g_A e_(k) g_w.  In x y every
 term of y is a generator word; the words of all of y's terms form a prefix
-tree, and the states of x are pushed through each shared prefix once.  Two
-rewriting routines do the work:
+tree, and the states of x are pushed through each shared prefix once.  A
+generator atom g_i or g_i^{-1} acts on a whole state dict in one pass,
+on the w of every state (and g_i on the left, on the A, in the level
+shift below), with Q - 1, Q^{-1} and Q^{-1} - 1 computed once per algebra.
+Two rewriting routines do the work:
 
 * e_(k) g_x is straightened onto the normal indices by reducing x to the
   minimal length representative of its coset H_k x, where H_k is the
@@ -157,6 +160,9 @@ class QBrAlgebra:
         self.a = self.spec(sc["a"])
         self.b = self.spec(sc["b"])
         self.bprime = self.spec(sc["bprime"])
+        self.Qinv = self.spec.one() / self.Q
+        self._Qm1 = self.Q - 1
+        self._Qinvm1 = self.Qinv - 1
         self.field = self.spec
         self.H = HeckeWindow(n, 1, self.spec, self.Q)
         self.id = sg.identity(n)
@@ -230,10 +236,9 @@ class QBrAlgebra:
         return {(0, self.id, sg.gen(self.n, i), self.id): self.field.one()}
 
     def g_inv(self, i):
-        Qinv = self.field.one() / self.Q
         return self.add(
-            self.scale(self.g(i), Qinv),
-            self.scale(self.one(), Qinv - self.field.one()),
+            self.scale(self.g(i), self.Qinv),
+            self.scale(self.one(), self._Qinvm1),
         )
 
     def e_k(self, k):
@@ -295,8 +300,9 @@ class QBrAlgebra:
             for atom in word[d:]:
                 path.append(self._apply_atom(path[-1], atom))
             for (A, k, w), c in path[-1].items():
+                c = c * cy
                 for idx, cn in self._normalize(A, k, w).items():
-                    _acc(out, idx, c * cn * cy)
+                    _acc(out, idx, c * cn)
             prev = word
         return out
 
@@ -318,8 +324,8 @@ class QBrAlgebra:
 
     # -- state folding -----------------------------------------------------------
 
-    def _tick(self):
-        self._steps += 1
+    def _tick(self, steps=1):
+        self._steps += steps
         if self._steps > self.max_steps:
             raise RewriteBudgetExceeded(
                 f"more than {self.max_steps} rewriting steps; "
@@ -327,44 +333,68 @@ class QBrAlgebra:
             )
 
     def _apply_atom(self, states, atom):
-        out = {}
-        if atom[0] == "g":
-            i = atom[1]
-            for (A, k, w), c in states.items():
-                self._tick()
-                for y, cy in self.H.rmul_gen({w: c}, i).items():
-                    _acc(out, (A, k, y), cy)
-        elif atom[0] == "gi":
-            i = atom[1]
-            for (A, k, w), c in states.items():
-                self._tick()
-                for y, cy in self.H.rmul_gen_inv({w: c}, i).items():
-                    _acc(out, (A, k, y), cy)
-        else:  # trailing e
-            for (A, k, w), c in states.items():
-                self._tick()
-                if k == 0:
-                    for y, cy in self.H.rmul_perm({A: c}, w).items():
-                        _acc(out, (y, 1, self.id), cy)
-                    continue
-                for (B, k3, w3), ce in self._emul(k, w).items():
-                    for C, cc in self.H.rmul_perm({A: ce}, B).items():
-                        _acc(out, (C, k3, w3), c * cc)
-        return out
-
-    def _lmul_gen_states(self, i, states, inverse=False):
+        """The states times one atom of a word, one rewrite step per state."""
+        if atom[0] != "E":
+            self._tick(len(states))
+            return self._rmul_gen_states(states, atom[1], atom[0] == "gi")
         out = {}
         for (A, k, w), c in states.items():
             self._tick()
-            x = {A: c}
-            prod = self.H.lmul_gen(i, x)
-            if inverse:
-                prod = self.H.add(
-                    self.H.scale(prod, self.H.Qinv),
-                    self.H.scale(x, self.H.Qinv - self.field.one()),
-                )
-            for B, cb in prod.items():
-                _acc(out, (B, k, w), cb)
+            if k == 0:
+                for y, cy in self.H.rmul_perm({A: c}, w).items():
+                    _acc(out, (y, 1, self.id), cy)
+                continue
+            for (B, k3, w3), ce in self._emul(k, w).items():
+                for C, cc in self.H.rmul_perm({A: ce}, B).items():
+                    _acc(out, (C, k3, w3), c * cc)
+        return out
+
+    def _rmul_gen_states(self, states, i, inverse=False):
+        """states g_i, or states g_i^{-1}, acting on the w of each (A, k, w).
+
+        If s_i is a right descent of w, g_w g_i = (Q-1) g_w + Q g_{w s_i}
+        and g_w g_i^{-1} = g_{w s_i}; otherwise g_w g_i = g_{w s_i} and
+        g_w g_i^{-1} = Q^{-1} g_{w s_i} + (Q^{-1}-1) g_w.  Terms are added
+        in that order: it decides which memo entries a product that raises
+        has filled, and so the steps of later products.
+        """
+        Q, Qm1, Qinv, Qinvm1 = self.Q, self._Qm1, self.Qinv, self._Qinvm1
+        out = {}
+        for (A, k, w), c in states.items():
+            # w s_i swaps the letters i and i+1 (i - 1 and i, 0-indexed)
+            a, b = w.index(i - 1), w.index(i)
+            img = list(w)
+            img[a], img[b] = i, i - 1
+            wi = tuple(img)
+            if (b < a) == inverse:
+                _acc(out, (A, k, wi), c)
+            elif inverse:
+                _acc(out, (A, k, wi), c * Qinv)
+                _acc(out, (A, k, w), c * Qinvm1)
+            else:
+                _acc(out, (A, k, w), c * Qm1)
+                _acc(out, (A, k, wi), c * Q)
+        return out
+
+    def _lmul_gen_states(self, i, states, inverse=False):
+        """g_i states, or g_i^{-1} states, acting on the A of each (A, k, w).
+
+        The left counterpart of ``_rmul_gen_states``, one rewrite step per
+        state.
+        """
+        self._tick(len(states))
+        Q, Qm1, Qinv, Qinvm1 = self.Q, self._Qm1, self.Qinv, self._Qinvm1
+        out = {}
+        for (A, k, w), c in states.items():
+            sA = sg.lmul_gen(i, A)
+            if (A[i - 1] > A[i]) == inverse:
+                _acc(out, (sA, k, w), c)
+            elif inverse:
+                _acc(out, (sA, k, w), c * Qinv)
+                _acc(out, (A, k, w), c * Qinvm1)
+            else:
+                _acc(out, (A, k, w), c * Qm1)
+                _acc(out, (sA, k, w), c * Q)
         return out
 
     def _lmul_e_states(self, states):
@@ -439,12 +469,7 @@ class QBrAlgebra:
                     sub = self._emul(k, sg.rmul_gen(w, 1))
                     return {s: c * self.Q for s, c in sub.items()}
                 if j >= 3:
-                    sub = self._emul(k, sg.rmul_gen(w, j))
-                    out = {}
-                    for (A, k3, w3), c in sub.items():
-                        for y, cy in self.H.rmul_gen({w3: c}, j).items():
-                            _acc(out, (A, k3, y), cy)
-                    return out
+                    return self._rmul_gen_states(self._emul(k, sg.rmul_gen(w, j)), j)
         # core elements: left descents even and <= 2k, right descents = {2}
         if k == 1:
             s2 = sg.gen(n, 2)
@@ -453,7 +478,7 @@ class QBrAlgebra:
             if self._z2 is not None and w == self._z2:
                 # e g_{z_2} e with z_2 = s_2 s_1 s_3 s_2, expanded through
                 # e_(2) = e g_2 g_3 g_1^{-1} g_2^{-1} e
-                c1 = self.b * self.Q * (self.Q - 1)
+                c1 = self.b * self.Q * self._Qm1
                 out = {
                     (self.id, 1, sg.gen(n, 3)): c1,
                     (self.id, 1, self.id): c1,
@@ -508,9 +533,9 @@ class QBrAlgebra:
                 #   + Q(Q-1) e_(k) g_{2j} + Q^2 e_(k)
                 out = {}
                 t = self.H.lmul_word((2 * j, 2 * j + 1, 2 * j), {y: one})
-                self._red_acc(out, k, t, self.Q - 1)
+                self._red_acc(out, k, t, self._Qm1)
                 t = self.H.lmul_gen(2 * j, {y: one})
-                self._red_acc(out, k, t, self.Q * (self.Q - 1))
+                self._red_acc(out, k, t, self.Q * self._Qm1)
                 self._red_acc(out, k, {y: one}, self.Q * self.Q)
                 return out
             if delta == 2:
@@ -521,7 +546,7 @@ class QBrAlgebra:
                 z2 = sg.lmul_gen(2 * j, sg.lmul_gen(2 * j + 1, x2))
                 out = {}
                 for p, c in self._red(k, z1).items():
-                    _acc(out, p, c * (self.Q - 1))
+                    _acc(out, p, c * self._Qm1)
                 for p, c in self._red(k, z2).items():
                     _acc(out, p, c * self.Q)
                 return out

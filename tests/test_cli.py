@@ -59,6 +59,14 @@ def test_gram_empty_partition(capsys):
     assert res["dim_C"] == 1
 
 
+FP_FRACTION_SCALAR = (
+    "gram", "--n", "3", "--k", "0", "--lambda", "2,1",
+    "--field", "fp:7", "--q", "1/2", "--r", "3",
+)
+# the whole stderr of the test_bad_config_exit2 cases that pin it
+BAD_CONFIG_MESSAGES = {FP_FRACTION_SCALAR: "cannot parse scalar '1/2'"}
+
+
 @pytest.mark.parametrize(
     "argv, env",
     [
@@ -90,6 +98,7 @@ def test_gram_empty_partition(capsys):
         (("verify", "--n", "3", "--suite", "dimension", "--format", "text"), {}),
         (("basis", "--n", "3", "--k", "7"), {}),
         (("basis", "--n", "3", "--k", "-1"), {}),
+        (FP_FRACTION_SCALAR, {}),
     ],
     ids=[
         "bad-partition",
@@ -112,6 +121,7 @@ def test_gram_empty_partition(capsys):
         "verify-format",
         "basis-k-above-range",
         "basis-k-below-range",
+        "fp-fraction-scalar",
     ],
 )
 def test_bad_config_exit2(capsys, monkeypatch, argv, env):
@@ -120,6 +130,8 @@ def test_bad_config_exit2(capsys, monkeypatch, argv, env):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error:" in err.strip().splitlines()[-1]
+    if argv in BAD_CONFIG_MESSAGES:
+        assert err == f"error: {BAD_CONFIG_MESSAGES[argv]}\n"
 
 
 def test_semisimple_grid_two_param(capsys):

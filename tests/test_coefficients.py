@@ -2,6 +2,7 @@
 q and r, prime fields, cyclotomic fields, and parameter specialization."""
 
 from fractions import Fraction
+import operator
 
 import pytest
 
@@ -64,6 +65,39 @@ def test_fp_arithmetic():
     assert Fp(5, 0).is_zero()
     with pytest.raises(ArithmeticError):
         x / Fp(5, 0)
+
+
+FP_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__",
+    "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+)
+
+
+@pytest.mark.parametrize("name", FP_OPERATORS)
+def test_fp_rejects_another_prime(name):
+    x, y = Fp(7, 3), Fp(5, 3)
+    with pytest.raises(TypeError):
+        getattr(x, name)(y)
+    with pytest.raises(TypeError):
+        getattr(y, name)(x)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_fp_int_operand_matches_fp(op):
+    p = 7
+    for v in range(1, p):
+        x = Fp(p, v)
+        for n in (-15, -1, 0, 1, 3, 6, 7, 8, 22):
+            m = Fp(p, n)
+            if op is not operator.truediv or not m.is_zero():
+                got = op(x, n)
+                assert got.__class__ is Fp and (got.p, got.v) == (p, op(x, m).v)
+            got = op(n, x)
+            assert got.__class__ is Fp and (got.p, got.v) == (p, op(m, x).v)
+    with pytest.raises(ArithmeticError):
+        Fp(p, 3) / 14
+    with pytest.raises(ArithmeticError):
+        3 / Fp(p, 0)
 
 
 def test_cyclotomic_poly():

@@ -9,6 +9,7 @@ import pytest
 
 from qbrauer import brauerdiag as bd
 from qbrauer import symgrp as sg
+from qbrauer.cellular import Cellular
 from qbrauer.coefficients import RatFunc, Specialization
 from qbrauer.hecke import _acc
 from qbrauer.qbrauer import (
@@ -329,3 +330,34 @@ def test_rewrite_budget_covers_the_whole_walk(monkeypatch):
     assert exact._steps == steps
     exact.mul(x, y)
     assert exact._steps < steps
+
+
+@pytest.mark.parametrize("attempt_raising_cell, expect", [(True, 48086), (False, 48001)])
+def test_gram_rewrite_steps_n5_fp(attempt_raising_cell, expect):
+    # the rewrite steps of every product made while building all n = 5 Gram
+    # matrices over F_101, in label order; a generator atom must tick once
+    # per state, as the per-state loop did.  Cell (2,(1)) comes first and
+    # raises (the self-referential core); attempted, it fills memo entries
+    # before it raises, which the later cells then hit
+    alg = QBrAlgebra(5, spec=FP101)
+    steps = []
+    mul = alg.mul
+
+    def counted(x, y):
+        try:
+            return mul(x, y)
+        finally:
+            steps.append(alg._steps)
+
+    alg.mul = counted
+    cell = Cellular(alg)
+    raising = []
+    for k, lam in cell.labels():
+        if (k, lam) == (2, (1,)) and not attempt_raising_cell:
+            continue
+        try:
+            cell.gram(k, lam)
+        except InternalInconsistency:
+            raising.append((k, lam))
+    assert raising == ([(2, (1,))] if attempt_raising_cell else [])
+    assert sum(steps) == expect
