@@ -37,6 +37,8 @@ against the Gram determinants.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import symgrp as sg
 from .coefficients import RatFunc, quantum_char
 from .hecke import HeckeWindow, _acc, is_restricted
@@ -248,16 +250,30 @@ def closed_form_criterion(n, version, spec, N=None):
     """
     if n not in (2, 3):
         raise ValueError("closed forms are only stated for n in {2, 3}")
+    eparam, extra = _closed_form_exprs(version, N)
+    e = quantum_char(spec(eparam))
+    if e <= n:
+        return False, {"e": e, "extra_nonzero": None}
+    if n == 2:
+        return True, {"e": e, "extra_nonzero": None}
+    val = spec(extra)
+    return not val.is_zero(), {"e": e, "extra_nonzero": not val.is_zero()}
+
+
+@lru_cache(maxsize=None)
+def _closed_form_exprs(version, N):
+    """The generic (e parameter, extra factor) of the n = 3 closed form,
+    built once per process for each (version, N)."""
     q = RatFunc.q()
     r = RatFunc.r()
     if version == "two_param":
-        eparam = spec(q * q)
+        eparam = q * q
         extra = (
             3 * q**5 * (r * r - q * q) ** 2 * (q**4 * r * r - 1)
             / (r**3 * (q * q - 1) ** 3)
         )
     elif version == "one_param":
-        eparam = spec(q)
+        eparam = q
         extra = 3 * q * (r - q) ** 2 * (q * q * r - 1) / ((q - 1) ** 3)
     elif version == "n_version":
         # the two-parameter criterion at r = q^N; this substituted form is
@@ -266,17 +282,11 @@ def closed_form_criterion(n, version, spec, N=None):
         # nondegeneracy at every admissible point over F_5 and F_7
         if N is None:
             raise ValueError("n_version needs N")
-        eparam = spec(q * q)
+        eparam = q * q
         extra = (
             3 * q**5 * (q ** (2 * N) - q * q) ** 2 * (q ** (2 * N + 4) - 1)
             / (q ** (3 * N) * (q * q - 1) ** 3)
         )
     else:
         raise ValueError(f"no closed form for version {version!r}")
-    e = quantum_char(eparam)
-    if e <= n:
-        return False, {"e": e, "extra_nonzero": None}
-    if n == 2:
-        return True, {"e": e, "extra_nonzero": None}
-    val = spec(extra)
-    return not val.is_zero(), {"e": e, "extra_nonzero": not val.is_zero()}
+    return eparam, extra

@@ -13,9 +13,10 @@ with the change of basis to and from {g_w}, and the e-restrictedness test
 of the classification of simple modules.  Specht module Gram matrices are
 the k = 0 cell forms of :class:`qbrauer.cellular.Cellular`.
 
-The rewrite engine of :mod:`qbrauer.qbrauer` applies its generator atoms
-g_i and g_i^{-1} to whole state dicts itself, one pass per atom; it comes
-here for whole permutations (``rmul_perm``) and for straightening.
+The rewrite engine of :mod:`qbrauer.qbrauer` does not use this module's
+Hecke arithmetic: it keeps its own on permutation codes, through the
+tables of :func:`qbrauer.symgrp.perm_table`.  Here permutations stay
+tuples; reduced words are read from the same per-n table.
 
 The transition matrix from the Murphy basis to {g_w} is sparse (1,715 of
 14,400 entries are nonzero at m = 5) while its inverse is not, so it is
@@ -64,6 +65,7 @@ class HeckeWindow:
         self.Q = Q
         self.Qm1 = Q - 1
         self.id = sg.identity(n)
+        self._T = sg.perm_table(n)
         self._murphy = None
         self._pidx = None
         self._dual = {}
@@ -125,7 +127,11 @@ class HeckeWindow:
         return x
 
     def rmul_perm(self, x, w):
-        return self.rmul_word(x, sg.reduced_word(w))
+        return self.rmul_word(x, self._word(w))
+
+    def _word(self, w):
+        """The reduced word of w, read from the per-n permutation table."""
+        return self._T.word(self._T.code[w])
 
     def mul(self, x, y):
         out = {}
@@ -159,7 +165,7 @@ class HeckeWindow:
         x = self.c_lambda(lam)
         ds = sg.tableau_perm(self.n, s, self.lo)
         dt = sg.tableau_perm(self.n, t, self.lo)
-        x = self.lmul_word(tuple(reversed(sg.reduced_word(ds))), x)  # g*_{d(s)}
+        x = self.lmul_word(tuple(reversed(self._word(ds))), x)  # g*_{d(s)}
         return self.rmul_perm(x, dt)
 
     def murphy_data(self):

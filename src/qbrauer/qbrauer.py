@@ -31,13 +31,21 @@ u, v in B_{k,n} and pi a permutation of the letters 2k+1, ..., n.  The
 rank is sum_k |B_{k,n}|^2 (n-2k)!.
 
 Products are computed by an exact straightening algorithm.  Intermediate
-terms are triples (A, k, w) standing for g_A e_(k) g_w.  In x y every
-term of y is a generator word; the words of all of y's terms form a prefix
-tree, and the states of x are pushed through each shared prefix once.  A
-generator atom g_i or g_i^{-1} acts on a whole state dict in one pass,
-on the w of every state (and g_i on the left, on the A, in the level
-shift below), with Q - 1, Q^{-1} and Q^{-1} - 1 computed once per algebra.
-Two rewriting routines do the work:
+terms are triples (A, k, w) standing for g_A e_(k) g_w, with A and w
+permutation codes: ints indexing the per-n table of
+:func:`qbrauer.symgrp.perm_table`, which holds the generator actions,
+inverses, lengths, descents and reduced words, so the engine does no
+tuple arithmetic; the memos are keyed by codes too, and normal basis
+indices are tuples only at the API.  In x y every term of y is a
+generator word; the words of all of y's terms form a prefix tree, and the
+states of x are pushed through each shared prefix once.  A generator atom
+g_i or g_i^{-1} acts on a whole state dict in one pass, on the w of every
+state (and g_i on the left, on the A, in the level shift below), with
+Q - 1, Q^{-1} and Q^{-1} - 1 computed once per algebra.  The leaf states
+of all words are merged into one dict before normalisation, so each
+distinct state is normalised once per product.  The scalars of each
+version and B_{k,n} with its coset representatives are built once per
+process.  Two rewriting routines do the work:
 
 * e_(k) g_x is straightened onto the normal indices by reducing x to the
   minimal length representative of its coset H_k x, where H_k is the
@@ -67,10 +75,11 @@ from __future__ import annotations
 
 import math
 import os
+from functools import lru_cache
 
 from . import symgrp as sg
 from .coefficients import RatFunc, Specialization
-from .hecke import HeckeWindow, _acc
+from .hecke import _acc
 
 __all__ = [
     "QBrAlgebra",
@@ -116,8 +125,14 @@ def version_scalars(version, N=None):
 
     ``bprime`` is always computed from the identity
     b' = Q^{-1} b + (Q^{-1} - 1) a rather than stored, so the returned
-    scalars are consistent by construction.
+    scalars are consistent by construction.  They are built once per
+    process; each call returns a fresh dict.
     """
+    return dict(_version_scalars(version, N))
+
+
+@lru_cache(maxsize=None)
+def _version_scalars(version, N):
     q = RatFunc.q()
     r = RatFunc.r()
     one = RatFunc.from_int(1)
@@ -145,6 +160,36 @@ def version_scalars(version, N=None):
     return {"Q": Q, "a": a, "b": b, "bprime": bprime}
 
 
+@lru_cache(maxsize=None)
+def _cosets(n):
+    """B_{k,n} for every level k, and the minimal H_k-coset representatives.
+
+    The second item maps, per level k, the code of each representative
+    pi * v to the codes (pi, v), for pi a permutation of the letters
+    2k+1..n and v in B_{k,n}; both length additivity and the coset count
+    n!/(2^k k!) are asserted.  Built once per process.
+    """
+    T = sg.perm_table(n)
+    code, ln = T.code, T.length
+    bkn, minrep = [], []
+    for k in range(n // 2 + 1):
+        bk = tuple(sg.enumerate_Bkn(n, k))
+        vcodes = [(v, code[v]) for v in bk]
+        table = {}
+        for pi in sg.window_perms(n, 2 * k + 1):
+            p = code[pi]
+            for v, vc in vcodes:
+                x = code[sg.mul(pi, v)]
+                assert ln[x] == ln[p] + ln[vc], "lengths must add in pi * v"
+                assert x not in table, "coset representatives must be distinct"
+                table[x] = (p, vc)
+        expect = math.factorial(n) // (2**k * math.factorial(k))
+        assert len(table) == expect, "wrong number of coset representatives"
+        bkn.append(bk)
+        minrep.append(table)
+    return tuple(bkn), tuple(minrep)
+
+
 class QBrAlgebra:
     """Br_n over a coefficient field given by a Specialization."""
 
@@ -155,7 +200,7 @@ class QBrAlgebra:
         self.version = version
         self.N = N
         self.spec = spec if spec is not None else Specialization.generic()
-        sc = version_scalars(version, N)
+        sc = _version_scalars(version, N)
         self.Q = self.spec(sc["Q"])
         self.a = self.spec(sc["a"])
         self.b = self.spec(sc["b"])
@@ -164,18 +209,14 @@ class QBrAlgebra:
         self._Qm1 = self.Q - 1
         self._Qinvm1 = self.Qinv - 1
         self.field = self.spec
-        self.H = HeckeWindow(n, 1, self.spec, self.Q)
         self.id = sg.identity(n)
         self.max_steps = max_rewrite_steps()
         self._steps = 0
 
-        self.Bkn = [sg.enumerate_Bkn(n, k) for k in range(n // 2 + 1)]
-        self._minrep = [self._build_minreps(k) for k in range(n // 2 + 1)]
-        self._pj = {
-            j: sg.from_word(n, (2 * j, 2 * j - 1, 2 * j + 1, 2 * j))
-            for j in range(1, n // 2)
-        }
-        self._z2 = sg.from_word(n, (2, 1, 3, 2)) if n >= 4 else None
+        # the engine works on permutation codes (code 0 is the identity)
+        self._T = T = sg.perm_table(n)
+        self.Bkn, self._minrep = _cosets(n)
+        self._z2 = T.code[sg.from_word(n, (2, 1, 3, 2))] if n >= 4 else None
 
         self._red_memo = {}
         self._red_stack = set()
@@ -185,26 +226,6 @@ class QBrAlgebra:
         self._emul_stack = set()
 
     # -- tables ---------------------------------------------------------------
-
-    def _build_minreps(self, k):
-        """Map each minimal H_k-coset representative pi * v to (pi, v).
-
-        The representatives are exactly the length-additive products of a
-        permutation pi of the letters 2k+1..n and v in B_{k,n}; both
-        additivity and the coset count n!/(2^k k!) are asserted.
-        """
-        table = {}
-        vlen = {v: sg.length(v) for v in self.Bkn[k]}
-        for pi in sg.window_perms(self.n, 2 * k + 1):
-            lp = sg.length(pi)
-            for v, lv in vlen.items():
-                x = sg.mul(pi, v)
-                assert sg.length(x) == lp + lv, "lengths must add in pi * v"
-                assert x not in table, "coset representatives must be distinct"
-                table[x] = (pi, v)
-        expect = math.factorial(self.n) // (2**k * math.factorial(k))
-        assert len(table) == expect, "wrong number of coset representatives"
-        return table
 
     def basis_indices(self):
         """All normal basis indices (k, u, pi, v), level by level."""
@@ -260,12 +281,14 @@ class QBrAlgebra:
 
     def star(self, x):
         """The involution fixing e and every g_i, reversing products."""
+        T = self._T
+        code, inv = T.code, T.inv
         out = {}
         for (k, u, pi, v), c in x.items():
             # star sends g_{u^{-1}} e_(k) g_pi g_v to
             # g_{v^{-1}} e_(k) g_{pi^{-1}} g_u
-            for y, cy in self.H.rmul_perm({sg.inv(pi): c}, u).items():
-                for idx, cn in self._normalize(sg.inv(v), k, y).items():
+            for y, cy in self._hrmul({inv[code[pi]]: c}, code[u]).items():
+                for idx, cn in self._normalize(inv[code[v]], k, y).items():
                     _acc(out, idx, cy * cn)
         return out
 
@@ -276,20 +299,23 @@ class QBrAlgebra:
         sorted order the words form a prefix tree, and the states of x are
         pushed through each edge of that tree once: ``path[d]`` holds the
         states after the first d atoms of the current word, and only the
-        states on the current path are kept.  The rewrite budget counts the
+        states on the current path are kept.  The leaf states of all words,
+        times their terms' coefficients, are summed into one dict, and each
+        distinct state is normalised once.  The rewrite budget counts the
         steps of the whole call.
         """
         if not x or not y:
             return {}
         self._steps = 0
+        code, inv = self._T.code, self._T.inv
         xstates = {}
         for (k, u, pi, v), c in x.items():
-            _acc(xstates, (sg.inv(u), k, sg.mul(pi, v)), c)
+            _acc(xstates, (inv[code[u]], k, code[sg.mul(pi, v)]), c)
         words = sorted(
             ((self._index_atoms(idx2), cy) for idx2, cy in y.items()),
             key=lambda t: t[0],
         )
-        out = {}
+        leaves = {}
         path = [xstates]
         prev = []
         for word, cy in words:
@@ -299,19 +325,23 @@ class QBrAlgebra:
             del path[d + 1:]
             for atom in word[d:]:
                 path.append(self._apply_atom(path[-1], atom))
-            for (A, k, w), c in path[-1].items():
-                c = c * cy
-                for idx, cn in self._normalize(A, k, w).items():
-                    _acc(out, idx, c * cn)
+            for s, c in path[-1].items():
+                _acc(leaves, s, c * cy)
             prev = word
+        out = {}
+        for s, c in leaves.items():
+            for idx, cn in self._normalize(*s).items():
+                _acc(out, idx, c * cn)
         return out
 
     def _index_atoms(self, idx):
         k, u, pi, v = idx
-        atoms = [("g", i) for i in sg.reduced_word(sg.inv(u))]
+        T = self._T
+        code = T.code
+        atoms = [("g", i) for i in T.word(T.inv[code[u]])]
         atoms += self._ek_atoms(k)
-        atoms += [("g", i) for i in sg.reduced_word(pi)]
-        atoms += [("g", i) for i in sg.reduced_word(v)]
+        atoms += [("g", i) for i in T.word(code[pi])]
+        atoms += [("g", i) for i in T.word(code[v])]
         return atoms
 
     def _ek_atoms(self, k):
@@ -321,6 +351,40 @@ class QBrAlgebra:
         atoms += [("g", i) for i in range(2, 2 * k)]
         atoms += [("gi", i) for i in range(1, 2 * k - 1)]
         return atoms + self._ek_atoms(k - 1)
+
+    # -- Hecke actions on codes ------------------------------------------------------
+
+    def _hrmul(self, x, w):
+        """x g_w for x = {code: coeff}, one generator of w's reduced word at
+        a time: g_u g_i = (Q-1) g_u + Q g_{u s_i} if s_i is a right descent
+        of u, and g_{u s_i} otherwise, with the terms added in that order."""
+        T = self._T
+        Q, Qm1, rdes = self.Q, self._Qm1, T.rdes
+        for i in T.word(w):
+            right, bit = T.rmul[i], 1 << i
+            out = {}
+            for u, c in x.items():
+                if rdes[u] & bit:
+                    _acc(out, u, c * Qm1)
+                    _acc(out, right[u], c * Q)
+                else:
+                    _acc(out, right[u], c)
+            x = out
+        return x
+
+    def _hlmul(self, i, x):
+        """g_i x for x = {code: coeff}, the left counterpart of ``_hrmul``."""
+        T = self._T
+        Q, Qm1, ldes = self.Q, self._Qm1, T.ldes
+        left, bit = T.lmul[i], 1 << i
+        out = {}
+        for u, c in x.items():
+            if ldes[u] & bit:
+                _acc(out, u, c * Qm1)
+                _acc(out, left[u], c * Q)
+            else:
+                _acc(out, left[u], c)
+        return out
 
     # -- state folding -----------------------------------------------------------
 
@@ -341,11 +405,11 @@ class QBrAlgebra:
         for (A, k, w), c in states.items():
             self._tick()
             if k == 0:
-                for y, cy in self.H.rmul_perm({A: c}, w).items():
-                    _acc(out, (y, 1, self.id), cy)
+                for y, cy in self._hrmul({A: c}, w).items():
+                    _acc(out, (y, 1, 0), cy)
                 continue
             for (B, k3, w3), ce in self._emul(k, w).items():
-                for C, cc in self.H.rmul_perm({A: ce}, B).items():
+                for C, cc in self._hrmul({A: ce}, B).items():
                     _acc(out, (C, k3, w3), c * cc)
         return out
 
@@ -359,14 +423,12 @@ class QBrAlgebra:
         has filled, and so the steps of later products.
         """
         Q, Qm1, Qinv, Qinvm1 = self.Q, self._Qm1, self.Qinv, self._Qinvm1
+        T = self._T
+        right, rdes, bit = T.rmul[i], T.rdes, 1 << i
         out = {}
         for (A, k, w), c in states.items():
-            # w s_i swaps the letters i and i+1 (i - 1 and i, 0-indexed)
-            a, b = w.index(i - 1), w.index(i)
-            img = list(w)
-            img[a], img[b] = i, i - 1
-            wi = tuple(img)
-            if (b < a) == inverse:
+            wi = right[w]
+            if bool(rdes[w] & bit) == inverse:
                 _acc(out, (A, k, wi), c)
             elif inverse:
                 _acc(out, (A, k, wi), c * Qinv)
@@ -384,10 +446,12 @@ class QBrAlgebra:
         """
         self._tick(len(states))
         Q, Qm1, Qinv, Qinvm1 = self.Q, self._Qm1, self.Qinv, self._Qinvm1
+        T = self._T
+        left, ldes, bit = T.lmul[i], T.ldes, 1 << i
         out = {}
         for (A, k, w), c in states.items():
-            sA = sg.lmul_gen(i, A)
-            if (A[i - 1] > A[i]) == inverse:
+            sA = left[A]
+            if bool(ldes[A] & bit) == inverse:
                 _acc(out, (sA, k, w), c)
             elif inverse:
                 _acc(out, (sA, k, w), c * Qinv)
@@ -402,11 +466,11 @@ class QBrAlgebra:
         for (A, k, w), c in states.items():
             self._tick()
             if k == 0:
-                for y, cy in self.H.rmul_perm({A: c}, w).items():
-                    _acc(out, (self.id, 1, y), cy)
+                for y, cy in self._hrmul({A: c}, w).items():
+                    _acc(out, (0, 1, y), cy)
                 continue
             for (A3, k3, w3), cl in self._lefte(k, A).items():
-                for y, cy in self.H.rmul_perm({w3: cl}, w).items():
+                for y, cy in self._hrmul({w3: cl}, w).items():
                     _acc(out, (A3, k3, y), c * cy)
         return out
 
@@ -415,8 +479,9 @@ class QBrAlgebra:
         key = (k, A)
         hit = self._lefte_memo.get(key)
         if hit is None:
-            em = self._emul(k, sg.inv(A))
-            hit = {(sg.inv(w3), k3, sg.inv(B)): c for (B, k3, w3), c in em.items()}
+            inv = self._T.inv
+            em = self._emul(k, inv[A])
+            hit = {(inv[w3], k3, inv[B]): c for (B, k3, w3), c in em.items()}
             self._lefte_memo[key] = hit
         return hit
 
@@ -428,7 +493,9 @@ class QBrAlgebra:
         if hit is not None:
             return hit
         if key in self._emul_stack:
-            raise InternalInconsistency(f"rewriting cycle at e_({k}) g_{w} e")
+            raise InternalInconsistency(
+                f"rewriting cycle at e_({k}) g_{self._T.perms[w]} e"
+            )
         self._emul_stack.add(key)
         try:
             out = self._emul_compute(k, w)
@@ -439,54 +506,54 @@ class QBrAlgebra:
 
     def _emul_compute(self, k, w):
         self._tick()
-        n = self.n
-        if w == self.id:
+        n, T = self.n, self._T
+        if w == 0:
             # e_(k) e = a e_(k), the level-one case of e_(j) e_(k) = a^j e_(k)
-            return {(self.id, k, self.id): self.a}
+            return {(0, k, 0): self.a}
         if w not in self._minrep[k]:
             # straighten e_(k) g_w over minimal coset representatives first,
             # so the core analysis below only ever sees those
             out = {}
-            for (pi, v), c in self._red(k, w).items():
-                for s, cs in self._emul(k, sg.mul(pi, v)).items():
+            for x, c in self._red(k, w).items():
+                for s, cs in self._emul(k, x).items():
                     _acc(out, s, c * cs)
             return out
         # absorb or commute generators on the left of g_w
+        ldes = T.ldes[w]
         for i in range(1, n):
-            if w[i - 1] > w[i]:
+            if ldes >> i & 1:
                 if i % 2 == 1 and i < 2 * k:
                     # e_(k) g_i = Q e_(k) for odd i < 2k
-                    sub = self._emul(k, sg.lmul_gen(i, w))
+                    sub = self._emul(k, T.lmul[i][w])
                     return {s: c * self.Q for s, c in sub.items()}
                 if i >= 2 * k + 1:
                     # g_i commutes with e_(k)
-                    return self._lmul_gen_states(i, self._emul(k, sg.lmul_gen(i, w)))
+                    return self._lmul_gen_states(i, self._emul(k, T.lmul[i][w]))
         # absorb or commute generators on the right of g_w against e
-        iw = sg.inv(w)
+        rdes = T.rdes[w]
         for j in range(1, n):
-            if iw[j] < iw[j - 1]:
+            if rdes >> j & 1:
                 if j == 1:
-                    sub = self._emul(k, sg.rmul_gen(w, 1))
+                    sub = self._emul(k, T.rmul[1][w])
                     return {s: c * self.Q for s, c in sub.items()}
                 if j >= 3:
-                    return self._rmul_gen_states(self._emul(k, sg.rmul_gen(w, j)), j)
+                    return self._rmul_gen_states(self._emul(k, T.rmul[j][w]), j)
         # core elements: left descents even and <= 2k, right descents = {2}
         if k == 1:
-            s2 = sg.gen(n, 2)
-            if w == s2:
-                return {(self.id, 1, self.id): self.b}
-            if self._z2 is not None and w == self._z2:
+            if w == T.lmul[2][0]:
+                return {(0, 1, 0): self.b}
+            if w == self._z2:
                 # e g_{z_2} e with z_2 = s_2 s_1 s_3 s_2, expanded through
                 # e_(2) = e g_2 g_3 g_1^{-1} g_2^{-1} e
                 c1 = self.b * self.Q * self._Qm1
                 out = {
-                    (self.id, 1, sg.gen(n, 3)): c1,
-                    (self.id, 1, self.id): c1,
-                    (self.id, 2, self.id): self.Q * self.Q,
+                    (0, 1, T.lmul[3][0]): c1,
+                    (0, 1, 0): c1,
+                    (0, 2, 0): self.Q * self.Q,
                 }
                 # c1 vanishes when Q = 1, in the classical version
                 return {s: c for s, c in out.items() if not c.is_zero()}
-            raise InternalInconsistency(f"unexpected level-1 core {w}")
+            raise InternalInconsistency(f"unexpected level-1 core {T.perms[w]}")
         # shift the level down through
         # e_(k) = e g_2 ... g_{2k-1} g_1^{-1} ... g_{2k-2}^{-1} e_(k-1)
         states = self._emul(k - 1, w)
@@ -499,13 +566,15 @@ class QBrAlgebra:
     # -- e_(k) g_x straightening ---------------------------------------------------
 
     def _red(self, k, x):
-        """e_(k) g_x as {(pi, v): coeff} over the minimal representatives."""
+        """e_(k) g_x as {r: coeff} over the codes r of minimal representatives."""
         key = (k, x)
         hit = self._red_memo.get(key)
         if hit is not None:
             return hit
         if key in self._red_stack:
-            raise InternalInconsistency(f"straightening cycle at e_({k}) g_{x}")
+            raise InternalInconsistency(
+                f"straightening cycle at e_({k}) g_{self._T.perms[x]}"
+            )
         self._red_stack.add(key)
         try:
             out = self._red_compute(k, x)
@@ -514,52 +583,59 @@ class QBrAlgebra:
         self._red_memo[key] = out
         return out
 
+    def _swap_blocks(self, j, x):
+        """The code of p_j x, with p_j = s_{2j} s_{2j-1} s_{2j+1} s_{2j}."""
+        lmul = self._T.lmul
+        return lmul[2 * j][lmul[2 * j - 1][lmul[2 * j + 1][lmul[2 * j][x]]]]
+
     def _red_compute(self, k, x):
         self._tick()
-        rep = self._minrep[k].get(x)
-        if rep is not None:
-            return {rep: self.field.one()}
+        T = self._T
+        if x in self._minrep[k]:
+            return {x: self.field.one()}
         for i in range(1, 2 * k, 2):
-            if x[i - 1] > x[i]:
-                sub = self._red(k, sg.lmul_gen(i, x))
+            if T.ldes[x] >> i & 1:
+                sub = self._red(k, T.lmul[i][x])
                 return {p: c * self.Q for p, c in sub.items()}
-        lx = sg.length(x)
+        lx = T.length[x]
         one = self.field.one()
         for j in range(1, k):
-            y = sg.mul(self._pj[j], x)
-            delta = lx - sg.length(y)
+            y = self._swap_blocks(j, x)
+            delta = lx - T.length[y]
             if delta == 4:
                 # e_(k) g_{p_j} = (Q-1) e_(k) g_{2j} g_{2j+1} g_{2j}
                 #   + Q(Q-1) e_(k) g_{2j} + Q^2 e_(k)
                 out = {}
-                t = self.H.lmul_word((2 * j, 2 * j + 1, 2 * j), {y: one})
+                t = self._hlmul(2 * j, {y: one})
+                t = self._hlmul(2 * j, self._hlmul(2 * j + 1, t))
                 self._red_acc(out, k, t, self._Qm1)
-                t = self.H.lmul_gen(2 * j, {y: one})
+                t = self._hlmul(2 * j, {y: one})
                 self._red_acc(out, k, t, self.Q * self._Qm1)
                 self._red_acc(out, k, {y: one}, self.Q * self.Q)
                 return out
             if delta == 2:
                 # interleaved blocks: through e_(k) g_{2j} g_{2j-1}
                 # = e_(k) g_{2j} g_{2j+1} both sides drop to shorter words
-                x2 = sg.lmul_gen(2 * j - 1, sg.lmul_gen(2 * j, x))
-                z1 = sg.lmul_gen(2 * j, x2)
-                z2 = sg.lmul_gen(2 * j, sg.lmul_gen(2 * j + 1, x2))
+                x2 = T.lmul[2 * j - 1][T.lmul[2 * j][x]]
+                z1 = T.lmul[2 * j][x2]
+                z2 = T.lmul[2 * j][T.lmul[2 * j + 1][x2]]
                 out = {}
                 for p, c in self._red(k, z1).items():
                     _acc(out, p, c * self._Qm1)
                 for p, c in self._red(k, z2).items():
                     _acc(out, p, c * self.Q)
                 return out
+        xt = T.perms[x]
         for j in range(1, k):
             # block j+1 nested inside block j: both words are reduced and
             # e_(k) g_x = e_(k) g_{p_j x} exactly, again by the exchange
             # identity; the swapped word has the opposite nesting, so the
             # move cannot fire back and forth
-            a1, a2 = x[2 * j - 2], x[2 * j - 1]
-            b1, b2 = x[2 * j], x[2 * j + 1]
+            a1, a2 = xt[2 * j - 2], xt[2 * j - 1]
+            b1, b2 = xt[2 * j], xt[2 * j + 1]
             if a1 < b1 and b2 < a2:
-                return self._red(k, sg.mul(self._pj[j], x))
-        raise InternalInconsistency(f"no reduction applies to e_({k}) g_{x}")
+                return self._red(k, self._swap_blocks(j, x))
+        raise InternalInconsistency(f"no reduction applies to e_({k}) g_{xt}")
 
     def _red_acc(self, out, k, helt, factor):
         for z, cz in helt.items():
@@ -575,19 +651,25 @@ class QBrAlgebra:
         hit = self._norm_memo.get(key)
         if hit is not None:
             return hit
+        T = self._T
+        perms, one = T.perms, self.field.one()
         if k == 0:
             out = {
-                (0, self.id, y, self.id): c
-                for y, c in self.H.rmul_perm({A: self.field.one()}, w).items()
+                (0, self.id, perms[y], self.id): c
+                for y, c in self._hrmul({A: one}, w).items()
             }
         else:
+            minrep = self._minrep[k]
             out = {}
-            for (pi1, v1), c1 in self._red(k, sg.inv(A)).items():
+            for r1, c1 in self._red(k, T.inv[A]).items():
                 # applying the involution: g_A e_(k) picks up
                 # c1 g_{v1^{-1}} e_(k) g_{pi1^{-1}}
-                for y, c3 in self.H.rmul_perm({sg.inv(pi1): c1}, w).items():
-                    for (pi2, v2), c4 in self._red(k, y).items():
-                        _acc(out, (k, v1, pi2, v2), c3 * c4)
+                pi1, v1 = minrep[r1]
+                u = perms[v1]
+                for y, c3 in self._hrmul({T.inv[pi1]: c1}, w).items():
+                    for r2, c4 in self._red(k, y).items():
+                        pi2, v2 = minrep[r2]
+                        _acc(out, (k, u, perms[pi2], perms[v2]), c3 * c4)
         self._norm_memo[key] = out
         return out
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 import itertools
+from types import MappingProxyType
 
 __all__ = [
     "identity",
@@ -30,6 +31,8 @@ __all__ = [
     "reduced_word",
     "from_word",
     "all_perms",
+    "PermTable",
+    "perm_table",
     "Partition",
     "partitions",
     "dominates",
@@ -119,6 +122,70 @@ def from_word(n, word):
 
 def all_perms(n):
     return [tuple(p) for p in itertools.permutations(range(n))]
+
+
+class PermTable:
+    """The permutations of {1, ..., n} as int codes, with their tables.
+
+    Code c stands for ``perms[c]``; codes follow ``itertools.permutations``
+    order, so the identity is code 0, and ``code`` maps a tuple back.
+    For a generator label i, ``lmul[i][c]`` is the code of s_i * w and
+    ``rmul[i][c]`` that of w * s_i (index 0 of both is unused).  ``inv``
+    and ``length`` are per code; bit i of ``ldes[c]`` (``rdes[c]``) is set
+    iff s_i is a left (right) descent of w.  Lengths come from a
+    breadth-first walk from the identity, descents from the lengths.
+    ``word(c)`` is ``reduced_word(perms[c])``, computed once per code.
+    """
+
+    def __init__(self, n):
+        self.perms = perms = tuple(itertools.permutations(range(n)))
+        code = {w: c for c, w in enumerate(perms)}
+        self.code = MappingProxyType(code)  # the table is shared: read-only
+        self.inv = inv_ = tuple(code[inv(w)] for w in perms)
+        self.lmul = lmul = (None,) + tuple(
+            tuple(code[w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]] for w in perms)
+            for i in range(1, n)
+        )
+        # w s_i = (s_i w^{-1})^{-1}
+        self.rmul = (None,) + tuple(
+            tuple([inv_[left[ic]] for ic in inv_]) for left in lmul[1:]
+        )
+        ln = [-1] * len(perms)
+        ln[0] = 0
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for c in frontier:
+                for left in lmul[1:]:
+                    d = left[c]
+                    if ln[d] < 0:
+                        ln[d] = ln[c] + 1
+                        nxt.append(d)
+            frontier = nxt
+        self.length = tuple(ln)
+        ldes = [0] * len(perms)
+        for i in range(1, n):
+            left, bit = lmul[i], 1 << i
+            for c, lc in enumerate(ln):
+                if ln[left[c]] < lc:
+                    ldes[c] |= bit
+        self.ldes = tuple(ldes)
+        # s_i is a right descent of w iff it is a left descent of w^{-1}
+        self.rdes = tuple([ldes[ic] for ic in inv_])
+        self._words = [None] * len(perms)
+
+    def word(self, c):
+        """The reduced word of ``reduced_word`` for code c."""
+        w = self._words[c]
+        if w is None:
+            w = self._words[c] = reduced_word(self.perms[c])
+        return w
+
+
+@lru_cache(maxsize=None)
+def perm_table(n):
+    """The :class:`PermTable` of S_n, built once per process."""
+    return PermTable(n)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,17 @@ Gram matrices and determinants, and semisimplicity decisions."""
 import random
 from fractions import Fraction
 
+import pytest
+
 from qbrauer import symgrp as sg
 from qbrauer.cellular import Cellular, closed_form_criterion, det, rank
-from qbrauer.coefficients import Cyclo, RatFunc, Specialization
+from qbrauer.coefficients import (
+    Cyclo,
+    DenominatorVanishes,
+    RatFunc,
+    Specialization,
+    quantum_char,
+)
 from qbrauer.qbrauer import QBrAlgebra
 
 
@@ -172,6 +180,42 @@ def test_closed_form_n_version_sign_invariance():
         brute = Cellular(alg).is_semisimple()[0]
         closed, _ = closed_form_criterion(3, "n_version", spec, N=N)
         assert brute == closed
+
+
+def _closed_form_rebuilt(version, spec, N=None):
+    """The n = 3 closed-form verdict with its expression built afresh."""
+    if version == "two_param":
+        eparam = q * q
+        extra = 3 * q**5 * (r * r - q * q) ** 2 * (q**4 * r * r - 1) / (
+            r**3 * (q * q - 1) ** 3
+        )
+    elif version == "one_param":
+        eparam = q
+        extra = 3 * q * (r - q) ** 2 * (q * q * r - 1) / ((q - 1) ** 3)
+    else:
+        eparam = q * q
+        extra = 3 * q**5 * (q ** (2 * N) - q * q) ** 2 * (q ** (2 * N + 4) - 1) / (
+            q ** (3 * N) * (q * q - 1) ** 3
+        )
+    if quantum_char(spec(eparam)) <= 3:
+        return False
+    return not spec(extra).is_zero()
+
+
+def test_closed_form_cache_matches_uncached_rebuild():
+    # the generic expressions are built once per (version, N); every F_7
+    # point must still give the verdict of an expression built afresh
+    for version, N in (("two_param", None), ("one_param", None), ("n_version", 3)):
+        for qi in range(1, 7):
+            for ri in range(1, 7):
+                spec = Specialization.prime_field(7, qi, ri)
+                try:
+                    expect = _closed_form_rebuilt(version, spec, N)
+                except DenominatorVanishes:
+                    with pytest.raises(DenominatorVanishes):
+                        closed_form_criterion(3, version, spec, N=N)
+                    continue
+                assert closed_form_criterion(3, version, spec, N=N)[0] == expect
 
 
 def test_det_and_rank_helpers():

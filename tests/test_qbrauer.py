@@ -3,6 +3,7 @@ normal basis, products, the involution, and the diagram-algebra oracle."""
 
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,28 @@ def test_n_version_scalars_classical_limit():
         assert spec(sc["bprime"]).is_one()
 
 
+def test_shared_constants_do_not_leak_between_algebras():
+    # the scalars and B_{k,n} are built once per process and shared:
+    # mutating what the public API hands out must not reach a second algebra
+    first = QBrAlgebra(4, spec=FP101)
+    sc = version_scalars("two_param")
+    sc["Q"] = RatFunc.from_int(1)
+    sc.clear()
+    with pytest.raises(AttributeError):
+        first.Bkn[1].append(first.id)
+    with pytest.raises(TypeError):
+        first.Bkn[1][0] = first.id
+    with pytest.raises(TypeError):
+        first.Bkn[0] = ()
+    second = QBrAlgebra(4, spec=FP101)
+    assert version_scalars("two_param")["Q"] == q * q
+    assert second.Q == FP101(q * q)
+    assert second.a == FP101(q * (r * r - 1) / (r * (q * q - 1)))
+    assert second.b == FP101(r * q)
+    assert second.Bkn == tuple(tuple(sg.enumerate_Bkn(4, k)) for k in range(3))
+    assert second.verify_relations() == []
+
+
 # -- relations and identities ---------------------------------------------------------------
 
 
@@ -119,14 +142,24 @@ def test_e_k_g2j_e_j_absorption():
 
 
 def test_straightening_equal_length_coset_members():
-    # x = s_1 applied to the block-swap pattern: e_(2) g_x with x in the
-    # same H_2-coset as a shorter representative of equal minimal length
-    alg = QBrAlgebra(4)
-    x = (0, 3, 1, 2)  # one-line image tuple, 0-indexed
-    red = alg._red(2, x)
-    # result is supported on minimal representatives
-    for (pi, v), c in red.items():
-        assert sg.mul(pi, v) in alg._minrep[2]
+    # e_(2) g_x for every x at n = 4 and 5, among them x = s_1 applied to
+    # the block-swap pattern, (0, 3, 1, 2) at n = 4, which lies in the same
+    # H_2-coset as a shorter representative of equal minimal length: the
+    # result is supported on minimal representatives, each no longer than
+    # x and each the product pi * v it is stored with
+    for n in (4, 5):
+        alg = QBrAlgebra(n)
+        T = alg._T
+        minrep = alg._minrep[2]
+        for x in range(len(T.perms)):
+            red = alg._red(2, x)
+            assert red
+            for rep in red:
+                assert rep in minrep
+                assert T.length[rep] <= T.length[x]
+                pi, v = minrep[rep]
+                assert sg.mul(T.perms[pi], T.perms[v]) == T.perms[rep]
+                assert T.perms[v] in alg.Bkn[2]
 
 
 def test_mul_matches_left_and_right_generator_action():
@@ -212,13 +245,15 @@ def test_commutation_with_window_letters():
 
 def termwise_mul(alg, x, y):
     """x y with every term of y replaying its whole generator word from the
-    states of x: the product before shared prefixes were replayed once."""
+    states of x and normalising its own leaf states: the product before
+    shared prefixes were replayed once and leaf states merged."""
     if not x or not y:
         return {}
     alg._steps = 0
+    code = alg._T.code
     xstates = {}
     for (k, u, pi, v), c in x.items():
-        _acc(xstates, (sg.inv(u), k, sg.mul(pi, v)), c)
+        _acc(xstates, (code[sg.inv(u)], k, code[sg.mul(pi, v)]), c)
     out = {}
     for idx2, cy in y.items():
         states = xstates
@@ -330,6 +365,30 @@ def test_rewrite_budget_covers_the_whole_walk(monkeypatch):
     assert exact._steps == steps
     exact.mul(x, y)
     assert exact._steps < steps
+
+
+def test_gram_build_reduces_each_permutation_once(monkeypatch):
+    # reduced words come from the per-n permutation table, which computes
+    # each one once: building all n = 5 Gram matrices over F_101 (cell
+    # (2,(1)) raises, as above) asks reduced_word at most once per
+    # distinct permutation
+    calls = Counter()
+    reduced_word = sg.reduced_word
+
+    def counted(w):
+        calls[w] += 1
+        return reduced_word(w)
+
+    monkeypatch.setattr(sg, "reduced_word", counted)
+    sg.perm_table.cache_clear()
+    cell = Cellular(QBrAlgebra(5, spec=FP101))
+    for k, lam in cell.labels():
+        try:
+            cell.gram(k, lam)
+        except InternalInconsistency:
+            pass
+    assert calls
+    assert max(calls.values()) == 1
 
 
 @pytest.mark.parametrize("attempt_raising_cell, expect", [(True, 48086), (False, 48001)])

@@ -4,6 +4,8 @@ letter windows and the transversals B_{k,n}."""
 import itertools
 import math
 
+import pytest
+
 from qbrauer import brauerdiag as bd
 from qbrauer import symgrp as sg
 
@@ -30,6 +32,26 @@ def test_length_and_reduced_word():
 def test_longest_element_length():
     w0 = tuple(reversed(range(5)))
     assert sg.length(w0) == 10
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_perm_table_matches_tuple_functions(n):
+    # every entry of the per-n table equals the tuple function it replaces
+    T = sg.perm_table(n)
+    assert len(T.perms) == math.factorial(n)
+    assert T.perms[0] == sg.identity(n)
+    gens = (1 << n) - 2  # bits 1..n-1
+    for c, w in enumerate(T.perms):
+        assert T.code[w] == c
+        assert T.perms[T.inv[c]] == sg.inv(w)
+        assert T.length[c] == sg.length(w)
+        assert T.word(c) == sg.reduced_word(w)
+        assert T.ldes[c] & ~gens == 0 and T.rdes[c] & ~gens == 0
+        for i in range(1, n):
+            assert T.perms[T.lmul[i][c]] == sg.lmul_gen(i, w)
+            assert T.perms[T.rmul[i][c]] == sg.rmul_gen(w, i)
+            assert bool(T.ldes[c] >> i & 1) == (w[i - 1] > w[i])
+            assert bool(T.rdes[c] >> i & 1) == (w.index(i) < w.index(i - 1))
 
 
 def test_partitions_order():
