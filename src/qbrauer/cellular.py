@@ -40,55 +40,109 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import symgrp as sg
-from .coefficients import RatFunc, quantum_char
+from .coefficients import LaurentPoly, RatFunc, _biv_divexact, _biv_gcd, quantum_char
 from .hecke import HeckeWindow, _acc, is_restricted
 
-__all__ = ["Cellular", "closed_form_criterion", "det", "rank"]
+__all__ = ["Cellular", "closed_form_criterion", "det", "det_rank", "rank"]
 
 
-def _eliminate(mat, field):
-    """Forward elimination on a copy of mat, one column at a time.
+def det_rank(mat, field):
+    """(det, rank) of mat from one forward elimination; det is None unless
+    mat is square.
 
-    Yields (pivot, swapped) per column: the pivot is the first nonzero
-    entry at or below the next unused row (None if there is none), and
-    swapped says whether its row was exchanged with that one.  Stops once
-    every row holds a pivot.
+    Rows are pivoted and columns without a pivot skipped, so the pivots
+    count the rank.  Over the generic field the entries are first cleared
+    to Z[q, r] by one common denominator and monomial (``_cleared``) and
+    eliminated fraction-free (Bareiss, Math. Comp. 22, 1968): every update
+    divides exactly by the previous pivot, the last pivot is the cleared
+    determinant, and only that one value is canonicalised.  Over F_p, Q and
+    Q(zeta_m) an inverse is cheap, so the elimination is Gaussian.
     """
-    m = [list(row) for row in mat]
+    generic = field.field == ("generic",)
+    if generic:
+        m, shift, den = _cleared(mat)
+        nonzero = bool
+    else:
+        m = [list(row) for row in mat]
+        nonzero = lambda x: not x.is_zero()
     rows, cols = len(m), len(m[0]) if m else 0
-    rk = 0
+    rk, sign = 0, 1
+    prev = {(0, 0): 1}  # Bareiss: the previous pivot
+    acc = field.one()  # Gauss: the product of the pivots
     for col in range(cols):
         if rk == rows:
-            return
-        piv = next((r for r in range(rk, rows) if not m[r][col].is_zero()), None)
+            break
+        piv = next((r for r in range(rk, rows) if nonzero(m[r][col])), None)
         if piv is None:
-            yield None, False
             continue
-        m[rk], m[piv] = m[piv], m[rk]
-        inv = field.one() / m[rk][col]
-        for r in range(rk + 1, rows):
-            if not m[r][col].is_zero():
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[rk])]
-        yield m[rk][col], piv != rk
+        if piv != rk:
+            m[rk], m[piv] = m[piv], m[rk]
+            sign = -sign
+        top = m[rk]
+        p = top[col]
+        if generic:
+            for row in m[rk + 1:]:
+                a = row[col]
+                for c in range(col + 1, cols):
+                    row[c] = _bareiss_entry(p, row[c], a, top[c], prev)
+            prev = p
+        else:
+            inv = field.one() / p
+            for row in m[rk + 1:]:
+                if not row[col].is_zero():
+                    f = row[col] * inv
+                    for c in range(col + 1, cols):
+                        row[c] = row[c] - f * top[c]
+            acc = acc * p
         rk += 1
+    if rows != cols:
+        return None, rk
+    if rk < rows:
+        return field.zero(), rk
+    if not generic:
+        return (acc if sign > 0 else -acc), rk
+    num = LaurentPoly({k: sign * v for k, v in prev.items()})
+    return RatFunc(num.shifted(rows * shift[0], rows * shift[1]), den ** rows), rk
 
 
 def det(mat, field):
-    """Exact determinant over a field by Gaussian elimination."""
-    out = field.one()
-    for pivot, swapped in _eliminate(mat, field):
-        if pivot is None:
-            return field.zero()
-        if swapped:
-            out = -out
-        out = out * pivot
-    return out
+    """Exact determinant of a square matrix over a field."""
+    if any(len(row) != len(mat) for row in mat):
+        raise ValueError("determinant of a non-square matrix")
+    return det_rank(mat, field)[0]
 
 
 def rank(mat, field):
     """Exact rank over a field."""
-    return sum(1 for pivot, _ in _eliminate(mat, field) if pivot is not None)
+    return det_rank(mat, field)[1]
+
+
+def _cleared(mat):
+    """RatFunc entries as polynomials in Z[q, r]: (A, (dq, dr), D) with
+    mat[i][j] = A[i][j] q^dq r^dr / D, where D is the lcm of the entries'
+    denominators and q^dq r^dr the least monomial of the cleared entries."""
+    dens = {x.den for row in mat for x in row}
+    den = LaurentPoly.const(1)
+    for d in dens:
+        den = den * LaurentPoly(_biv_divexact(d.terms, _biv_gcd(den.terms, d.terms)))
+    cofactor = {d: LaurentPoly(_biv_divexact(den.terms, d.terms)) for d in dens}
+    laurent = [[x.num * cofactor[x.den] for x in row] for row in mat]
+    keys = [k for row in laurent for x in row for k in x.terms]
+    shift = (min((k[0] for k in keys), default=0), min((k[1] for k in keys), default=0))
+    polys = [[x.shifted(-shift[0], -shift[1]).terms for x in row] for row in laurent]
+    return polys, shift, den
+
+
+def _bareiss_entry(p, x, a, y, prev):
+    """(p x - a y) / prev in Z[q, r]; the division is exact or raises."""
+    out = {}
+    for u, v, s in ((p, x, 1), (a, y, -1)):
+        for (i, j), c in u.items():
+            c *= s
+            for (k, l), d in v.items():
+                key = (i + k, j + l)
+                out[key] = out.get(key, 0) + c * d
+    return _biv_divexact({k: c for k, c in out.items() if c}, prev)
 
 
 class Cellular:
@@ -100,6 +154,7 @@ class Cellular:
         self.field = alg.field
         self._windows = {}
         self._gram = {}
+        self._det_rank = {}  # (k, lam) -> (det, rank or None if not known)
 
     def window(self, k):
         """The Hecke algebra of the letters 2k+1, ..., n."""
@@ -203,11 +258,25 @@ class Cellular:
         return self._gram[key]
 
     def gram_det(self, k, lam):
-        return det(self.gram(k, lam), self.field)
+        """Determinant of the Gram matrix of C(k, lam), computed once."""
+        key = (k, lam)
+        if key not in self._det_rank:
+            g = self.gram(k, lam)
+            d = det(g, self.field)
+            # a nonzero determinant fixes the rank; a zero one leaves it open
+            self._det_rank[key] = (d, None if d.is_zero() else len(g))
+        return self._det_rank[key][0]
 
     def radical_dim(self, k, lam):
+        """Dimension of the radical of the form on C(k, lam).
+
+        Eliminates the Gram matrix only if its rank is not known yet: a
+        cell whose determinant came out nonzero has full rank."""
+        key = (k, lam)
         g = self.gram(k, lam)
-        return len(g) - rank(g, self.field)
+        if self._det_rank.get(key, (None, None))[1] is None:
+            self._det_rank[key] = det_rank(g, self.field)
+        return len(g) - self._det_rank[key][1]
 
     def quantum_characteristic(self):
         """e(Q) for the Hecke parameter Q of this algebra."""

@@ -244,8 +244,9 @@ def cmd_gram(args):
         raise ConfigError("parameter a vanishes; the basis construction needs a invertible")
     cell = Cellular(alg)
     g = cell.gram(k, lam)
-    d = cell.gram_det(k, lam)
+    # the rank first: its elimination also gives the determinant
     rk = len(g) - cell.radical_dim(k, lam)
+    d = cell.gram_det(k, lam)
     config = {
         "command": "gram",
         "n": n,

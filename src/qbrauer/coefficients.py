@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+import heapq
 import math
 
 __all__ = [
@@ -256,15 +257,22 @@ def _biv_positive(p):
 
 
 def _biv_divexact(a, b):
-    """Exact multivariate division in Z[q, r]; raises if not exact."""
+    """Exact multivariate division in Z[q, r]; raises if not exact.
+
+    The remainder's graded-lex leading terms come off a heap, so a division
+    costs O(log) per term instead of a scan of the remainder."""
     if not b:
         raise ZeroDivisionError("poly division by zero")
     a = dict(a)
     out = {}
     kb = max(b, key=lambda k: (k[0] + k[1], k[0]))
     cb = b[kb]
+    heap = [(-k[0] - k[1], -k[0], k) for k in a]
+    heapq.heapify(heap)
     while a:
-        ka = max(a, key=lambda k: (k[0] + k[1], k[0]))
+        ka = heapq.heappop(heap)[2]
+        if ka not in a:
+            continue
         ca = a[ka]
         dq, dr = ka[0] - kb[0], ka[1] - kb[1]
         if dq < 0 or dr < 0 or ca % cb:
@@ -273,9 +281,13 @@ def _biv_divexact(a, b):
         out[(dq, dr)] = c
         for k, v in b.items():
             nk = (k[0] + dq, k[1] + dr)
-            a[nk] = a.get(nk, 0) - v * c
-            if not a[nk]:
-                del a[nk]
+            if nk in a:
+                a[nk] -= v * c
+                if not a[nk]:
+                    del a[nk]
+            else:
+                a[nk] = -v * c
+                heapq.heappush(heap, (-nk[0] - nk[1], -nk[0], nk))
     return out
 
 

@@ -226,6 +226,15 @@ def test_det_and_rank_helpers():
     assert det(mat, spec).is_zero()
     assert rank(mat, spec) == 1
     assert det([[two]], spec) == two
+    # a determinant needs a square matrix; the empty one has det 1, rank 0
+    for field in (spec, Specialization.generic()):
+        one = field.one()
+        for mat in ([[one, one]], [[one], [one]]):
+            with pytest.raises(ValueError):
+                det(mat, field)
+        assert det([], field) == one
+        assert rank([], field) == 0
+        assert rank([[one, one]], field) == 1
 
 
 def full_gram(cell, k, lam):

@@ -1,0 +1,202 @@
+"""Determinant and rank: ``det_rank`` against independent references, and
+one elimination per Gram matrix in ``Cellular``.
+
+Over the generic field the reference is sympy (test-only): ``Matrix.det``
+and ``Matrix.rank`` on random small matrices of rational functions, and
+the fraction-field determinant of ``sympy.polys.matrices.DomainMatrix`` on
+every generic n = 4 Gram matrix.  Over F_p it is the plain Gaussian
+elimination below.  The generic Gram matrices are all nonsingular, so only
+the random matrices here reach the column-skipping path of the
+fraction-free elimination.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qbrauer import cellular
+from qbrauer.cellular import Cellular, det_rank
+from qbrauer.coefficients import Fp, LaurentPoly, RatFunc, Specialization
+from qbrauer.qbrauer import QBrAlgebra
+
+sympy = pytest.importorskip("sympy")
+
+Q, R = sympy.symbols("q r")
+GENERIC = Specialization.generic()
+P = 7
+FP = Specialization.prime_field(P, 3, 5)
+
+
+def to_sympy(x):
+    def expr(p):
+        return sympy.Add(*[c * Q**i * R**j for (i, j), c in p.terms.items()])
+
+    return expr(x.num) / expr(x.den)
+
+
+def sympy_det_rank(mat, cols):
+    m = sympy.Matrix(len(mat), cols, [to_sympy(x) for row in mat for x in row])
+    rk = m.rank(iszerofunc=lambda e: sympy.cancel(e) == 0)
+    d = m.det(method="berkowitz") if len(mat) == cols else None
+    return d, rk
+
+
+# -- random matrices -----------------------------------------------------------
+
+term = st.tuples(st.integers(-3, 3), st.integers(-2, 1), st.integers(-1, 2))
+
+
+def laurent(terms):
+    out = {}
+    for c, dq, dr in terms:
+        out[(dq, dr)] = out.get((dq, dr), 0) + c
+    return LaurentPoly(out)
+
+
+nums = st.lists(term, max_size=3).map(laurent)
+dens = st.lists(term, min_size=1, max_size=2).map(laurent).filter(lambda p: not p.is_zero())
+ratfuncs = st.builds(RatFunc, nums, dens)
+fps = st.integers(0, P - 1).map(lambda v: Fp(P, v))
+
+
+@st.composite
+def matrices(draw, entries, zero, max_dim=3):
+    """(matrix, column count): plain, with a zero row or column, or a
+    product A B with inner dimension below both sides (rank deficient)."""
+    rows = draw(st.integers(0, max_dim))
+    # a list of no rows has no columns either
+    cols = draw(st.integers(1, max_dim)) if rows else 0
+    kind = draw(st.sampled_from(("plain", "zero_row", "zero_col", "product")))
+    if kind == "product" and min(rows, cols) >= 2:
+        inner = draw(st.integers(1, min(rows, cols) - 1))
+        a = [[draw(entries) for _ in range(inner)] for _ in range(rows)]
+        b = [[draw(entries) for _ in range(cols)] for _ in range(inner)]
+        mat = [[zero] * cols for _ in range(rows)]
+        for i in range(rows):
+            for j in range(cols):
+                for t in range(inner):
+                    mat[i][j] = mat[i][j] + a[i][t] * b[t][j]
+        return mat, cols
+    mat = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    if kind == "zero_row" and rows:
+        mat[draw(st.integers(0, rows - 1))] = [zero] * cols
+    if kind == "zero_col" and cols:
+        j = draw(st.integers(0, cols - 1))
+        for row in mat:
+            row[j] = zero
+    return mat, cols
+
+
+@given(matrices(ratfuncs, GENERIC.zero()))
+@settings(max_examples=60, deadline=None)
+def test_generic_det_rank_matches_sympy(drawn):
+    mat, cols = drawn
+    d, rk = det_rank(mat, GENERIC)
+    expect_d, expect_rk = sympy_det_rank(mat, cols)
+    assert rk == expect_rk
+    if expect_d is None:
+        assert d is None
+    else:
+        assert sympy.cancel(to_sympy(d) - expect_d) == 0
+
+
+def gauss_mod_p(mat, cols):
+    """(det or None, rank) of an integer matrix mod P, textbook style."""
+    m = [[x % P for x in row] for row in mat]
+    rows, rk, d = len(m), 0, 1
+    for col in range(cols):
+        piv = next((i for i in range(rk, rows) if m[i][col]), None)
+        if piv is None:
+            d = 0
+            continue
+        if piv != rk:
+            m[rk], m[piv] = m[piv], m[rk]
+            d = -d
+        d = d * m[rk][col] % P
+        inv = pow(m[rk][col], P - 2, P)
+        for i in range(rk + 1, rows):
+            f = m[i][col] * inv % P
+            m[i] = [(x - f * y) % P for x, y in zip(m[i], m[rk])]
+        rk += 1
+    return (d % P if rk == rows else 0) if rows == cols else None, rk
+
+
+@given(matrices(fps, FP.zero(), max_dim=5))
+@settings(max_examples=150, deadline=None)
+def test_fp_det_rank_matches_gauss(drawn):
+    mat, cols = drawn
+    d, rk = det_rank(mat, FP)
+    expect_d, expect_rk = gauss_mod_p([[x.v for x in row] for row in mat], cols)
+    assert rk == expect_rk
+    assert (d if d is None else d.v) == expect_d
+
+
+# -- the built-in check ------------------------------------------------------------
+
+def test_inexact_division_is_caught():
+    # a Bareiss update divides by the previous pivot; were that pivot wrong
+    # the exact division would fail loudly instead of giving a wrong det
+    with pytest.raises(ArithmeticError):
+        cellular._bareiss_entry({(0, 0): 1}, {(1, 0): 1}, {}, {}, {(0, 0): 2})
+
+
+# -- the Gram determinants ----------------------------------------------------------
+
+VERSIONS = (("two_param", None), ("one_param", None), ("n_version", 3), ("classical", None))
+
+
+@pytest.mark.parametrize("version,N", VERSIONS)
+def test_n4_gram_dets_match_sympy(version, N):
+    from sympy.polys.matrices import DomainMatrix
+
+    cell = Cellular(QBrAlgebra(4, version=version, N=N))
+    for k, lam in cell.labels():
+        g = cell.gram(k, lam)
+        dm = DomainMatrix.from_Matrix(sympy.Matrix([[to_sympy(x) for x in row] for row in g]))
+        expect = dm.domain.to_sympy(dm.det())
+        assert sympy.cancel(to_sympy(cell.gram_det(k, lam)) - expect) == 0, (k, lam)
+
+
+def count_det_rank(monkeypatch):
+    calls = []
+    original = cellular.det_rank
+
+    def counting(mat, field):
+        calls.append(id(mat))
+        return original(mat, field)
+
+    monkeypatch.setattr(cellular, "det_rank", counting)
+    return calls
+
+
+def test_each_generic_gram_matrix_is_eliminated_once(monkeypatch):
+    calls = count_det_rank(monkeypatch)
+    cell = Cellular(QBrAlgebra(3))
+    for k, lam in cell.labels():
+        assert not cell.gram_det(k, lam).is_zero()
+        assert cell.radical_dim(k, lam) == 0
+    assert cell.is_semisimple() == (True, None)
+    grams = [id(cell.gram(k, lam)) for k, lam in cell.labels()]
+    assert sorted(calls) == sorted(grams)
+
+
+def test_singular_gram_matrices_take_a_second_pass_only_for_det_then_rank(monkeypatch):
+    # e(q^2) = 2 over F_5: some forms are singular, and a zero determinant
+    # (which runs through det alone) does not fix the rank; asking for the
+    # rank first answers both in one pass
+    calls = count_det_rank(monkeypatch)
+    spec = Specialization.prime_field(5, 2, 2)
+    cell = Cellular(QBrAlgebra(3, spec=spec))
+    labels = cell.labels()
+    rads = [cell.radical_dim(k, lam) for k, lam in labels]
+    dets = [cell.gram_det(k, lam) for k, lam in labels]
+    cell.is_semisimple()
+    singular = sum(rad > 0 for rad in rads)
+    assert singular and [d.is_zero() for d in dets] == [rad > 0 for rad in rads]
+    assert len(calls) == len(labels)
+
+    calls.clear()
+    cell = Cellular(QBrAlgebra(3, spec=spec))
+    assert [cell.gram_det(k, lam) for k, lam in labels] == dets
+    assert [cell.radical_dim(k, lam) for k, lam in labels] == rads
+    cell.is_semisimple()
+    assert len(calls) == len(labels) + singular
