@@ -21,10 +21,23 @@ carries the bilinear form
     <x_{(t,v)}, x_{(s,u)}> m_lam = m_lam g_{d(t)} g_v g*_u g*_{d(s)} m_lam
                                     mod more dominant cells.
 
-The form is symmetric, as for every cellular algebra (Graham-Lehrer): the
-anti-involution star fixes m_lam and swaps the two factors.  Gram matrices
-are therefore filled from the entries with i <= j, each of which is one
-Murphy coordinate (lam, t^lam, t^lam) of a product.
+The window generators commute with e_(k), so with h_t = c_lam g_{d(t)}
+each such product factors as
+
+    h_t [e_(k) g_v g_{u^{-1}} e_(k)] h*_s = e_(k) h_t H_{v,u} h*_s
+                                            mod levels above k,
+
+where H_{v,u} lies in the window Hecke algebra (Murphy, J. Algebra 152,
+1992; Graham-Lehrer, Invent. Math. 123, 1996).  The blocks H_{v,u} take
+one algebra product per pair v <= u of B_{k,n}, H_{u,v} = H*_{v,u}, and
+every lam at level k shares them.  A Gram entry is then
+psi_lam(g_{d(t)} H_{v,u} g_{d(s)^{-1}}) with the window functional
+psi_lam(h) = phi_lam(c_lam h c_lam), phi_lam the Murphy coordinate at
+(lam, t^lam, t^lam); it is computed once per cell by pulling the dual row
+of phi_lam back through c_lam, or in closed form when lam has one row.
+The form is symmetric, as for every cellular algebra: the anti-involution
+star fixes m_lam and swaps the two factors.  Gram matrices are therefore
+filled from the entries with i <= j.
 
 The Gram matrix decides everything representation-theoretic here: the
 simple head D(k, lam) is nonzero iff the form is nonzero, the algebra is
@@ -42,6 +55,7 @@ from functools import lru_cache
 from . import symgrp as sg
 from .coefficients import LaurentPoly, RatFunc, _biv_divexact, _biv_gcd, quantum_char
 from .hecke import HeckeWindow, _acc, is_restricted
+from .qbrauer import InternalInconsistency
 
 __all__ = ["Cellular", "closed_form_criterion", "det", "det_rank", "rank"]
 
@@ -145,6 +159,20 @@ def _bareiss_entry(p, x, a, y, prev):
     return _biv_divexact({k: c for k, c in out.items() if c}, prev)
 
 
+def _pull(f, move, des, bit, Q, Qm1):
+    """The functional h -> f(g_i h) (move, des = lmul[i], ldes) or
+    h -> f(h g_i) (rmul[i], rdes), for f = {code: coeff} standing for
+    h -> sum of f[w] h[w]; ``bit`` is 1 << i."""
+    out = {}
+    for w, c in f.items():
+        if des[w] & bit:
+            _acc(out, move[w], c)
+            _acc(out, w, c * Qm1)
+        else:
+            _acc(out, move[w], c * Q)
+    return out
+
+
 class Cellular:
     """Cell data, cellular basis and Gram forms for one algebra instance."""
 
@@ -155,6 +183,8 @@ class Cellular:
         self._windows = {}
         self._gram = {}
         self._det_rank = {}  # (k, lam) -> (det, rank or None if not known)
+        self._block_memo = {}  # k -> {(v, u): H_{v,u}}
+        self._labels = frozenset(self.labels())
 
     def window(self, k):
         """The Hecke algebra of the letters 2k+1, ..., n."""
@@ -170,6 +200,17 @@ class Cellular:
                 out.append((k, lam))
         return out
 
+    def _label(self, k, lam):
+        """(k, lam) with lam as a Partition; ValueError unless it is one of
+        ``labels()``."""
+        try:
+            key = (k, sg.Partition(lam))
+        except (TypeError, ValueError):
+            key = None
+        if key not in self._labels:
+            raise ValueError(f"no cell ({k!r}, {lam!r}) for n = {self.n}")
+        return key
+
     def dominates(self, kl1, kl2):
         (k1, l1), (k2, l2) = kl1, kl2
         if k1 != k2:
@@ -178,6 +219,7 @@ class Cellular:
 
     def module_index(self, k, lam):
         """Basis labels (t, v) of the cell module C(k, lam)."""
+        k, lam = self._label(k, lam)
         tabs = sg.standard_tableaux(lam, 2 * k + 1)
         return [(t, v) for t in tabs for v in self.alg.Bkn[k]]
 
@@ -219,49 +261,134 @@ class Cellular:
                 _acc(out, idx, c * c2)
         return out
 
-    def _module_vector(self, k, lam, tv):
-        """x_{(t,v)} = m_lam g_{d(t)} g_v as an algebra element."""
-        t, v = tv
-        H = self.window(k)
-        clam = H.c_lambda(lam)
-        dt = sg.tableau_perm(self.n, t, 2 * k + 1)
-        helt = H.rmul_perm(clam, dt)
-        return {(k, self.alg.id, pi, v): c for pi, c in helt.items()}
-
     def gram(self, k, lam):
-        """Gram matrix of C(k, lam) in the (t, v) basis order.
+        """Gram matrix of C(k, lam) in the (t, v) basis order of
+        ``module_index``.
 
-        The form is symmetric (star is an anti-involution fixing m_lam), so
-        only the entries with i <= j are computed and the rest mirrored.
+        Entry ((t, v), (s, u)) is psi(g_{d(t)} H_{v,u} g_{d(s)^{-1}}), with
+        the level blocks H_{v,u} of ``_blocks`` and the functional psi of
+        ``_functional``, evaluated through the engine's Hecke actions on
+        permutation codes.  The form is symmetric, so only the entries with
+        i <= j are computed and the rest mirrored.
         """
-        key = (k, lam)
+        key = self._label(k, lam)
         if key not in self._gram:
-            alg = self.alg
-            H = self.window(k)
-            sup = sg.superstandard(lam, 2 * k + 1)
-            idx = self.module_index(k, lam)
-            vecs = [self._module_vector(k, lam, tv) for tv in idx]
-            stars = [alg.star(x) for x in vecs]
+            k, lam = key
+            alg, T = self.alg, self.alg._T
+            lo = 2 * k + 1
+            blocks = self._blocks(k)
+            psi = self._functional(k, lam)
+            tabs = sg.standard_tableaux(lam, lo)
+            dts = [T.code[sg.tableau_perm(self.n, t, lo)] for t in tabs]
+            Bk = alg.Bkn[k]
+            nb = len(Bk)
+            dim = len(dts) * nb
             zero = self.field.zero()
-            mat = [[None] * len(idx) for _ in idx]
-            for i, x in enumerate(vecs):
-                for j in range(i, len(idx)):
-                    p = alg.mul(x, stars[j])
-                    helt = {
-                        pi: c
-                        for (k2, u2, pi, v2), c in p.items()
-                        if k2 == k and u2 == alg.id and v2 == alg.id
-                    }
-                    c = H.murphy_coordinate(helt, (lam, sup, sup)) if helt else zero
+            mat = [[None] * dim for _ in range(dim)]
+            for i in range(dim):
+                word, v = T.word(dts[i // nb]), Bk[i % nb]
+                lefts = {}  # u -> g_{d(t)} H_{v,u}
+                for j in range(i, dim):
+                    u = Bk[j % nb]
+                    x = lefts.get(u)
+                    if x is None:
+                        x = blocks[v, u]
+                        for g in reversed(word):
+                            x = alg._hlmul(g, x)
+                        lefts[u] = x
+                    c = zero
+                    for w, cw in alg._hrmul(x, T.inv[dts[j // nb]]).items():
+                        if w in psi:
+                            c = c + psi[w] * cw
                     mat[i][j] = mat[j][i] = c
             self._gram[key] = mat
         return self._gram[key]
 
+    def _blocks(self, k):
+        """{(v, u): H_{v,u}} for v, u in B_{k,n}, computed once per level.
+
+        e_(k) g_v g_{u^{-1}} e_(k) = e_(k) H_{v,u} modulo the levels above
+        k, with H_{v,u} in the window Hecke algebra, kept as {code: coeff}.
+        Each pair v <= u takes one product; H_{u,v} = H_{v,u}* by the
+        involution.  A term below level k, or one at level k with u or v
+        not the identity, raises InternalInconsistency.
+        """
+        hit = self._block_memo.get(k)
+        if hit is None:
+            alg = self.alg
+            code, inv = alg._T.code, alg._T.inv
+            ident, one, Bk = alg.id, self.field.one(), alg.Bkn[k]
+            hit = {}
+            for a, v in enumerate(Bk):
+                for u in Bk[a:]:
+                    h = {}
+                    x, y = {(k, ident, ident, v): one}, {(k, u, ident, ident): one}
+                    for (k2, u2, pi, v2), c in alg.mul(x, y).items():
+                        if k2 < k or (k2 == k and (u2, v2) != (ident, ident)):
+                            raise InternalInconsistency(
+                                f"term {(k2, u2, pi, v2)} in e_({k}) g_{v} g_{u}^-1 "
+                                f"e_({k})"
+                            )
+                        if k2 == k:
+                            h[code[pi]] = c
+                    hit[v, u] = h
+                    hit[u, v] = {inv[w]: c for w, c in h.items()}
+            self._block_memo[k] = hit
+        return hit
+
+    def _functional(self, k, lam):
+        """psi(h) = phi(c_lam h c_lam) as {code: coeff} over the window,
+        phi being the Murphy coordinate at (lam, t^lam, t^lam).
+
+        For one row, c_lam g_w = Q^{l(w)} c_lam and c_lam^2 = P(Q) c_lam
+        with P the Poincare polynomial of the window, so psi(g_w) is
+        Q^{l(w)} P(Q) and no Murphy window is built; otherwise see
+        ``_pulled_back``.
+        """
+        if len(lam) > 1:
+            return self._pulled_back(k, lam)
+        T, Q = self.alg._T, self.alg.Q
+        codes = [T.code[w] for w in sg.window_perms(self.n, 2 * k + 1)]
+        powers = [self.field.one()]
+        for _ in range(max(T.length[w] for w in codes)):
+            powers.append(powers[-1] * Q)
+        P = self.field.zero()
+        for w in codes:
+            P = P + powers[T.length[w]]
+        if P.is_zero():
+            return {}
+        return {w: powers[T.length[w]] * P for w in codes}
+
+    def _pulled_back(self, k, lam):
+        """psi for any lam: the window's dual row of (lam, t^lam, t^lam)
+        pulled back through c_lam on the left, then on the right.
+
+        c_lam is the product over its rows (letters a..b) of the coset sums
+        1 + g_{j-1} + g_{j-1} g_{j-2} + ... + g_{j-1} ... g_a, j = a+1..b,
+        so each pull-back is a sequence of adjoint generator passes
+        (``_pull``).  As c_lam* = c_lam, the right pull-back takes the same
+        coset sums starred, in the same order.
+        """
+        alg, T = self.alg, self.alg._T
+        lo = 2 * k + 1
+        sup = sg.superstandard(lam, lo)
+        phi = self.window(k).dual_row((lam, sup, sup))
+        psi = {T.code[w]: c for w, c in phi.items()}
+        for act, des in ((T.lmul, T.ldes), (T.rmul, T.rdes)):
+            for row in sup:
+                for j in row[1:]:
+                    run = total = psi
+                    for i in range(j - 1, row[0] - 1, -1):
+                        run = _pull(run, act[i], des, 1 << i, alg.Q, alg._Qm1)
+                        total = alg.add(total, run)
+                    psi = total
+        return psi
+
     def gram_det(self, k, lam):
         """Determinant of the Gram matrix of C(k, lam), computed once."""
-        key = (k, lam)
+        key = self._label(k, lam)
         if key not in self._det_rank:
-            g = self.gram(k, lam)
+            g = self.gram(*key)
             d = det(g, self.field)
             # a nonzero determinant fixes the rank; a zero one leaves it open
             self._det_rank[key] = (d, None if d.is_zero() else len(g))
@@ -272,8 +399,8 @@ class Cellular:
 
         Eliminates the Gram matrix only if its rank is not known yet: a
         cell whose determinant came out nonzero has full rank."""
-        key = (k, lam)
-        g = self.gram(k, lam)
+        key = self._label(k, lam)
+        g = self.gram(*key)
         if self._det_rank.get(key, (None, None))[1] is None:
             self._det_rank[key] = det_rank(g, self.field)
         return len(g) - self._det_rank[key][1]

@@ -23,9 +23,10 @@ The transition matrix from the Murphy basis to {g_w} is sparse (1,715 of
 never inverted.  Each window factors it once by sparse exact elimination
 (:class:`SparseLU`; the pivot of a column is the row with the fewest
 nonzeros, lowest index first).  All Murphy coordinates of an element come
-from one solve through that factorisation; a single coordinate, as the
-Gram matrices need, from a dual row of the inverse obtained by one
-transposed solve and kept on the window.
+from one solve through that factorisation.  The Gram matrices need one
+coordinate, (lam, t^lam, t^lam), as a functional on the window: a dual
+row of the inverse, obtained by one transposed solve and kept on the
+window.
 """
 
 from __future__ import annotations
@@ -200,23 +201,18 @@ class HeckeWindow:
         sol = lu.solve({pidx[w]: c for w, c in x.items()})
         return {labels[j]: sol[j] for j in sorted(sol)}
 
-    def murphy_coordinate(self, x, label):
-        """The coordinate of x at one Murphy label.
+    def dual_row(self, label):
+        """Row ``label`` of the inverse transition matrix as {perm: coeff}:
+        the functional taking x to its Murphy coordinate at ``label``.
 
-        This is the dot product of x with row ``label`` of the inverse
-        transition matrix; that dual row comes from one transposed solve
-        and is kept on the window.
+        It comes from one transposed solve and is kept on the window.
         """
         row = self._dual.get(label)
         if row is None:
             labels, perms, _, lu = self.murphy_data()
             dual = lu.dual_row(labels.index(label))
             row = self._dual[label] = {perms[i]: c for i, c in dual.items()}
-        out = self.field.zero()
-        for w, c in x.items():
-            if w in row:
-                out = out + row[w] * c
-        return out
+        return row
 
 
 class SparseLU:

@@ -15,7 +15,7 @@ from qbrauer.coefficients import (
     Specialization,
     quantum_char,
 )
-from qbrauer.qbrauer import QBrAlgebra
+from qbrauer.qbrauer import InternalInconsistency, QBrAlgebra
 
 
 q = RatFunc.q()
@@ -260,21 +260,102 @@ def full_gram(cell, k, lam):
     return mat
 
 
+ALL_VERSIONS = (("two_param", None), ("one_param", None), ("n_version", 3), ("classical", None))
+FP101 = Specialization.prime_field(101, 3, 5)
+
+
 def test_gram_matches_full_fill():
-    # Cellular.gram computes only i <= j; the full fill pins the symmetry
+    # Cellular.gram computes only i <= j from the level blocks; the full
+    # fill makes every entry from its own product
     algebras = [
         QBrAlgebra(n, version=version, N=N)
         for n in (2, 3, 4)
-        for version, N in (
-            ("two_param", None), ("one_param", None),
-            ("n_version", 3), ("classical", None),
-        )
+        for version, N in ALL_VERSIONS
     ]
-    # cell (2, (1)) at n = 5 raises InternalInconsistency (level-2 rewriting)
-    fp5 = QBrAlgebra(5, spec=Specialization.prime_field(101, 3, 5))
-    for alg in algebras + [fp5]:
+    algebras += [
+        QBrAlgebra(5, spec=FP101),
+        QBrAlgebra(5, version="one_param", spec=FP101),
+        QBrAlgebra(5, version="classical", spec=Specialization.prime_field(31, 2, 5)),
+    ]
+    for alg in algebras:
         cell = Cellular(alg)
         for k, lam in cell.labels():
-            if alg.n == 5 and (k, lam) == (2, (1,)):
+            if alg.n == 5 and k == 2:
+                # cell (2, (1)) raises InternalInconsistency (level-2 rewriting)
+                with pytest.raises(InternalInconsistency):
+                    cell.gram(k, lam)
                 continue
             assert cell.gram(k, lam) == full_gram(cell, k, lam), (alg.n, alg.version, k, lam)
+
+
+def block_algebras():
+    for n in (2, 3, 4):
+        for version, N in ALL_VERSIONS:
+            yield QBrAlgebra(n, version=version, N=N), range(n // 2 + 1)
+    yield QBrAlgebra(5, spec=FP101), range(2)
+
+
+def test_level_blocks_lie_in_the_window():
+    # every term of e_(k) g_v g_{u^{-1}} e_(k) below level k+1 is at level k
+    # with both cosets the identity, so the product is e_(k) H_{v,u} modulo
+    # the levels above k; _blocks keeps H_{v,u} and mirrors it by star
+    for alg, levels in block_algebras():
+        cell = Cellular(alg)
+        T, one, ident = alg._T, alg.field.one(), alg.id
+        for k in levels:
+            blocks = cell._blocks(k)
+            for v in alg.Bkn[k]:
+                for u in alg.Bkn[k]:
+                    p = alg.mul({(k, ident, ident, v): one}, {(k, u, ident, ident): one})
+                    assert all(k2 >= k for k2, _, _, _ in p)
+                    level = {i: c for i, c in p.items() if i[0] == k}
+                    assert all(u2 == v2 == ident for _, u2, _, v2 in level)
+                    assert blocks[v, u] == {T.code[pi]: c for (_, _, pi, _), c in level.items()}
+
+
+def test_one_row_functional_matches_pull_back():
+    # for one row, psi(g_w) = Q^{l(w)} P(Q) in closed form; it must equal
+    # the Murphy dual row pulled back through c_lam on both sides
+    algebras = [QBrAlgebra(n, version=v, N=N) for n in (2, 3, 4) for v, N in ALL_VERSIONS]
+    algebras.append(QBrAlgebra(5, spec=FP101))
+    checked = 0
+    for alg in algebras:
+        cell = Cellular(alg)
+        for k, lam in cell.labels():
+            if len(lam) <= 1:
+                assert cell._functional(k, lam) == cell._pulled_back(k, lam), (alg.n, k, lam)
+                checked += 1
+    assert checked == 4 * (2 + 2 + 3) + 3
+
+
+def test_pulled_back_functional_is_phi_of_c_h_c():
+    # psi(g_w) = phi(c_lam g_w c_lam) for every window permutation w,
+    # phi the Murphy coordinate at (lam, t^lam, t^lam); one-row shapes are
+    # left to the test above
+    for version, N in ALL_VERSIONS:
+        cell = Cellular(QBrAlgebra(4, version=version, N=N))
+        T = cell.alg._T
+        for k, lam in cell.labels():
+            if len(lam) <= 1:
+                continue
+            H = cell.window(k)
+            sup = sg.superstandard(lam, 2 * k + 1)
+            clam = H.c_lambda(lam)
+            psi = cell._functional(k, lam)
+            for w in sg.window_perms(cell.n, 2 * k + 1):
+                x = H.mul(H.mul(clam, H.g(w)), clam)
+                want = H.to_murphy(x).get((lam, sup, sup), cell.field.zero())
+                assert psi.get(T.code[w], cell.field.zero()) == want, (version, k, lam, w)
+
+
+def test_cell_labels_are_normalised_and_checked():
+    cell = generic(3)
+    # trailing zero parts and plain tuples name the same cell
+    assert cell.gram(0, (3, 0)) is cell.gram(0, sg.Partition((3,)))
+    assert cell.gram_det(0, [2, 1]) == cell.gram_det(0, sg.Partition((2, 1)))
+    assert cell.radical_dim(1, (1, 0)) == 0
+    assert cell.module_index(1, (1,)) == cell.module_index(1, sg.Partition((1,)))
+    for k, lam in [(0, (2, 2)), (2, ()), (1, (2,)), (-1, (5,)), (0, (1, 2)), (0, (-3,)), (0, "x"), (0, None)]:
+        for method in (cell.gram, cell.gram_det, cell.radical_dim, cell.module_index):
+            with pytest.raises(ValueError, match="no cell"):
+                method(k, lam)

@@ -139,8 +139,9 @@ def test_sparse_solves_match_dense_inverse():
                 if not c.is_zero():
                     want[lab] = c
             assert H.to_murphy(x) == want
-            lab = labels[rng.randrange(len(labels))]
-            assert H.murphy_coordinate(x, lab) == want.get(lab, zero)
+        j = rng.randrange(len(labels))
+        row = {w: c for w, c in zip(perms, inv[j]) if not c.is_zero()}
+        assert H.dual_row(labels[j]) == row
 
 
 def test_sparse_lu_singular():

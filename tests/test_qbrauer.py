@@ -391,13 +391,39 @@ def test_gram_build_reduces_each_permutation_once(monkeypatch):
     assert max(calls.values()) == 1
 
 
-@pytest.mark.parametrize("attempt_raising_cell, expect", [(True, 48086), (False, 48001)])
-def test_gram_rewrite_steps_n5_fp(attempt_raising_cell, expect):
-    # the rewrite steps of every product made while building all n = 5 Gram
-    # matrices over F_101, in label order; a generator atom must tick once
-    # per state, as the per-state loop did.  Cell (2,(1)) comes first and
-    # raises (the self-referential core); attempted, it fills memo entries
-    # before it raises, which the later cells then hit
+def reference_gram(cell, k, lam):
+    """The Gram matrix of C(k, lam) from one product per entry i <= j: the
+    module vector x_{(t,v)} = m_lam g_{d(t)} g_v times the star of another,
+    read at the Murphy label (lam, t^lam, t^lam) of the level-k part."""
+    alg = cell.alg
+    H = cell.window(k)
+    lo = 2 * k + 1
+    sup = sg.superstandard(lam, lo)
+    clam = H.c_lambda(lam)
+    vecs = []
+    for t, v in cell.module_index(k, lam):
+        helt = H.rmul_perm(clam, sg.tableau_perm(alg.n, t, lo))
+        vecs.append({(k, alg.id, pi, v): c for pi, c in helt.items()})
+    stars = [alg.star(x) for x in vecs]
+    zero = alg.field.zero()
+    mat = [[None] * len(vecs) for _ in vecs]
+    for i, x in enumerate(vecs):
+        for j in range(i, len(vecs)):
+            p = alg.mul(x, stars[j])
+            helt = {
+                pi: c for (k2, u, pi, v), c in p.items()
+                if k2 == k and u == alg.id and v == alg.id
+            }
+            mat[i][j] = mat[j][i] = H.to_murphy(helt).get((lam, sup, sup), zero)
+    return mat
+
+
+def gram_steps(build, attempt_raising_cell):
+    """The rewrite steps of every product ``build(cell, k, lam)`` makes over
+    all n = 5 cells over F_101 in label order, and the matrices it built.
+    Cell (2,(1)) comes first and raises (the self-referential core);
+    attempted, it fills memo entries before it raises, which the later
+    cells then hit."""
     alg = QBrAlgebra(5, spec=FP101)
     steps = []
     mul = alg.mul
@@ -410,13 +436,31 @@ def test_gram_rewrite_steps_n5_fp(attempt_raising_cell, expect):
 
     alg.mul = counted
     cell = Cellular(alg)
-    raising = []
+    raising, mats = [], {}
     for k, lam in cell.labels():
         if (k, lam) == (2, (1,)) and not attempt_raising_cell:
             continue
         try:
-            cell.gram(k, lam)
+            mats[k, lam] = build(cell, k, lam)
         except InternalInconsistency:
             raising.append((k, lam))
     assert raising == ([(2, (1,))] if attempt_raising_cell else [])
-    assert sum(steps) == expect
+    return sum(steps), mats
+
+
+@pytest.mark.parametrize("attempt_raising_cell, expect", [(True, 48086), (False, 48001)])
+def test_gram_rewrite_steps_n5_fp(attempt_raising_cell, expect):
+    # the engine step guard: one product per Gram entry i <= j, as Gram
+    # matrices were once built; a generator atom must tick once per state,
+    # as the per-state loop did
+    steps, mats = gram_steps(reference_gram, attempt_raising_cell)
+    assert steps == expect
+    cell = Cellular(QBrAlgebra(5, spec=FP101))
+    assert all(cell.gram(k, lam) == mat for (k, lam), mat in mats.items())
+
+
+@pytest.mark.parametrize("attempt_raising_cell, expect", [(True, 726), (False, 636)])
+def test_gram_block_rewrite_steps_n5_fp(attempt_raising_cell, expect):
+    # Cellular.gram makes one product per pair v <= u of B_{k,n} and level
+    steps, _ = gram_steps(Cellular.gram, attempt_raising_cell)
+    assert steps == expect
