@@ -227,11 +227,8 @@ class Cellular:
         """x_{(s,u)(t,v)} in normal basis coordinates."""
         s, u = su
         t, v = tv
-        H = self.window(k)
-        out = {}
-        for pi, c in H.murphy_element(lam, s, t).items():
-            out[(k, u, pi, v)] = c
-        return out
+        perms, H = self.alg._T.perms, self.window(k)
+        return {(k, u, perms[pi], v): c for pi, c in H.murphy_element(lam, s, t).items()}
 
     def cellular_labels(self):
         """All cellular basis labels (k, lam, (s,u), (t,v))."""
@@ -244,11 +241,24 @@ class Cellular:
         return out
 
     def to_cellular(self, x):
-        """Coordinates of an element in the cellular basis."""
+        """Coordinates of an element in the cellular basis.
+
+        Raises ValueError unless every key of x is a normal basis index
+        (k, u, pi, v): u, v in B_{k,n} and pi fixing the letters 1..2k.
+        """
+        code, Bkn, ident = self.alg._T.code, self.alg.Bkn, self.alg.id
         out = {}
         blocks = {}
-        for (k, u, pi, v), c in x.items():
-            blocks.setdefault((k, u, v), {})[pi] = c
+        for idx, c in x.items():
+            try:
+                k, u, pi, v = idx
+                Bk = Bkn[k] if k in range(len(Bkn)) else ()
+                ok = u in Bk and v in Bk and pi in code and pi[:2 * k] == ident[:2 * k]
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError(f"{idx!r} is not a normal basis index for n = {self.n}")
+            blocks.setdefault((k, u, v), {})[code[pi]] = c
         for (k, u, v), helt in blocks.items():
             for (lam, s, t), c in self.window(k).to_murphy(helt).items():
                 out[(k, lam, (s, u), (t, v))] = c
@@ -267,14 +277,14 @@ class Cellular:
 
         Entry ((t, v), (s, u)) is psi(g_{d(t)} H_{v,u} g_{d(s)^{-1}}), with
         the level blocks H_{v,u} of ``_blocks`` and the functional psi of
-        ``_functional``, evaluated through the engine's Hecke actions on
+        ``_functional``, evaluated through the algebra's Hecke actions on
         permutation codes.  The form is symmetric, so only the entries with
         i <= j are computed and the rest mirrored.
         """
         key = self._label(k, lam)
         if key not in self._gram:
             k, lam = key
-            alg, T = self.alg, self.alg._T
+            alg, T, H = self.alg, self.alg._T, self.alg.hecke
             lo = 2 * k + 1
             blocks = self._blocks(k)
             psi = self._functional(k, lam)
@@ -294,10 +304,10 @@ class Cellular:
                     if x is None:
                         x = blocks[v, u]
                         for g in reversed(word):
-                            x = alg._hlmul(g, x)
+                            x = H.lmul_gen(g, x)
                         lefts[u] = x
                     c = zero
-                    for w, cw in alg._hrmul(x, T.inv[dts[j // nb]]).items():
+                    for w, cw in H.rmul_perm(x, T.inv[dts[j // nb]]).items():
                         if w in psi:
                             c = c + psi[w] * cw
                     mat[i][j] = mat[j][i] = c
@@ -372,8 +382,7 @@ class Cellular:
         alg, T = self.alg, self.alg._T
         lo = 2 * k + 1
         sup = sg.superstandard(lam, lo)
-        phi = self.window(k).dual_row((lam, sup, sup))
-        psi = {T.code[w]: c for w, c in phi.items()}
+        psi = self.window(k).dual_row((lam, sup, sup))
         for act, des in ((T.lmul, T.ldes), (T.rmul, T.rdes)):
             for row in sup:
                 for j in row[1:]:

@@ -1,11 +1,17 @@
 """Hecke algebras of symmetric groups on a letter window.
 
 H_{lo,n}(Q) is the Iwahori-Hecke algebra of the symmetric group on the
-letters {lo, ..., n}, inside S_n.  Elements are dicts mapping permutations
-(image tuples fixing 1..lo-1) to coefficients; the basis is {g_w}.  The
-quadratic relation is g_i^2 = (Q - 1) g_i + Q, so the classical group
-algebra is Q = 1 and the q-Brauer conventions take Q = q^2 (two-parameter
-and N-version) or Q = q (one-parameter version).
+letters {lo, ..., n}, inside S_n.  Elements are dicts mapping permutation
+codes (ints indexing the per-n table of :func:`qbrauer.symgrp.perm_table`)
+to coefficients; the basis is {g_w}.  The quadratic relation is
+g_i^2 = (Q - 1) g_i + Q, so the classical group algebra is Q = 1 and the
+q-Brauer conventions take Q = q^2 (two-parameter and N-version) or Q = q
+(one-parameter version).
+
+This is the package's only Hecke arithmetic: the generator actions
+``rmul_gen`` and ``lmul_gen`` read descents and products off that table,
+and the rewrite engine of :mod:`qbrauer.qbrauer`, the Gram matrices of
+:mod:`qbrauer.cellular` and the Murphy basis below all call them.
 
 The Murphy cellular basis c_{st} = g*_{d(s)} c_lam g_{d(t)} with
 c_lam = sum of g_sigma over the row stabiliser of t^lam is provided along
@@ -13,20 +19,15 @@ with the change of basis to and from {g_w}, and the e-restrictedness test
 of the classification of simple modules.  Specht module Gram matrices are
 the k = 0 cell forms of :class:`qbrauer.cellular.Cellular`.
 
-The rewrite engine of :mod:`qbrauer.qbrauer` does not use this module's
-Hecke arithmetic: it keeps its own on permutation codes, through the
-tables of :func:`qbrauer.symgrp.perm_table`.  Here permutations stay
-tuples; reduced words are read from the same per-n table.
-
 The transition matrix from the Murphy basis to {g_w} is sparse (1,715 of
 14,400 entries are nonzero at m = 5) while its inverse is not, so it is
-never inverted.  Each window factors it once by sparse exact elimination
-(:class:`SparseLU`; the pivot of a column is the row with the fewest
-nonzeros, lowest index first).  All Murphy coordinates of an element come
-from one solve through that factorisation.  The Gram matrices need one
-coordinate, (lam, t^lam, t^lam), as a functional on the window: a dual
-row of the inverse, obtained by one transposed solve and kept on the
-window.
+never inverted and never stored dense.  Each window builds its rows sparse
+and factors them once by exact elimination (:class:`SparseLU`; the pivot
+of a column is the row with the fewest nonzeros, lowest index first).  All
+Murphy coordinates of an element come from one solve through that
+factorisation.  The Gram matrices need one coordinate, (lam, t^lam, t^lam),
+as a functional on the window: a dual row of the inverse, obtained by one
+transposed solve and kept on the window.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ class HeckeWindow:
     """The Hecke algebra of S_{lo..n} over a coefficient field.
 
     ``field`` provides zero/one/from_int; ``Q`` is the Hecke parameter.
-    Elements are plain dicts {perm: coeff} with no zero values; helper
-    methods keep that invariant.
+    Elements are plain dicts {code: coeff} over the permutation codes of
+    :func:`qbrauer.symgrp.perm_table`, with no zero values; the actions
+    keep that invariant.
     """
 
     def __init__(self, n, lo, field, Q):
@@ -65,91 +67,54 @@ class HeckeWindow:
         self.field = field
         self.Q = Q
         self.Qm1 = Q - 1
-        self.id = sg.identity(n)
         self._T = sg.perm_table(n)
         self._murphy = None
         self._pidx = None
         self._dual = {}
 
-    # -- elements -------------------------------------------------------------
-
-    def unit(self):
-        return {self.id: self.field.one()}
-
-    def g(self, w):
-        return {w: self.field.one()}
-
-    def add(self, x, y):
-        out = dict(x)
-        for w, c in y.items():
-            _acc(out, w, c)
-        return out
-
-    def scale(self, x, c):
-        if c.is_zero():
-            return {}
-        return {w: v * c for w, v in x.items()}
+    # -- generator actions --------------------------------------------------------
 
     def rmul_gen(self, x, i):
-        """x * g_i (generator label i, must lie in the window)."""
+        """x g_i: g_u g_i = (Q-1) g_u + Q g_{u s_i} if s_i is a right descent
+        of u, and g_{u s_i} otherwise, with the terms added in that order."""
+        T = self._T
         Q, Qm1 = self.Q, self.Qm1
+        right, rdes, bit = T.rmul[i], T.rdes, 1 << i
         out = {}
-        for w, c in x.items():
-            wi = sg.rmul_gen(w, i)
-            if w.index(i) < w.index(i - 1):
-                # letter i+1 occurs before letter i: quadratic case
-                _acc(out, w, c * Qm1)
-                _acc(out, wi, c * Q)
+        for u, c in x.items():
+            if rdes[u] & bit:
+                _acc(out, u, c * Qm1)
+                _acc(out, right[u], c * Q)
             else:
-                _acc(out, wi, c)
+                _acc(out, right[u], c)
         return out
 
     def lmul_gen(self, i, x):
-        """g_i * x."""
+        """g_i x, the left counterpart of ``rmul_gen``."""
+        T = self._T
         Q, Qm1 = self.Q, self.Qm1
+        left, ldes, bit = T.lmul[i], T.ldes, 1 << i
         out = {}
-        for w, c in x.items():
-            wi = sg.lmul_gen(i, w)
-            if w[i - 1] > w[i]:
-                _acc(out, w, c * Qm1)
-                _acc(out, wi, c * Q)
+        for u, c in x.items():
+            if ldes[u] & bit:
+                _acc(out, u, c * Qm1)
+                _acc(out, left[u], c * Q)
             else:
-                _acc(out, wi, c)
+                _acc(out, left[u], c)
         return out
-
-    def rmul_word(self, x, word):
-        for i in word:
-            x = self.rmul_gen(x, i)
-        return x
-
-    def lmul_word(self, word, x):
-        for i in reversed(word):
-            x = self.lmul_gen(i, x)
-        return x
 
     def rmul_perm(self, x, w):
-        return self.rmul_word(x, self._word(w))
-
-    def _word(self, w):
-        """The reduced word of w, read from the per-n permutation table."""
-        return self._T.word(self._T.code[w])
-
-    def mul(self, x, y):
-        out = {}
-        for w, c in y.items():
-            t = self.rmul_perm(self.scale(x, c), w)
-            out = self.add(out, t)
-        return out
-
-    def star(self, x):
-        return {sg.inv(w): c for w, c in x.items()}
+        """x g_w for the code w, one generator of w's reduced word at a time."""
+        for i in self._T.word(w):
+            x = self.rmul_gen(x, i)
+        return x
 
     # -- Murphy basis -----------------------------------------------------------
 
     def c_lambda(self, lam):
         """Sum of g_sigma over the row stabiliser of t^lam."""
-        one = self.field.one()
-        return {w: one for w in sg.young_subgroup(self.n, lam, self.lo)}
+        one, code = self.field.one(), self._T.code
+        return {code[w]: one for w in sg.young_subgroup(self.n, lam, self.lo)}
 
     def murphy_labels(self):
         """All (lam, s, t) in a dominance-compatible order (dominant first)."""
@@ -163,65 +128,63 @@ class HeckeWindow:
 
     def murphy_element(self, lam, s, t):
         """c_{st} = g*_{d(s)} c_lam g_{d(t)} expanded in the g basis."""
+        T = self._T
         x = self.c_lambda(lam)
-        ds = sg.tableau_perm(self.n, s, self.lo)
-        dt = sg.tableau_perm(self.n, t, self.lo)
-        x = self.lmul_word(tuple(reversed(self._word(ds))), x)  # g*_{d(s)}
-        return self.rmul_perm(x, dt)
+        for i in T.word(T.code[sg.tableau_perm(self.n, s, self.lo)]):
+            x = self.lmul_gen(i, x)  # g*_{d(s)}, its word read backwards
+        return self.rmul_perm(x, T.code[sg.tableau_perm(self.n, t, self.lo)])
 
     def murphy_data(self):
-        """(labels, perm order, transition matrix, factorisation) for the window.
+        """(labels, codes, factorisation) for the window.
 
-        Column j of the transition matrix is murphy_element(labels[j]) in
-        the g-basis coordinates given by the perm order.  The factorisation
-        is a :class:`SparseLU` of that matrix, made here once per window,
-        and the perm -> row dict of the perm order is kept for ``to_murphy``.
+        The transition matrix has rows indexed by the window's permutation
+        codes in increasing order and column j equal to
+        murphy_element(labels[j]) in those coordinates.  Its rows are built
+        sparse and factored here once per window by :class:`SparseLU`; the
+        code -> row dict is kept for ``to_murphy``.
         """
         if self._murphy is None:
             labels = self.murphy_labels()
-            perms = sorted(sg.window_perms(self.n, self.lo))
-            pidx = {w: i for i, w in enumerate(perms)}
-            zero = self.field.zero()
-            cols = []
-            for lab in labels:
-                x = self.murphy_element(*lab)
-                col = [zero] * len(perms)
-                for w, c in x.items():
-                    col[pidx[w]] = c
-                cols.append(col)
-            mat = [[cols[j][i] for j in range(len(labels))] for i in range(len(perms))]
-            self._murphy = (labels, perms, mat, SparseLU(mat, self.field))
+            code = self._T.code
+            codes = sorted(code[w] for w in sg.window_perms(self.n, self.lo))
+            pidx = {w: i for i, w in enumerate(codes)}
+            rows = [{} for _ in codes]
+            for j, lab in enumerate(labels):
+                for w, c in self.murphy_element(*lab).items():
+                    rows[pidx[w]][j] = c
+            self._murphy = (labels, codes, SparseLU(rows, self.field))
             self._pidx = pidx
         return self._murphy
 
     def to_murphy(self, x):
         """Coordinates of x in the Murphy basis, as {(lam,s,t): coeff}."""
-        labels, _, _, lu = self.murphy_data()
+        labels, _, lu = self.murphy_data()
         pidx = self._pidx
         sol = lu.solve({pidx[w]: c for w, c in x.items()})
         return {labels[j]: sol[j] for j in sorted(sol)}
 
     def dual_row(self, label):
-        """Row ``label`` of the inverse transition matrix as {perm: coeff}:
+        """Row ``label`` of the inverse transition matrix as {code: coeff}:
         the functional taking x to its Murphy coordinate at ``label``.
 
         It comes from one transposed solve and is kept on the window.
         """
         row = self._dual.get(label)
         if row is None:
-            labels, perms, _, lu = self.murphy_data()
+            labels, codes, lu = self.murphy_data()
             dual = lu.dual_row(labels.index(label))
-            row = self._dual[label] = {perms[i]: c for i, c in dual.items()}
+            row = self._dual[label] = {codes[i]: c for i, c in dual.items()}
         return row
 
 
 class SparseLU:
     """Sparse exact LU factorisation of a square matrix over a field.
 
-    Rows are dicts {column: value} holding no zeros.  Column by column, the
-    pivot is the not yet used row with a nonzero entry in that column and
-    the fewest nonzeros, ties going to the lowest row index, and it is
-    subtracted from every other unused row with a nonzero entry there.
+    The matrix is given by its rows, dicts {column: value} holding no
+    zeros, which are reduced in place.  Column by column, the pivot is the
+    not yet used row with a nonzero entry in that column and the fewest
+    nonzeros, ties going to the lowest row index, and it is subtracted
+    from every other unused row with a nonzero entry there.
     ``pivots[j]`` is the row chosen for column j, ``upper[j]`` that row
     once reduced (its columns are all >= j), and ``lower[j]`` the list of
     (row, factor) subtractions made with it, so that row operations turn
@@ -229,9 +192,8 @@ class SparseLU:
     Raises ArithmeticError if the matrix is singular.
     """
 
-    def __init__(self, mat, field):
+    def __init__(self, rows, field):
         self.field = field
-        rows = [{j: v for j, v in enumerate(r) if not v.is_zero()} for r in mat]
         n = len(rows)
         incol = [set() for _ in range(n)]  # column -> unused rows with an entry
         for i, r in enumerate(rows):

@@ -11,7 +11,7 @@ g_i^2 = (Q - 1) g_i + Q and an extra idempotent-like element e subject to
 where e_(k+1) = e g_2 ... g_{2k+1} g_1^{-1} ... g_{2k}^{-1} e_(k) and
 e_(1) = e.  The scalar b' is determined by the others,
 b' = Q^{-1} b + (Q^{-1} - 1) a, because g_2^{-1} expands in the Hecke
-algebra.  Three parameter choices are supported:
+algebra.  Four parameter choices are supported:
 
     two_param   Q = q^2, a = (r - r^{-1})/(q - q^{-1}), b = rq.
     one_param   Q = q,   a = (r - 1)/(q - 1),           b = r.
@@ -41,7 +41,9 @@ generator word; the words of all of y's terms form a prefix tree, and the
 states of x are pushed through each shared prefix once.  A generator atom
 g_i or g_i^{-1} acts on a whole state dict in one pass, on the w of every
 state (and g_i on the left, on the A, in the level shift below), with
-Q - 1, Q^{-1} and Q^{-1} - 1 computed once per algebra.  The leaf states
+Q - 1, Q^{-1} and Q^{-1} - 1 computed once per algebra; every other
+Hecke product goes through the algebra's :class:`qbrauer.hecke.HeckeWindow`
+on all n letters, ``hecke``.  The leaf states
 of all words are merged into one dict before normalisation, so each
 distinct state is normalised once per product.  The scalars of each
 version and B_{k,n} with its coset representatives are built once per
@@ -79,7 +81,7 @@ from functools import lru_cache
 
 from . import symgrp as sg
 from .coefficients import RatFunc, Specialization
-from .hecke import _acc
+from .hecke import HeckeWindow, _acc
 
 __all__ = [
     "QBrAlgebra",
@@ -205,10 +207,11 @@ class QBrAlgebra:
         self.a = self.spec(sc["a"])
         self.b = self.spec(sc["b"])
         self.bprime = self.spec(sc["bprime"])
-        self.Qinv = self.spec.one() / self.Q
-        self._Qm1 = self.Q - 1
-        self._Qinvm1 = self.Qinv - 1
         self.field = self.spec
+        self.hecke = HeckeWindow(n, 1, self.field, self.Q)
+        self.Qinv = self.spec.one() / self.Q
+        self._Qm1 = self.hecke.Qm1
+        self._Qinvm1 = self.Qinv - 1
         self.id = sg.identity(n)
         self.max_steps = max_rewrite_steps()
         self._steps = 0
@@ -287,7 +290,7 @@ class QBrAlgebra:
         for (k, u, pi, v), c in x.items():
             # star sends g_{u^{-1}} e_(k) g_pi g_v to
             # g_{v^{-1}} e_(k) g_{pi^{-1}} g_u
-            for y, cy in self._hrmul({inv[code[pi]]: c}, code[u]).items():
+            for y, cy in self.hecke.rmul_perm({inv[code[pi]]: c}, code[u]).items():
                 for idx, cn in self._normalize(inv[code[v]], k, y).items():
                     _acc(out, idx, cy * cn)
         return out
@@ -352,40 +355,6 @@ class QBrAlgebra:
         atoms += [("gi", i) for i in range(1, 2 * k - 1)]
         return atoms + self._ek_atoms(k - 1)
 
-    # -- Hecke actions on codes ------------------------------------------------------
-
-    def _hrmul(self, x, w):
-        """x g_w for x = {code: coeff}, one generator of w's reduced word at
-        a time: g_u g_i = (Q-1) g_u + Q g_{u s_i} if s_i is a right descent
-        of u, and g_{u s_i} otherwise, with the terms added in that order."""
-        T = self._T
-        Q, Qm1, rdes = self.Q, self._Qm1, T.rdes
-        for i in T.word(w):
-            right, bit = T.rmul[i], 1 << i
-            out = {}
-            for u, c in x.items():
-                if rdes[u] & bit:
-                    _acc(out, u, c * Qm1)
-                    _acc(out, right[u], c * Q)
-                else:
-                    _acc(out, right[u], c)
-            x = out
-        return x
-
-    def _hlmul(self, i, x):
-        """g_i x for x = {code: coeff}, the left counterpart of ``_hrmul``."""
-        T = self._T
-        Q, Qm1, ldes = self.Q, self._Qm1, T.ldes
-        left, bit = T.lmul[i], 1 << i
-        out = {}
-        for u, c in x.items():
-            if ldes[u] & bit:
-                _acc(out, u, c * Qm1)
-                _acc(out, left[u], c * Q)
-            else:
-                _acc(out, left[u], c)
-        return out
-
     # -- state folding -----------------------------------------------------------
 
     def _tick(self, steps=1):
@@ -405,11 +374,11 @@ class QBrAlgebra:
         for (A, k, w), c in states.items():
             self._tick()
             if k == 0:
-                for y, cy in self._hrmul({A: c}, w).items():
+                for y, cy in self.hecke.rmul_perm({A: c}, w).items():
                     _acc(out, (y, 1, 0), cy)
                 continue
             for (B, k3, w3), ce in self._emul(k, w).items():
-                for C, cc in self._hrmul({A: ce}, B).items():
+                for C, cc in self.hecke.rmul_perm({A: ce}, B).items():
                     _acc(out, (C, k3, w3), c * cc)
         return out
 
@@ -466,11 +435,11 @@ class QBrAlgebra:
         for (A, k, w), c in states.items():
             self._tick()
             if k == 0:
-                for y, cy in self._hrmul({A: c}, w).items():
+                for y, cy in self.hecke.rmul_perm({A: c}, w).items():
                     _acc(out, (0, 1, y), cy)
                 continue
             for (A3, k3, w3), cl in self._lefte(k, A).items():
-                for y, cy in self._hrmul({w3: cl}, w).items():
+                for y, cy in self.hecke.rmul_perm({w3: cl}, w).items():
                     _acc(out, (A3, k3, y), c * cy)
         return out
 
@@ -605,11 +574,9 @@ class QBrAlgebra:
             if delta == 4:
                 # e_(k) g_{p_j} = (Q-1) e_(k) g_{2j} g_{2j+1} g_{2j}
                 #   + Q(Q-1) e_(k) g_{2j} + Q^2 e_(k)
-                out = {}
-                t = self._hlmul(2 * j, {y: one})
-                t = self._hlmul(2 * j, self._hlmul(2 * j + 1, t))
-                self._red_acc(out, k, t, self._Qm1)
-                t = self._hlmul(2 * j, {y: one})
+                out, H = {}, self.hecke
+                t = H.lmul_gen(2 * j, {y: one})
+                self._red_acc(out, k, H.lmul_gen(2 * j, H.lmul_gen(2 * j + 1, t)), self._Qm1)
                 self._red_acc(out, k, t, self.Q * self._Qm1)
                 self._red_acc(out, k, {y: one}, self.Q * self.Q)
                 return out
@@ -656,7 +623,7 @@ class QBrAlgebra:
         if k == 0:
             out = {
                 (0, self.id, perms[y], self.id): c
-                for y, c in self._hrmul({A: one}, w).items()
+                for y, c in self.hecke.rmul_perm({A: one}, w).items()
             }
         else:
             minrep = self._minrep[k]
@@ -666,7 +633,7 @@ class QBrAlgebra:
                 # c1 g_{v1^{-1}} e_(k) g_{pi1^{-1}}
                 pi1, v1 = minrep[r1]
                 u = perms[v1]
-                for y, c3 in self._hrmul({T.inv[pi1]: c1}, w).items():
+                for y, c3 in self.hecke.rmul_perm({T.inv[pi1]: c1}, w).items():
                     for r2, c4 in self._red(k, y).items():
                         pi2, v2 = minrep[r2]
                         _acc(out, (k, u, perms[pi2], perms[v2]), c3 * c4)

@@ -344,8 +344,8 @@ def test_criterion_8_property_suites():
     for n in (2, 3, 4, 5):
         for lo in range(1, n + 1):
             H = HeckeWindow(n, lo, spec, Q)
-            labels, perms, _, lu = H.murphy_data()
-            ok &= len(labels) == len(perms) == math.factorial(n - lo + 1)
+            labels, codes, lu = H.murphy_data()
+            ok &= len(labels) == len(codes) == math.factorial(n - lo + 1)
             # a pivot row per column, reduced rows upper triangular with
             # the (nonzero, as stored) pivot on the diagonal
             ok &= sorted(lu.pivots) == list(range(len(labels)))

@@ -15,6 +15,7 @@ from qbrauer.coefficients import (
     Specialization,
     quantum_char,
 )
+from qbrauer.hecke import _acc
 from qbrauer.qbrauer import InternalInconsistency, QBrAlgebra
 
 
@@ -241,6 +242,7 @@ def full_gram(cell, k, lam):
     """Every Gram entry from its own product, the oracle for Cellular.gram."""
     alg = cell.alg
     H = cell.window(k)
+    code = alg._T.code
     sup = sg.superstandard(lam, 2 * k + 1)
     vecs = [
         cell.cell_basis_element(k, lam, (sup, alg.id), tv)
@@ -252,7 +254,7 @@ def full_gram(cell, k, lam):
         for y in vecs:
             p = alg.mul(x, alg.star(y))
             helt = {
-                pi: c for (k2, u, pi, v), c in p.items()
+                code[pi]: c for (k2, u, pi, v), c in p.items()
                 if k2 == k and u == alg.id and v == alg.id
             }
             row.append(H.to_murphy(helt).get((lam, sup, sup), alg.field.zero()))
@@ -343,7 +345,11 @@ def test_pulled_back_functional_is_phi_of_c_h_c():
             clam = H.c_lambda(lam)
             psi = cell._functional(k, lam)
             for w in sg.window_perms(cell.n, 2 * k + 1):
-                x = H.mul(H.mul(clam, H.g(w)), clam)
+                # c_lam g_w c_lam, the right c_lam one term at a time
+                left, x = H.rmul_perm(clam, T.code[w]), {}
+                for y, c in clam.items():
+                    for z, cz in H.rmul_perm(left, y).items():
+                        _acc(x, z, cz * c)
                 want = H.to_murphy(x).get((lam, sup, sup), cell.field.zero())
                 assert psi.get(T.code[w], cell.field.zero()) == want, (version, k, lam, w)
 
@@ -359,3 +365,24 @@ def test_cell_labels_are_normalised_and_checked():
         for method in (cell.gram, cell.gram_det, cell.radical_dim, cell.module_index):
             with pytest.raises(ValueError, match="no cell"):
                 method(k, lam)
+
+
+def test_to_cellular_rejects_non_normal_indices():
+    # a normal index (k, u, pi, v) has u, v in B_{k,n} and pi fixing the
+    # letters 1..2k; B_{1,3} = {(0,1,2), (0,2,1), (1,2,0)}
+    cell = generic(3)
+    one, ident = cell.field.one(), cell.alg.id
+    bad = [
+        (1, (2, 1, 0), ident, ident),  # u not in B_{1,3}
+        (1, ident, (1, 0, 2), ident),  # pi moves the letters 1, 2
+        (1, ident, ident, (2, 1, 0)),  # v not in B_{1,3}
+        (0, (1, 0, 2), ident, ident),  # B_{0,3} is the identity alone
+        (2, ident, ident, ident),  # no level 2 at n = 3
+        (1, ident, (0, 1), ident),  # pi not a permutation of 3 letters
+        (1, ident, ident),  # not an index at all
+    ]
+    for idx in bad:
+        with pytest.raises(ValueError, match="not a normal basis index"):
+            cell.to_cellular({idx: one})
+    good = (1, (0, 2, 1), ident, (1, 2, 0))
+    assert set(cell.to_cellular({good: one})) <= set(cell.cellular_labels())

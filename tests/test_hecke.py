@@ -10,7 +10,7 @@ import pytest
 from qbrauer import symgrp as sg
 from qbrauer.cellular import Cellular, det
 from qbrauer.coefficients import RatFunc, Specialization
-from qbrauer.hecke import HeckeWindow, SparseLU, is_restricted
+from qbrauer.hecke import HeckeWindow, SparseLU, _acc, is_restricted
 from qbrauer.qbrauer import QBrAlgebra
 
 
@@ -22,42 +22,109 @@ def window(n, lo=1):
     return HeckeWindow(n, lo, Specialization.generic(), Q)
 
 
+# elements are {code: coeff} over the codes of perm_table(n); code 0 is
+# the identity
+
+
+def g(H, w):
+    return {sg.perm_table(H.n).code[w]: H.field.one()}
+
+
+def unit(H):
+    return {0: H.field.one()}
+
+
+def add(x, y):
+    out = dict(x)
+    for w, c in y.items():
+        _acc(out, w, c)
+    return out
+
+
+def scale(x, c):
+    return {w: v * c for w, v in x.items()} if not c.is_zero() else {}
+
+
+def mul(H, x, y):
+    """x y through the right action: the sum of c x g_w over the terms of y."""
+    out = {}
+    for w, c in y.items():
+        out = add(out, scale(H.rmul_perm(x, w), c))
+    return out
+
+
+def star(H, x):
+    inv = sg.perm_table(H.n).inv
+    return {inv[w]: c for w, c in x.items()}
+
+
+def rmul_word(H, x, word):
+    for i in word:
+        x = H.rmul_gen(x, i)
+    return x
+
+
+def lmul_word(H, word, x):
+    for i in reversed(word):
+        x = H.lmul_gen(i, x)
+    return x
+
+
 def test_quadratic_relation():
-    H = window(3)
-    g1 = H.g(sg.gen(3, 1))
-    lhs = H.rmul_gen(g1, 1)
-    rhs = H.add(H.scale(g1, Q - 1), H.scale(H.unit(), Q))
-    assert lhs == rhs
+    H = window(4)
+    for i in (1, 2, 3):
+        gi = g(H, sg.gen(4, i))
+        rhs = add(scale(gi, Q - 1), scale(unit(H), Q))
+        assert H.rmul_gen(gi, i) == rhs
+        assert H.lmul_gen(i, gi) == rhs
 
 
 def test_braid_relation():
     H = window(3)
-    x = H.rmul_word(H.unit(), (1, 2, 1))
-    y = H.rmul_word(H.unit(), (2, 1, 2))
+    x = rmul_word(H, unit(H), (1, 2, 1))
+    y = rmul_word(H, unit(H), (2, 1, 2))
     assert x == y
+    assert lmul_word(H, (1, 2, 1), unit(H)) == lmul_word(H, (2, 1, 2), unit(H)) == x
 
 
 def test_length_additive_products():
     H = window(4)
     for w in sg.all_perms(4):
-        x = H.rmul_word(H.unit(), sg.reduced_word(w))
-        assert x == H.g(w)
+        x = rmul_word(H, unit(H), sg.reduced_word(w))
+        assert x == g(H, w)
+        assert H.rmul_perm(unit(H), sg.perm_table(4).code[w]) == g(H, w)
 
 
 def test_lmul_matches_rmul():
     H = window(4)
+    s3 = sg.gen(4, 3)
     for w in sg.all_perms(3):
         w4 = w + (3,)
-        via_left = H.lmul_word(sg.reduced_word(w4), H.g(sg.gen(4, 3)))
-        via_right = H.rmul_perm(H.g(w4), sg.gen(4, 3))
+        via_left = lmul_word(H, sg.reduced_word(w4), g(H, s3))
+        via_right = H.rmul_perm(g(H, w4), sg.perm_table(4).code[s3])
         assert via_left == via_right
 
 
 def test_star_antiautomorphism():
     H = window(4)
-    x = H.rmul_word(H.unit(), (1, 2))
-    y = H.rmul_word(H.unit(), (3, 2))
-    assert H.star(H.mul(x, y)) == H.mul(H.star(y), H.star(x))
+    x = rmul_word(H, unit(H), (1, 2))
+    y = rmul_word(H, unit(H), (3, 2))
+    assert star(H, mul(H, x, y)) == mul(H, star(H, y), star(H, x))
+    # star turns the right action of a generator into the left one
+    for i in (1, 2, 3):
+        assert star(H, H.rmul_gen(x, i)) == H.lmul_gen(i, star(H, x))
+
+
+def dense(H):
+    """The Murphy transition matrix, rows by window code, columns by label."""
+    labels, codes, _ = H.murphy_data()
+    zero = H.field.zero()
+    cols = [H.murphy_element(*lab) for lab in labels]
+    return [[col.get(w, zero) for col in cols] for w in codes]
+
+
+def sparse_rows(mat):
+    return [{j: v for j, v in enumerate(r) if not v.is_zero()} for r in mat]
 
 
 def assert_invertible(lu, size):
@@ -71,13 +138,13 @@ def test_murphy_transition_invertible_n4():
     # the factorisation exists for every window with n <= 5
     for n in (2, 3, 4, 5):
         for lo in range(1, n + 1):
-            labels, perms, _, lu = window(n, lo).murphy_data()
-            assert len(labels) == len(perms) == math.factorial(n - lo + 1)
+            labels, codes, lu = window(n, lo).murphy_data()
+            assert len(labels) == len(codes) == math.factorial(n - lo + 1)
             assert_invertible(lu, len(labels))
     for lo in (1, 2, 3, 4):
         H = window(4, lo)
         # round trip through coordinates
-        x = H.rmul_word(H.unit(), (lo,) if lo < 4 else ())
+        x = rmul_word(H, unit(H), (lo,) if lo < 4 else ())
         coords = H.to_murphy(x)
         back = {}
         for (lam, s, t), c in coords.items():
@@ -121,26 +188,26 @@ def oracle_windows():
 def test_sparse_solves_match_dense_inverse():
     rng = random.Random(5)
     for H in oracle_windows():
-        labels, perms, mat, lu = H.murphy_data()
+        labels, codes, lu = H.murphy_data()
         zero = H.field.zero()
-        inv = dense_inverse(mat, H.field)
+        inv = dense_inverse(dense(H), H.field)
         for j in range(len(labels)):
             dual = lu.dual_row(j)
-            assert [dual.get(i, zero) for i in range(len(perms))] == inv[j]
+            assert [dual.get(i, zero) for i in range(len(codes))] == inv[j]
         for _ in range(5):
-            support = rng.sample(perms, min(6, len(perms)))
+            support = rng.sample(codes, min(6, len(codes)))
             x = {w: H.field.from_int(rng.randrange(1, 100)) for w in support}
             want = {}
             for j, lab in enumerate(labels):
                 c = zero
-                for i, w in enumerate(perms):
+                for i, w in enumerate(codes):
                     if w in x:
                         c = c + inv[j][i] * x[w]
                 if not c.is_zero():
                     want[lab] = c
             assert H.to_murphy(x) == want
         j = rng.randrange(len(labels))
-        row = {w: c for w, c in zip(perms, inv[j]) if not c.is_zero()}
+        row = {w: c for w, c in zip(codes, inv[j]) if not c.is_zero()}
         assert H.dual_row(labels[j]) == row
 
 
@@ -154,19 +221,18 @@ def test_sparse_lu_singular():
         [[zero, zero], [zero, zero]],
     ):
         with pytest.raises(ArithmeticError):
-            SparseLU(mat, fp)
+            SparseLU(sparse_rows(mat), fp)
     # a Murphy transition with one column zeroed
     H = window(4)
-    _, _, mat, _ = H.murphy_data()
-    mat = [row[:7] + [H.field.zero()] + row[8:] for row in mat]
+    mat = [row[:7] + [H.field.zero()] + row[8:] for row in dense(H)]
     with pytest.raises(ArithmeticError):
-        SparseLU(mat, H.field)
+        SparseLU(sparse_rows(mat), H.field)
 
 
 def test_murphy_unit_coordinates():
     # the unit decomposes with nonzero coordinate at the one-column label
     H = window(3)
-    coords = H.to_murphy(H.unit())
+    coords = H.to_murphy(unit(H))
     assert coords  # nonempty
     lam_col = sg.Partition((1, 1, 1))
     sup = sg.superstandard(lam_col, 1)
@@ -191,9 +257,7 @@ def test_specht_gram_small():
 
 def test_window_translation_invariance():
     # the window 3..5 behaves exactly like S_3 with shifted letters
-    _, _, mat, _ = window(5, 3).murphy_data()
-    _, _, mat3, _ = window(3, 1).murphy_data()
-    assert mat == mat3
+    assert dense(window(5, 3)) == dense(window(3, 1))
 
 
 def test_is_restricted():

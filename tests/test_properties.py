@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbrauer import symgrp as sg
 from qbrauer.coefficients import Fp, LaurentPoly, RatFunc, Specialization
-from qbrauer.hecke import HeckeWindow
+from qbrauer.hecke import HeckeWindow, _acc
 from qbrauer.qbrauer import QBrAlgebra
 
 
@@ -57,25 +57,49 @@ def test_fp_field(x, y):
 
 
 perm4 = st.permutations(range(4)).map(tuple)
+_H4 = HeckeWindow(4, 1, Specialization.generic(), RatFunc.q() ** 2)
+_T4 = sg.perm_table(4)
+
+
+def hmul(x, y):
+    """x y in the Hecke algebra, {code: coeff}, through the right action."""
+    out = {}
+    for w, c in y.items():
+        for u, cu in _H4.rmul_perm(x, w).items():
+            _acc(out, u, cu * c)
+    return out
+
+
+def hadd(x, y):
+    out = dict(x)
+    for w, c in y.items():
+        _acc(out, w, c)
+    return out
+
+
+def hg(w):
+    return {_T4.code[w]: _H4.field.one()}
+
+
+def hstar(x):
+    return {_T4.inv[w]: c for w, c in x.items()}
 
 
 @given(perm4, perm4)
 @settings(max_examples=50, deadline=None)
 def test_hecke_product_linearity(u, v):
-    spec = Specialization.generic()
-    H = HeckeWindow(4, 1, spec, RatFunc.q() ** 2)
-    x, y = H.g(u), H.g(v)
-    assert H.mul(H.add(x, y), x) == H.add(H.mul(x, x), H.mul(y, x))
+    x, y = hg(u), hg(v)
+    assert hmul(hadd(x, y), x) == hadd(hmul(x, x), hmul(y, x))
 
 
 @given(perm4, perm4)
 @settings(max_examples=40, deadline=None)
 def test_hecke_star(u, v):
-    spec = Specialization.generic()
-    H = HeckeWindow(4, 1, spec, RatFunc.q() ** 2)
-    assert H.star(H.mul(H.g(u), H.g(v))) == H.mul(
-        H.star(H.g(v)), H.star(H.g(u))
-    )
+    assert hstar(hmul(hg(u), hg(v))) == hmul(hstar(hg(v)), hstar(hg(u)))
+    # relabelling by the inverse turns the right action into the left one
+    x = hmul(hg(u), hg(v))
+    for i in (1, 2, 3):
+        assert hstar(_H4.rmul_gen(x, i)) == _H4.lmul_gen(i, hstar(x))
 
 
 _alg3 = QBrAlgebra(3)

@@ -395,15 +395,15 @@ def reference_gram(cell, k, lam):
     """The Gram matrix of C(k, lam) from one product per entry i <= j: the
     module vector x_{(t,v)} = m_lam g_{d(t)} g_v times the star of another,
     read at the Murphy label (lam, t^lam, t^lam) of the level-k part."""
-    alg = cell.alg
+    alg, T = cell.alg, cell.alg._T
     H = cell.window(k)
     lo = 2 * k + 1
     sup = sg.superstandard(lam, lo)
     clam = H.c_lambda(lam)
     vecs = []
     for t, v in cell.module_index(k, lam):
-        helt = H.rmul_perm(clam, sg.tableau_perm(alg.n, t, lo))
-        vecs.append({(k, alg.id, pi, v): c for pi, c in helt.items()})
+        helt = H.rmul_perm(clam, T.code[sg.tableau_perm(alg.n, t, lo)])
+        vecs.append({(k, alg.id, T.perms[pi], v): c for pi, c in helt.items()})
     stars = [alg.star(x) for x in vecs]
     zero = alg.field.zero()
     mat = [[None] * len(vecs) for _ in vecs]
@@ -411,7 +411,7 @@ def reference_gram(cell, k, lam):
         for j in range(i, len(vecs)):
             p = alg.mul(x, stars[j])
             helt = {
-                pi: c for (k2, u, pi, v), c in p.items()
+                T.code[pi]: c for (k2, u, pi, v), c in p.items()
                 if k2 == k and u == alg.id and v == alg.id
             }
             mat[i][j] = mat[j][i] = H.to_murphy(helt).get((lam, sup, sup), zero)
