@@ -33,8 +33,15 @@ one algebra product per pair v <= u of B_{k,n}, H_{u,v} = H*_{v,u}, and
 every lam at level k shares them.  A Gram entry is then
 psi_lam(g_{d(t)} H_{v,u} g_{d(s)^{-1}}) with the window functional
 psi_lam(h) = phi_lam(c_lam h c_lam), phi_lam the Murphy coordinate at
-(lam, t^lam, t^lam); it is computed once per cell by pulling the dual row
-of phi_lam back through c_lam, or in closed form when lam has one row.
+(lam, t^lam, t^lam).  No Murphy transition is needed for it: with
+w = d(t_lam), t_lam the column-reading tableau, and y_lam' the signed sum
+of (-Q)^{-l(b)} g_b over the row stabiliser of t^{lam'}, the functional
+f(x) = [g_w](x g_w y_lam') kills H^{>lam}, because x_mu H y_lam' = 0 for
+mu strictly dominating lam (Dipper-James, Proc. London Math. Soc. 52,
+1986), and f(c_lam) = 1, because g_w occurs once in c_lam g_w y_lam'; so
+f = phi_lam on c_lam h c_lam, which lies in R c_lam + H^{>lam}.  psi_lam
+is f pulled back through c_lam on both sides, once per cell, or a closed
+form when lam has one row.
 The form is symmetric, as for every cellular algebra: the anti-involution
 star fixes m_lam and swaps the two factors.  Gram matrices are therefore
 filled from the entries with i <= j.
@@ -352,12 +359,16 @@ class Cellular:
 
         For one row, c_lam g_w = Q^{l(w)} c_lam and c_lam^2 = P(Q) c_lam
         with P the Poincare polynomial of the window, so psi(g_w) is
-        Q^{l(w)} P(Q) and no Murphy window is built; otherwise see
-        ``_pulled_back``.
+        Q^{l(w)} P(Q).  Otherwise psi(h) = f(c_lam h c_lam) with
+        f(x) = [g_w](x g_w y_lam') as in the module docstring: the unit
+        functional at w = d(t_lam) is pulled back through y_lam' on the
+        right, then through g_w one generator at a time, last letter first,
+        then through c_lam on the left and on the right.
         """
-        if len(lam) > 1:
-            return self._pulled_back(k, lam)
         T, Q = self.alg._T, self.alg.Q
+        if len(lam) > 1:
+            f = self._pull_cosets(self._column_functional(k, lam), lam, T.lmul, T.ldes)
+            return self._pull_cosets(f, lam, T.rmul, T.rdes)
         codes = [T.code[w] for w in sg.window_perms(self.n, 2 * k + 1)]
         powers = [self.field.one()]
         for _ in range(max(T.length[w] for w in codes)):
@@ -369,29 +380,43 @@ class Cellular:
             return {}
         return {w: powers[T.length[w]] * P for w in codes}
 
-    def _pulled_back(self, k, lam):
-        """psi for any lam: the window's dual row of (lam, t^lam, t^lam)
-        pulled back through c_lam on the left, then on the right.
-
-        c_lam is the product over its rows (letters a..b) of the coset sums
-        1 + g_{j-1} + g_{j-1} g_{j-2} + ... + g_{j-1} ... g_a, j = a+1..b,
-        so each pull-back is a sequence of adjoint generator passes
-        (``_pull``).  As c_lam* = c_lam, the right pull-back takes the same
-        coset sums starred, in the same order.
-        """
+    def _column_functional(self, k, lam):
+        """f(x) = [g_w](x g_w y_lam') as {code: coeff}, w = d(t_lam): the
+        functional of the module docstring, before the c_lam pull-backs."""
         alg, T = self.alg, self.alg._T
         lo = 2 * k + 1
-        sup = sg.superstandard(lam, lo)
-        psi = self.window(k).dual_row((lam, sup, sup))
-        for act, des in ((T.lmul, T.ldes), (T.rmul, T.rdes)):
-            for row in sup:
-                for j in row[1:]:
-                    run = total = psi
-                    for i in range(j - 1, row[0] - 1, -1):
-                        run = _pull(run, act[i], des, 1 << i, alg.Q, alg._Qm1)
-                        total = alg.add(total, run)
-                    psi = total
-        return psi
+        cols = lam.conjugate()
+        sup = sg.superstandard(cols, lo)  # t_lam is its transpose
+        t_lam = tuple(tuple(c[i] for c in sup if len(c) > i) for i in range(len(lam)))
+        w = T.code[sg.tableau_perm(self.n, t_lam, lo)]
+        f = self._pull_cosets({w: self.field.one()}, cols, T.rmul, T.rdes, -alg.Qinv)
+        for i in reversed(T.word(w)):
+            f = _pull(f, T.rmul[i], T.rdes, 1 << i, alg.Q, alg._Qm1)
+        return f
+
+    def _pull_cosets(self, f, lam, act, des, weight=None):
+        """The functional h -> f(c h) ((act, des) = (lmul, ldes)) or
+        h -> f(h c) ((rmul, rdes)), c the sum of weight^{l(b)} g_b over the
+        row stabiliser of t^lam on the window (weight 1 if None).
+
+        c is the product over the rows (letters a..b) of the coset sums
+        1 + g_{j-1} + g_{j-1} g_{j-2} + ... + g_{j-1} ... g_a, j = a+1..b,
+        each term weighted by weight^{length}, so each pull-back is a
+        sequence of adjoint generator passes (``_pull``).  As c* = c, the
+        right pull-back takes the same coset sums starred, in the same
+        order.
+        """
+        alg = self.alg
+        for row in sg.superstandard(lam, self.n - lam.size + 1):
+            for j in row[1:]:
+                run = total = f
+                for i in range(j - 1, row[0] - 1, -1):
+                    run = _pull(run, act[i], des, 1 << i, alg.Q, alg._Qm1)
+                    if weight is not None:
+                        run = {u: c * weight for u, c in run.items()}
+                    total = alg.add(total, run)
+                f = total
+        return f
 
     def gram_det(self, k, lam):
         """Determinant of the Gram matrix of C(k, lam), computed once."""

@@ -25,9 +25,10 @@ never inverted and never stored dense.  Each window builds its rows sparse
 and factors them once by exact elimination (:class:`SparseLU`; the pivot
 of a column is the row with the fewest nonzeros, lowest index first).  All
 Murphy coordinates of an element come from one solve through that
-factorisation.  The Gram matrices need one coordinate, (lam, t^lam, t^lam),
-as a functional on the window: a dual row of the inverse, obtained by one
-transposed solve and kept on the window.
+factorisation; it serves ``to_murphy`` and so the cellular coordinates.
+The Gram matrices never build it: their functional comes from the signed
+column sum y_lam', which kills every Murphy element of a shape strictly
+dominating lam (see :meth:`qbrauer.cellular.Cellular._functional`).
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class HeckeWindow:
         self._T = sg.perm_table(n)
         self._murphy = None
         self._pidx = None
-        self._dual = {}
 
     # -- generator actions --------------------------------------------------------
 
@@ -163,19 +163,6 @@ class HeckeWindow:
         sol = lu.solve({pidx[w]: c for w, c in x.items()})
         return {labels[j]: sol[j] for j in sorted(sol)}
 
-    def dual_row(self, label):
-        """Row ``label`` of the inverse transition matrix as {code: coeff}:
-        the functional taking x to its Murphy coordinate at ``label``.
-
-        It comes from one transposed solve and is kept on the window.
-        """
-        row = self._dual.get(label)
-        if row is None:
-            labels, codes, lu = self.murphy_data()
-            dual = lu.dual_row(labels.index(label))
-            row = self._dual[label] = {codes[i]: c for i, c in dual.items()}
-        return row
-
 
 class SparseLU:
     """Sparse exact LU factorisation of a square matrix over a field.
@@ -247,32 +234,6 @@ class SparseLU:
             if not s.is_zero():
                 x[col] = s / row[col]
         return x
-
-    def dual_row(self, j):
-        """Row j of the inverse matrix, as {index: value} holding no zeros.
-
-        Solves y mat = e_j: first z upper = e_j by forward substitution
-        over the columns, z indexed by pivot rows, then y is z times the
-        row operations, taken last first.
-        """
-        rhs = {j: self.field.one()}  # e_j minus the terms of z found so far
-        z = {}
-        for col in range(j, len(self.upper)):
-            s = rhs.pop(col, None)
-            if s is None:
-                continue
-            row = self.upper[col]
-            zc = s / row[col]
-            z[self.pivots[col]] = zc
-            for c, u in row.items():
-                if c > col:
-                    _acc(rhs, c, -(zc * u))
-        for piv, ops in zip(reversed(self.pivots), reversed(self.lower)):
-            for r, f in ops:
-                c = z.get(r)
-                if c is not None:
-                    _acc(z, piv, -(f * c))
-        return z
 
 
 def _acc(out, w, c):

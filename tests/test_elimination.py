@@ -1,13 +1,13 @@
 """Determinant and rank: ``det_rank`` against independent references, and
 one elimination per Gram matrix in ``Cellular``.
 
-Over the generic field the reference is sympy (test-only): ``Matrix.det``
-and ``Matrix.rank`` on random small matrices of rational functions, and
-the fraction-field determinant of ``sympy.polys.matrices.DomainMatrix`` on
-every generic n = 4 Gram matrix.  Over F_p it is the plain Gaussian
-elimination below.  The generic Gram matrices are all nonsingular, so only
-the random matrices here reach the column-skipping path of the
-fraction-free elimination.
+Over the generic field the reference is sympy (test-only): the
+determinant and rank of ``sympy.polys.matrices.DomainMatrix`` over
+Q(q, r) on random small matrices of rational functions, and its
+fraction-field determinant on every generic n = 4 Gram matrix.  Over F_p
+it is the plain Gaussian elimination below.  The generic Gram matrices
+are all nonsingular, so only the random matrices here reach the
+column-skipping path of the fraction-free elimination.
 """
 
 import pytest
@@ -34,10 +34,15 @@ def to_sympy(x):
 
 
 def sympy_det_rank(mat, cols):
-    m = sympy.Matrix(len(mat), cols, [to_sympy(x) for row in mat for x in row])
-    rk = m.rank(iszerofunc=lambda e: sympy.cancel(e) == 0)
-    d = m.det(method="berkowitz") if len(mat) == cols else None
-    return d, rk
+    """(det or None, rank) by sympy's DomainMatrix over Q(q, r)."""
+    from sympy.polys.matrices import DomainMatrix
+
+    if not mat:  # the empty matrix: det 1, rank 0
+        return sympy.Integer(1), 0
+    K = sympy.QQ.frac_field(Q, R)
+    m = DomainMatrix([[K.from_sympy(to_sympy(x)) for x in row] for row in mat], (len(mat), cols), K)
+    d = K.to_sympy(m.det()) if len(mat) == cols else None
+    return d, m.rank()
 
 
 # -- random matrices -----------------------------------------------------------

@@ -188,12 +188,9 @@ def oracle_windows():
 def test_sparse_solves_match_dense_inverse():
     rng = random.Random(5)
     for H in oracle_windows():
-        labels, codes, lu = H.murphy_data()
+        labels, codes, _ = H.murphy_data()
         zero = H.field.zero()
         inv = dense_inverse(dense(H), H.field)
-        for j in range(len(labels)):
-            dual = lu.dual_row(j)
-            assert [dual.get(i, zero) for i in range(len(codes))] == inv[j]
         for _ in range(5):
             support = rng.sample(codes, min(6, len(codes)))
             x = {w: H.field.from_int(rng.randrange(1, 100)) for w in support}
@@ -206,9 +203,6 @@ def test_sparse_solves_match_dense_inverse():
                 if not c.is_zero():
                     want[lab] = c
             assert H.to_murphy(x) == want
-        j = rng.randrange(len(labels))
-        row = {w: c for w, c in zip(codes, inv[j]) if not c.is_zero()}
-        assert H.dual_row(labels[j]) == row
 
 
 def test_sparse_lu_singular():
