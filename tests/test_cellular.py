@@ -327,11 +327,12 @@ def phi_of_c_h_c(H, lam, clam, w):
     return H.to_murphy(x).get((lam, sup, sup), H.field.zero())
 
 
-def test_pulled_back_functional_is_phi_of_c_h_c():
-    # psi(g_w) = phi(c_lam g_w c_lam) for every lam, the one-row closed form
-    # included: on every window permutation w of the generic n <= 4
-    # algebras and of the k = 1, 2 windows at n = 5 over F_101, and on a
-    # sample of w in the k = 0 window there
+def check_functionals(one_row):
+    """Check psi(g_w) = phi(c_lam g_w c_lam) for the one-row shapes (the
+    closed form) or for the others; return the number of (lam, w) checked.
+    On every window permutation w of the generic n <= 4 algebras and of the
+    k = 1, 2 windows at n = 5 over F_101, and on a sample of w in the k = 0
+    window there."""
     rng = random.Random(13)
     cases = []
     for n in (2, 3, 4):
@@ -347,14 +348,29 @@ def test_pulled_back_functional_is_phi_of_c_h_c():
         if sample is not None:
             ws = rng.sample(ws, sample)
         for lam in sg.partitions(cell.n - 2 * k):
+            if (len(lam) <= 1) != one_row:
+                continue
             psi, clam = cell._functional(k, lam), H.c_lambda(lam)
             for w in ws:
                 want = phi_of_c_h_c(H, lam, clam, w)
                 assert psi.get(w, cell.field.zero()) == want, (cell.n, cell.alg.version, k, lam, w)
                 checked += 1
-    # per version 5 + 19 + 125 (n = 2, 3, 4); at n = 5, 1 shape on S_1,
-    # 3 shapes on S_3 and 7 shapes on 6 sampled permutations
-    assert checked == 4 * (5 + 19 + 125) + 1 + 3 * 6 + 7 * 6
+    return checked
+
+
+def test_one_row_functional_matches_pull_back():
+    # for one row, psi(g_w) = Q^{l(w)} P(Q) in closed form; it must equal
+    # phi pulled back through c_lam on both sides.  Per version 3 + 7 + 27
+    # (n = 2, 3, 4); at n = 5, one shape on S_1, S_3 and 6 sampled
+    # permutations of S_5
+    assert check_functionals(one_row=True) == 4 * (3 + 7 + 27) + 1 + 6 + 6
+
+
+def test_pulled_back_functional_is_phi_of_c_h_c():
+    # the same for every shape of two or more rows.  Per version 2 + 12 + 98
+    # (n = 2, 3, 4); at n = 5, 2 shapes on S_3 and 6 shapes on 6 sampled
+    # permutations of S_5
+    assert check_functionals(one_row=False) == 4 * (2 + 12 + 98) + 2 * 6 + 6 * 6
 
 
 def lemma_algebras():
