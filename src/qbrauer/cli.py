@@ -7,11 +7,12 @@ Four subcommands:
   semisimple  semisimplicity verdict at a point, or an (r, q) grid over F_p
   verify      run the internal consistency suites
 
-``--field``, ``--q`` and ``--r`` belong to ``gram`` and ``semisimple``
-(``verify`` works over the generic field), ``--format`` to ``basis``,
-``gram`` and ``semisimple``.  Output is JSON by default ({config, result,
-timing}), with coefficients rendered as canonical strings; ``semisimple
---grid all`` sweeps every (r, q) and emits CSV rows r, q, semisimple,
+Every subcommand takes ``--n`` (in 2..9) and ``--version``.  ``--field``,
+``--q`` and ``--r`` belong to ``gram`` and ``semisimple`` (``verify``
+works over the generic field), ``--format`` to ``basis``, ``gram`` and
+``semisimple``.  Output is JSON by default ({config, result, timing}),
+with coefficients rendered as canonical strings; ``semisimple --grid
+all`` sweeps every (r, q) and emits CSV rows r, q, semisimple,
 witness_label, closed_form_agrees.  ``--format csv`` is accepted only
 there, and ``--q``, ``--r`` and ``--format json|text`` are not.
 
@@ -36,6 +37,7 @@ from . import symgrp as sg
 from .cellular import Cellular, closed_form_criterion
 from .coefficients import Cyclo, DenominatorVanishes, Specialization
 from .qbrauer import (
+    MAX_N,
     InternalInconsistency,
     QBrAlgebra,
     RewriteBudgetExceeded,
@@ -134,6 +136,8 @@ def build_spec(field_text, q_tok, r_tok):
         try:
             m = int(t[6:])
         except ValueError:
+            m = 0
+        if m < 1:
             raise ConfigError(f"bad field {field_text!r}")
         if q_tok is None or r_tok is None:
             raise ConfigError("cyclotomic fields need --q and --r")
@@ -465,7 +469,7 @@ def make_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, required=True)
+    common.add_argument("--n", type=int, required=True, help=f"2..{MAX_N}")
     common.add_argument("--version", default=None, help="two-param | oneparam | N=<int> | classical")
     field = argparse.ArgumentParser(add_help=False)
     field.add_argument("--field", default=None, help="generic | fp:<p> | cyclo:<m>")
@@ -501,8 +505,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        if args.n < 2:
-            raise ConfigError("need n >= 2")
+        if not 2 <= args.n <= MAX_N:
+            raise ConfigError(f"n must be in 2..{MAX_N}")
         if getattr(args, "format", None) == "csv" and not getattr(args, "grid", None):
             raise ConfigError("--format csv is only for semisimple --grid")
         try:

@@ -11,6 +11,12 @@ and r.
 All coefficient classes overload the usual arithmetic operators, are
 immutable and hashable, and expose ``is_zero``.  Division is exact field
 division everywhere.
+
+Each arithmetic job is written once.  One univariate toolkit on exponent
+dicts (the ``_uni_*`` helpers) serves the integer gcd, the cyclotomic
+polynomials Phi_m and the arithmetic of Q(zeta_m); one routine,
+:func:`_power`, takes every power by repeated squaring; and :func:`_lead`
+is the one graded-lex leading-term rule of Z[q, r].
 """
 
 from __future__ import annotations
@@ -46,11 +52,11 @@ class NotInvertible(ArithmeticError):
 # ---------------------------------------------------------------------------
 # integer polynomial helpers
 #
-# A "q-poly" is a dict {exponent: int} with non-negative exponents and no
-# zero values.  A "biv poly" is a dict {(dq, dr): int}, likewise with
-# non-negative exponents.  These are only used inside gcd computation and
-# exact division; LaurentPoly handles the general (possibly negative
-# exponent) case.
+# A "q-poly" is a dict {exponent: coeff} with non-negative exponents and
+# no zero values; its coefficients are ints in the gcd and exact division,
+# and Fractions in Q(zeta_m).  A "biv poly" is a dict {(dq, dr): int},
+# likewise with non-negative exponents.  LaurentPoly handles the general
+# (possibly negative exponent) case.
 # ---------------------------------------------------------------------------
 
 
@@ -118,6 +124,26 @@ def _uni_divexact(a, b):
             if not a[ne]:
                 del a[ne]
     return out
+
+
+def _uni_divmod(a, b):
+    """Quotient and remainder of q-polys over a field (Fraction coefficients)."""
+    a = dict(a)
+    out = {}
+    db = _uni_deg(b)
+    lb = b[db]
+    while a:
+        da = _uni_deg(a)
+        if da < db:
+            break
+        e, c = da - db, a[da] / lb
+        out[e] = c
+        for eb, cb in b.items():
+            ne = eb + e
+            a[ne] = a.get(ne, 0) - cb * c
+            if not a[ne]:
+                del a[ne]
+    return out, a
 
 
 def _uni_gcd(a, b):
@@ -246,12 +272,16 @@ def _biv_gcd(a, b):
     return _biv_positive(_rform_to_biv(g))
 
 
+def _lead(p):
+    """The graded-lex leading exponent (dq, dr) of a nonzero biv poly."""
+    return max(p, key=lambda k: (k[0] + k[1], k[0]))
+
+
 def _biv_positive(p):
     """Normalise sign so the graded-lex leading coefficient is positive."""
     if not p:
         return {}
-    lead = max(p, key=lambda k: (k[0] + k[1], k[0]))
-    if p[lead] < 0:
+    if p[_lead(p)] < 0:
         return {k: -v for k, v in p.items()}
     return dict(p)
 
@@ -265,7 +295,7 @@ def _biv_divexact(a, b):
         raise ZeroDivisionError("poly division by zero")
     a = dict(a)
     out = {}
-    kb = max(b, key=lambda k: (k[0] + k[1], k[0]))
+    kb = _lead(b)
     cb = b[kb]
     heap = [(-k[0] - k[1], -k[0], k) for k in a]
     heapq.heapify(heap)
@@ -289,6 +319,18 @@ def _biv_divexact(a, b):
                 a[nk] = -v * c
                 heapq.heappush(heap, (-nk[0] - nk[1], -nk[0], nk))
     return out
+
+
+def _power(x, e, one):
+    """x**e for an integer e >= 0 by repeated squaring; ``one`` is x**0."""
+    out = one
+    while True:
+        if e & 1:
+            out = out * x
+        e >>= 1
+        if not e:
+            return out
+        x = x * x
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +420,7 @@ class LaurentPoly:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("LaurentPoly powers must be non-negative")
-        out, base = LaurentPoly.const(1), self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, LaurentPoly.const(1))
 
     def evaluate(self, q_img, r_img, one):
         """Evaluate at invertible field elements q_img, r_img."""
@@ -393,8 +429,8 @@ class LaurentPoly:
         total = one - one
         for (dq, dr), c in self.terms.items():
             t = one * c
-            t = t * _int_pow(q_img if dq >= 0 else q_inv, abs(dq), one)
-            t = t * _int_pow(r_img if dr >= 0 else r_inv, abs(dr), one)
+            t = t * _power(q_img if dq >= 0 else q_inv, abs(dq), one)
+            t = t * _power(r_img if dr >= 0 else r_inv, abs(dr), one)
             total = total + t
         return total
 
@@ -410,13 +446,6 @@ class LaurentPoly:
                 s += f"*r^{dr}" if dr != 1 else "*r"
             bits.append(s)
         return " + ".join(bits)
-
-
-def _int_pow(x, e, one):
-    out = one
-    for _ in range(e):
-        out = out * x
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -542,14 +571,7 @@ class RatFunc:
     def __pow__(self, e):
         if e < 0:
             return self.inv() ** (-e)
-        out = RatFunc.from_int(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, RatFunc.from_int(1))
 
     def __repr__(self):
         if self.den.is_one():
@@ -576,17 +598,10 @@ def _rat_canonical(num, den):
         den = den.shifted(-dq, -dr)
         num = num.shifted(-dq, -dr)
     # fix sign via den's graded-lex leading coefficient
-    lead = max(den.terms, key=lambda k: (k[0] + k[1], k[0]))
-    if den.terms[lead] < 0:
+    if den.terms[_lead(den.terms)] < 0:
         den, num = -den, -num
     # integer content reduction
-    gn = 0
-    for c in num.terms.values():
-        gn = math.gcd(gn, abs(c))
-    gd = 0
-    for c in den.terms.values():
-        gd = math.gcd(gd, abs(c))
-    g = math.gcd(gn, gd)
+    g = math.gcd(_uni_content(num.terms), _uni_content(den.terms))
     if g > 1:
         num = LaurentPoly({k: v // g for k, v in num.terms.items()})
         den = LaurentPoly({k: v // g for k, v in den.terms.items()})
@@ -680,17 +695,20 @@ class Fp:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_poly(m):
-    """Coefficient tuple (low to high) of the m-th cyclotomic polynomial."""
+def _phi(m):
+    """Phi_m as a q-poly (shared; do not mutate)."""
     # x^m - 1 divided by the product of Phi_d for proper divisors d of m
     num = {0: -1, m: 1}
     for d in range(1, m):
         if m % d == 0:
-            phi_d = dict(enumerate(cyclotomic_poly(d)))
-            phi_d = _uni_trim(phi_d)
-            num = _uni_divexact(num, phi_d)
-    deg = _uni_deg(num)
-    return tuple(num.get(i, 0) for i in range(deg + 1))
+            num = _uni_divexact(num, _phi(d))
+    return num
+
+
+def cyclotomic_poly(m):
+    """Coefficient tuple (low to high) of the m-th cyclotomic polynomial."""
+    phi = _phi(m)
+    return tuple(phi.get(i, 0) for i in range(_uni_deg(phi) + 1))
 
 
 class Cyclo:
@@ -704,12 +722,15 @@ class Cyclo:
 
     def __init__(self, m, coeffs):
         self.m = m
-        deg = len(cyclotomic_poly(m)) - 1
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > deg:
-            cs = _cyclo_reduce(m, cs)
-        cs += [Fraction(0)] * (deg - len(cs))
-        self.coeffs = tuple(cs)
+        phi = _phi(m)
+        deg = _uni_deg(phi)
+        p = {i: Fraction(c) for i, c in enumerate(coeffs) if c}
+        if _uni_deg(p) >= deg:
+            p = _uni_divmod(p, phi)[1]
+        self.coeffs = tuple(p.get(i, Fraction(0)) for i in range(deg))
+
+    def _poly(self):
+        return {i: c for i, c in enumerate(self.coeffs) if c}
 
     @classmethod
     def from_fraction(cls, m, fr):
@@ -750,15 +771,8 @@ class Cyclo:
 
     def __mul__(self, other):
         other = self._lift(other)
-        n = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    prod[i + j] += a * b
-        return Cyclo(self.m, _cyclo_reduce(self.m, prod))
+        prod = _uni_mul(self._poly(), other._poly())
+        return Cyclo(self.m, [prod.get(i, 0) for i in range(_uni_deg(prod) + 1)])
 
     __rmul__ = __mul__
 
@@ -772,31 +786,21 @@ class Cyclo:
     def __pow__(self, e):
         if e < 0:
             return self._inverse() ** (-e)
-        out = Cyclo.from_fraction(self.m, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, Cyclo.from_fraction(self.m, 1))
 
     def _inverse(self):
         if self.is_zero():
             raise NotInvertible(f"division by zero in Q(zeta_{self.m})")
-        # extended Euclid in Q[x] against Phi_m
-        phi = [Fraction(c) for c in cyclotomic_poly(self.m)]
-        a = list(self.coeffs)
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, rem = _qpoly_divmod(r0, r1)
+        # extended Euclid in Q[x] against Phi_m: s0 * self = r0 mod Phi_m
+        r0, r1 = _phi(self.m), self._poly()
+        s0, s1 = {}, {0: Fraction(1)}
+        while r1:
+            q, rem = _uni_divmod(r0, r1)
             r0, r1 = r1, rem
-            s0, s1 = s1, _qpoly_sub(s0, _qpoly_mul(q, s1))
+            s0, s1 = s1, _uni_add(s0, _uni_scale(_uni_mul(q, s1), -1))
         # r0 is a nonzero constant gcd
-        c = next(c for c in r0 if c != 0)
-        inv = [x / c for x in s0]
-        return Cyclo(self.m, _cyclo_reduce(self.m, inv))
+        s = _uni_scale(s0, 1 / Fraction(r0[0]))
+        return Cyclo(self.m, [s.get(i, 0) for i in range(_uni_deg(s) + 1)])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -820,56 +824,6 @@ class Cyclo:
             else:
                 bits.append(f"{c}*z^{i}" if c != 1 else f"z^{i}")
         return " + ".join(bits)
-
-
-def _cyclo_reduce(m, coeffs):
-    phi = [Fraction(c) for c in cyclotomic_poly(m)]
-    deg = len(phi) - 1
-    cs = [Fraction(c) for c in coeffs]
-    for i in range(len(cs) - 1, deg - 1, -1):
-        c = cs[i]
-        if c == 0:
-            continue
-        for j, p in enumerate(phi):
-            cs[i - deg + j] -= c * p
-    return cs[:deg]
-
-
-def _qpoly_divmod(a, b):
-    a = list(a)
-    db = max(i for i, c in enumerate(b) if c != 0)
-    q = [Fraction(0)] * max(1, len(a))
-    while True:
-        da = -1
-        for i in range(len(a) - 1, -1, -1):
-            if a[i] != 0:
-                da = i
-                break
-        if da < db:
-            break
-        c = a[da] / b[db]
-        q[da - db] += c
-        for i in range(db + 1):
-            a[da - db + i] -= c * b[i]
-    return q, a
-
-
-def _qpoly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
-def _qpoly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -913,6 +867,8 @@ class Specialization:
 
     @classmethod
     def cyclotomic(cls, m, q_img, r_img):
+        if m < 1:
+            raise ValueError(f"there is no cyclotomic field Q(zeta_{m})")
         return cls(("cyclo", m), q_img, r_img)
 
     def one(self):
@@ -945,38 +901,20 @@ def quantum_char(x):
     For x = 1 this is the characteristic of the ground field; otherwise it
     is the multiplicative order of x when finite.
     """
-    if isinstance(x, int):
-        raise TypeError("quantum_char expects a field element")
-    if isinstance(x, Fp):
-        if x.is_zero():
-            raise ValueError("quantum_char of 0 is undefined")
-        if x.is_one():
-            return x.p
-        order = 1
-        y = x
-        while not y.is_one():
-            y = y * x
-            order += 1
-        return order
-    if isinstance(x, Cyclo):
-        if x.is_zero():
-            raise ValueError("quantum_char of 0 is undefined")
-        if x.is_one():
-            return INFINITY
-        # roots of unity in Q(zeta_m) have order dividing lcm(2, m)
-        lcm = x.m if x.m % 2 == 0 else 2 * x.m
-        y = x
-        for order in range(1, lcm + 1):
-            if y.is_one():
-                return order if order > 1 else INFINITY
-            y = y * x
-        return INFINITY
+    if not isinstance(x, (Fp, Cyclo, RatFunc)):
+        raise TypeError(f"quantum_char expects a field element, not {type(x)!r}")
+    if x.is_zero():
+        raise ValueError("quantum_char of 0 is undefined")
+    if x.is_one():
+        return x.p if isinstance(x, Fp) else INFINITY
     if isinstance(x, RatFunc):
-        if x.is_zero():
-            raise ValueError("quantum_char of 0 is undefined")
-        if x.is_one():
-            return INFINITY
-        if x == RatFunc.from_int(-1):
-            return 2
-        return INFINITY
-    raise TypeError(f"unsupported coefficient type {type(x)!r}")
+        return 2 if x == RatFunc.from_int(-1) else INFINITY
+    # the order of x divides p - 1 in F_p; in Q(zeta_m) the roots of unity
+    # are the lcm(2, m)-th ones
+    bound = x.p - 1 if isinstance(x, Fp) else math.lcm(2, x.m)
+    y = x
+    for order in range(1, bound + 1):
+        if y.is_one():
+            return order
+        y = y * x
+    return INFINITY

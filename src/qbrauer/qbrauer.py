@@ -93,6 +93,10 @@ __all__ = [
 
 DEFAULT_MAX_REWRITE_STEPS = 10**6
 
+# symgrp.perm_table(n) holds all n! permutations, so each step past 9
+# multiplies the build time and memory of QBrAlgebra(n) by n
+MAX_N = 9
+
 
 def max_rewrite_steps():
     """The step budget per product from QBR_MAX_REWRITE_STEPS.
@@ -196,8 +200,8 @@ class QBrAlgebra:
     """Br_n over a coefficient field given by a Specialization."""
 
     def __init__(self, n, version="two_param", spec=None, N=None):
-        if n < 2:
-            raise ValueError("need n >= 2")
+        if not 2 <= n <= MAX_N:
+            raise ValueError(f"n must be in 2..{MAX_N}")
         self.n = n
         self.version = version
         self.N = N
@@ -273,9 +277,6 @@ class QBrAlgebra:
         for idx, c in y.items():
             _acc(out, idx, c)
         return out
-
-    def sub(self, x, y):
-        return self.add(x, self.scale(y, -self.field.one()))
 
     def scale(self, x, c):
         if c.is_zero():

@@ -63,8 +63,26 @@ FP_FRACTION_SCALAR = (
     "gram", "--n", "3", "--k", "0", "--lambda", "2,1",
     "--field", "fp:7", "--q", "1/2", "--r", "3",
 )
+CYCLO_ZERO = (
+    "gram", "--n", "3", "--k", "1", "--lambda", "1",
+    "--field", "cyclo:0", "--q", "zeta", "--r", "2",
+)
+CYCLO_NEGATIVE = (
+    "gram", "--n", "3", "--k", "1", "--lambda", "1",
+    "--field", "cyclo:-4", "--q", "zeta", "--r", "2",
+)
+# perm_table(40) would enumerate all 40! permutations
+N_TOO_LARGE = (
+    "gram", "--n", "40", "--k", "0", "--lambda", "40",
+    "--field", "fp:7", "--q", "2", "--r", "3",
+)
 # the whole stderr of the test_bad_config_exit2 cases that pin it
-BAD_CONFIG_MESSAGES = {FP_FRACTION_SCALAR: "cannot parse scalar '1/2'"}
+BAD_CONFIG_MESSAGES = {
+    FP_FRACTION_SCALAR: "cannot parse scalar '1/2'",
+    CYCLO_ZERO: "bad field 'cyclo:0'",
+    CYCLO_NEGATIVE: "bad field 'cyclo:-4'",
+    N_TOO_LARGE: "n must be in 2..9",
+}
 
 
 @pytest.mark.parametrize(
@@ -99,6 +117,9 @@ BAD_CONFIG_MESSAGES = {FP_FRACTION_SCALAR: "cannot parse scalar '1/2'"}
         (("basis", "--n", "3", "--k", "7"), {}),
         (("basis", "--n", "3", "--k", "-1"), {}),
         (FP_FRACTION_SCALAR, {}),
+        (CYCLO_ZERO, {}),
+        (CYCLO_NEGATIVE, {}),
+        (N_TOO_LARGE, {}),
     ],
     ids=[
         "bad-partition",
@@ -122,6 +143,9 @@ BAD_CONFIG_MESSAGES = {FP_FRACTION_SCALAR: "cannot parse scalar '1/2'"}
         "basis-k-above-range",
         "basis-k-below-range",
         "fp-fraction-scalar",
+        "cyclo-zero",
+        "cyclo-negative",
+        "n-too-large",
     ],
 )
 def test_bad_config_exit2(capsys, monkeypatch, argv, env):

@@ -2,7 +2,9 @@
 q and r, prime fields, cyclotomic fields, and parameter specialization."""
 
 from fractions import Fraction
+from functools import reduce
 import operator
+import random
 
 import pytest
 
@@ -155,3 +157,92 @@ def test_quantum_char():
     assert quantum_char(RatFunc.q()) == INFINITY
     z = Cyclo.zeta(8)
     assert quantum_char(z * z) == 4  # 1 + i + i^2 + i^3 = 0
+
+
+CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 9, 12, 24)
+
+
+def random_cyclo(rng, m, length):
+    cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(length)]
+    return cs, Cyclo(m, cs)
+
+
+@pytest.mark.parametrize("m", CONDUCTORS)
+def test_cyclo_product_matches_sympy_rem(m):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    phi = sympy.cyclotomic_poly(m, x)
+    deg = sympy.degree(phi, x)
+    rng = random.Random(m)
+    for _ in range(10):
+        ca, a = random_cyclo(rng, m, deg)
+        cb, b = random_cyclo(rng, m, deg)
+        prod = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(ca))
+        prod *= sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(cb))
+        rem = sympy.Poly(sympy.rem(sympy.expand(prod), phi, x), x)
+        want = [Fraction(0)] * deg
+        for (i,), c in rem.terms():
+            want[i] = Fraction(int(c.p), int(c.q))
+        assert (a * b).coeffs == tuple(want)
+        # a coefficient list longer than phi(m) is reduced the same way
+        assert Cyclo(m, ca + [Fraction(0)] * deg + [Fraction(1)]) == a + Cyclo.zeta(m, 2 * deg)
+
+
+@pytest.mark.parametrize("m", CONDUCTORS)
+def test_cyclo_inverse_and_negative_powers(m):
+    one = Cyclo.from_fraction(m, 1)
+    deg = len(cyclotomic_poly(m)) - 1
+    rng = random.Random(100 + m)
+    for _ in range(10):
+        _, a = random_cyclo(rng, m, rng.randint(1, 2 * deg + 1))
+        if a.is_zero():
+            continue
+        assert a * a._inverse() == one
+        for e in (1, 2, 5):
+            assert a ** (-e) * a**e == one
+
+
+POWER_BASES = [
+    LaurentPoly({(1, 0): 2, (-1, 1): -1, (0, 0): 3}),
+    (q + r) / (q - 2),
+    Cyclo(12, [1, -2, Fraction(1, 3)]),
+    Fp(11, 7),
+]
+
+
+@pytest.mark.parametrize("x", POWER_BASES, ids=lambda x: type(x).__name__)
+def test_power_is_repeated_product(x):
+    unit = x / x if not isinstance(x, LaurentPoly) else LaurentPoly.const(1)
+    for e in range(10):
+        assert x**e == reduce(operator.mul, [x] * e, unit)
+
+
+def brute_quantum_char(x, one, limit):
+    """Least m <= limit with 1 + x + ... + x^{m-1} = 0, else INFINITY."""
+    total, power = x - x, one
+    for m in range(1, limit + 1):
+        total, power = total + power, power * x
+        if total.is_zero():
+            return m
+    return INFINITY
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_quantum_char_fp_matches_brute_force(p):
+    for v in range(1, p):
+        assert quantum_char(Fp(p, v)) == brute_quantum_char(Fp(p, v), Fp(p, 1), p)
+
+
+@pytest.mark.parametrize("m", CONDUCTORS)
+def test_quantum_char_roots_of_unity_match_brute_force(m):
+    one = Cyclo.from_fraction(m, 1)
+    for j in range(m):
+        # -zeta_m^j has order 2m when m is odd: the lcm(2, m) bound
+        for x in (Cyclo.zeta(m, j), -Cyclo.zeta(m, j)):
+            assert quantum_char(x) == brute_quantum_char(x, one, 2 * m)
+
+
+def test_cyclotomic_specialization_needs_positive_conductor():
+    for m in (0, -4):
+        with pytest.raises(ValueError):
+            Specialization.cyclotomic(m, Cyclo.zeta(8), Cyclo.zeta(8))

@@ -29,6 +29,13 @@ def basis_elt(alg, idx):
     return {idx: alg.field.one()}
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1, 10, 40])
+def test_algebra_rejects_n_outside_range(n):
+    # the check comes before symgrp.perm_table(n) enumerates n! permutations
+    with pytest.raises(ValueError, match=r"n must be in 2\.\.9"):
+        QBrAlgebra(n)
+
+
 # -- version scalars ---------------------------------------------------------------
 
 
