@@ -60,9 +60,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import symgrp as sg
-from .coefficients import LaurentPoly, RatFunc, _biv_divexact, _biv_gcd, quantum_char
+from .coefficients import LaurentPoly, RatFunc, Specialization, _biv_divexact, _biv_gcd, quantum_char
 from .hecke import HeckeWindow, _acc, is_restricted
-from .qbrauer import InternalInconsistency
+from .qbrauer import InternalInconsistency, version_scalars
 
 __all__ = ["Cellular", "closed_form_criterion", "det", "det_rank", "rank"]
 
@@ -303,16 +303,13 @@ class Cellular:
             zero = self.field.zero()
             mat = [[None] * dim for _ in range(dim)]
             for i in range(dim):
-                word, v = T.word(dts[i // nb]), Bk[i % nb]
-                lefts = {}  # u -> g_{d(t)} H_{v,u}
+                dinv, v = T.inv[dts[i // nb]], Bk[i % nb]
+                lefts = {}  # u -> g_{d(t)} H_{v,u} = (H_{u,v} g_{d(t)^{-1}})*
                 for j in range(i, dim):
                     u = Bk[j % nb]
                     x = lefts.get(u)
                     if x is None:
-                        x = blocks[v, u]
-                        for g in reversed(word):
-                            x = H.lmul_gen(g, x)
-                        lefts[u] = x
+                        x = lefts[u] = H.star(H.rmul_perm(blocks[u, v], dinv))
                     c = zero
                     for w, cw in H.rmul_perm(x, T.inv[dts[j // nb]]).items():
                         if w in psi:
@@ -333,7 +330,7 @@ class Cellular:
         hit = self._block_memo.get(k)
         if hit is None:
             alg = self.alg
-            code, inv = alg._T.code, alg._T.inv
+            code = alg._T.code
             ident, one, Bk = alg.id, self.field.one(), alg.Bkn[k]
             hit = {}
             for a, v in enumerate(Bk):
@@ -349,7 +346,7 @@ class Cellular:
                         if k2 == k:
                             h[code[pi]] = c
                     hit[v, u] = h
-                    hit[u, v] = {inv[w]: c for w, c in h.items()}
+                    hit[u, v] = alg.hecke.star(h)
             self._block_memo[k] = hit
         return hit
 
@@ -493,30 +490,19 @@ def closed_form_criterion(n, version, spec, N=None):
 @lru_cache(maxsize=None)
 def _closed_form_exprs(version, N):
     """The generic (e parameter, extra factor) of the n = 3 closed form,
-    built once per process for each (version, N)."""
-    q = RatFunc.q()
-    r = RatFunc.r()
-    if version == "two_param":
-        eparam = q * q
-        extra = (
-            3 * q**5 * (r * r - q * q) ** 2 * (q**4 * r * r - 1)
-            / (r**3 * (q * q - 1) ** 3)
-        )
-    elif version == "one_param":
-        eparam = q
-        extra = 3 * q * (r - q) ** 2 * (q * q * r - 1) / ((q - 1) ** 3)
-    elif version == "n_version":
+    built once per process for each (version, N); the e parameter is the
+    version's Hecke parameter Q."""
+    if version not in ("two_param", "one_param", "n_version"):
+        raise ValueError(f"no closed form for version {version!r}")
+    eparam = version_scalars(version, N)["Q"]
+    q, r = RatFunc.q(), RatFunc.r()
+    if version == "one_param":
+        return eparam, 3 * q * (r - q) ** 2 * (q * q * r - 1) / ((q - 1) ** 3)
+    extra = 3 * q**5 * (r * r - q * q) ** 2 * (q**4 * r * r - 1) / (r**3 * (q * q - 1) ** 3)
+    if version == "n_version":
         # the two-parameter criterion at r = q^N; this substituted form is
         # invariant under q -> -q, matching the relation scalars (which
         # depend on q only through q^2), and agrees with brute-force Gram
         # nondegeneracy at every admissible point over F_5 and F_7
-        if N is None:
-            raise ValueError("n_version needs N")
-        eparam = q * q
-        extra = (
-            3 * q**5 * (q ** (2 * N) - q * q) ** 2 * (q ** (2 * N + 4) - 1)
-            / (q ** (3 * N) * (q * q - 1) ** 3)
-        )
-    else:
-        raise ValueError(f"no closed form for version {version!r}")
+        extra = Specialization(("generic",), q, q**N)(extra)
     return eparam, extra

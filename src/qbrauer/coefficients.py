@@ -482,11 +482,6 @@ class RatFunc:
         return cls(LaurentPoly.const(c))
 
     @classmethod
-    def from_fraction(cls, fr):
-        fr = Fraction(fr)
-        return cls(LaurentPoly.const(fr.numerator), LaurentPoly.const(fr.denominator))
-
-    @classmethod
     def q(cls, e=1):
         return cls(LaurentPoly.gen_q(e))
 
@@ -711,6 +706,12 @@ def cyclotomic_poly(m):
     return tuple(phi.get(i, 0) for i in range(_uni_deg(phi) + 1))
 
 
+def _check_conductor(m):
+    """Raise ValueError unless m >= 1, the conductors of Q(zeta_m)."""
+    if m < 1:
+        raise ValueError(f"there is no cyclotomic field Q(zeta_{m})")
+
+
 class Cyclo:
     """An element of Q(zeta_m), as a Fraction vector modulo Phi_m.
 
@@ -721,6 +722,7 @@ class Cyclo:
     __slots__ = ("m", "coeffs")
 
     def __init__(self, m, coeffs):
+        _check_conductor(m)
         self.m = m
         phi = _phi(m)
         deg = _uni_deg(phi)
@@ -738,6 +740,7 @@ class Cyclo:
 
     @classmethod
     def zeta(cls, m, e=1):
+        _check_conductor(m)
         e %= m
         return cls(m, [Fraction(0)] * e + [Fraction(1)])
 
@@ -867,8 +870,7 @@ class Specialization:
 
     @classmethod
     def cyclotomic(cls, m, q_img, r_img):
-        if m < 1:
-            raise ValueError(f"there is no cyclotomic field Q(zeta_{m})")
+        _check_conductor(m)
         return cls(("cyclo", m), q_img, r_img)
 
     def one(self):

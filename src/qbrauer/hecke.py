@@ -8,10 +8,12 @@ g_i^2 = (Q - 1) g_i + Q, so the classical group algebra is Q = 1 and the
 q-Brauer conventions take Q = q^2 (two-parameter and N-version) or Q = q
 (one-parameter version).
 
-This is the package's only Hecke arithmetic: the generator actions
-``rmul_gen`` and ``lmul_gen`` read descents and products off that table,
-and the rewrite engine of :mod:`qbrauer.qbrauer`, the Gram matrices of
-:mod:`qbrauer.cellular` and the Murphy basis below all call them.
+This is the package's only Hecke arithmetic: the generator action
+``rmul_gen`` reads right descents and products off that table, and a left
+product is taken through the anti-involution * fixing every g_i,
+g_i x = (x* g_i)* (``star``).  The rewrite engine of
+:mod:`qbrauer.qbrauer`, the Gram matrices of :mod:`qbrauer.cellular` and
+the Murphy basis below all call them.
 
 The Murphy cellular basis c_{st} = g*_{d(s)} c_lam g_{d(t)} with
 c_lam = sum of g_sigma over the row stabiliser of t^lam is provided along
@@ -89,25 +91,18 @@ class HeckeWindow:
                 _acc(out, right[u], c)
         return out
 
-    def lmul_gen(self, i, x):
-        """g_i x, the left counterpart of ``rmul_gen``."""
-        T = self._T
-        Q, Qm1 = self.Q, self.Qm1
-        left, ldes, bit = T.lmul[i], T.ldes, 1 << i
-        out = {}
-        for u, c in x.items():
-            if ldes[u] & bit:
-                _acc(out, u, c * Qm1)
-                _acc(out, left[u], c * Q)
-            else:
-                _acc(out, left[u], c)
-        return out
-
     def rmul_perm(self, x, w):
         """x g_w for the code w, one generator of w's reduced word at a time."""
         for i in self._T.word(w):
             x = self.rmul_gen(x, i)
         return x
+
+    def star(self, x):
+        """x* for the anti-involution fixing every g_i: g_w* = g_{w^{-1}}.
+        A left product is (x* g)*, so ``rmul_gen`` is the only generator
+        action."""
+        inv = self._T.inv
+        return {inv[w]: c for w, c in x.items()}
 
     # -- Murphy basis -----------------------------------------------------------
 
@@ -127,12 +122,12 @@ class HeckeWindow:
         return labels
 
     def murphy_element(self, lam, s, t):
-        """c_{st} = g*_{d(s)} c_lam g_{d(t)} expanded in the g basis."""
-        T = self._T
+        """c_{st} = g*_{d(s)} c_lam g_{d(t)} expanded in the g basis, with
+        g*_{d(s)} c_lam = (c_lam g_{d(s)})* as c_lam* = c_lam."""
+        code = self._T.code
         x = self.c_lambda(lam)
-        for i in T.word(T.code[sg.tableau_perm(self.n, s, self.lo)]):
-            x = self.lmul_gen(i, x)  # g*_{d(s)}, its word read backwards
-        return self.rmul_perm(x, T.code[sg.tableau_perm(self.n, t, self.lo)])
+        x = self.star(self.rmul_perm(x, code[sg.tableau_perm(self.n, s, self.lo)]))
+        return self.rmul_perm(x, code[sg.tableau_perm(self.n, t, self.lo)])
 
     def murphy_data(self):
         """(labels, codes, factorisation) for the window.

@@ -40,14 +40,14 @@ indices are tuples only at the API.  In x y every term of y is a
 generator word; the words of all of y's terms form a prefix tree, and the
 states of x are pushed through each shared prefix once.  A generator atom
 g_i or g_i^{-1} acts on a whole state dict in one pass, on the w of every
-state (and g_i on the left, on the A, in the level shift below), with
-Q - 1, Q^{-1} and Q^{-1} - 1 computed once per algebra; every other
-Hecke product goes through the algebra's :class:`qbrauer.hecke.HeckeWindow`
-on all n letters, ``hecke``.  The leaf states
-of all words are merged into one dict before normalisation, so each
-distinct state is normalised once per product.  The scalars of each
-version and B_{k,n} with its coset representatives are built once per
-process.  Two rewriting routines do the work:
+state (and g_i on the left, on the A, in the level shift below, as that
+action conjugated by the involution), with Q - 1, Q^{-1} and Q^{-1} - 1
+computed once per algebra; every other Hecke product goes through the
+algebra's :class:`qbrauer.hecke.HeckeWindow` on all n letters, ``hecke``.
+The leaf states of all words are merged into one dict before
+normalisation, so each distinct state is normalised once per product.
+The scalars of each version and B_{k,n} with its coset representatives
+are built once per process.  Two rewriting routines do the work:
 
 * e_(k) g_x is straightened onto the normal indices by reducing x to the
   minimal length representative of its coset H_k x, where H_k is the
@@ -411,25 +411,16 @@ class QBrAlgebra:
     def _lmul_gen_states(self, i, states, inverse=False):
         """g_i states, or g_i^{-1} states, acting on the A of each (A, k, w).
 
-        The left counterpart of ``_rmul_gen_states``, one rewrite step per
-        state.
+        ``_rmul_gen_states`` conjugated by the involution (``_star_states``),
+        which fixes g_i and g_i^{-1}, one rewrite step per state.
         """
         self._tick(len(states))
-        Q, Qm1, Qinv, Qinvm1 = self.Q, self._Qm1, self.Qinv, self._Qinvm1
-        T = self._T
-        left, ldes, bit = T.lmul[i], T.ldes, 1 << i
-        out = {}
-        for (A, k, w), c in states.items():
-            sA = left[A]
-            if bool(ldes[A] & bit) == inverse:
-                _acc(out, (sA, k, w), c)
-            elif inverse:
-                _acc(out, (sA, k, w), c * Qinv)
-                _acc(out, (A, k, w), c * Qinvm1)
-            else:
-                _acc(out, (A, k, w), c * Qm1)
-                _acc(out, (sA, k, w), c * Q)
-        return out
+        return self._star_states(self._rmul_gen_states(self._star_states(states), i, inverse))
+
+    def _star_states(self, states):
+        """The involution g_A e_(k) g_w -> g_{w^{-1}} e_(k) g_{A^{-1}} on states."""
+        inv = self._T.inv
+        return {(inv[w], k, inv[A]): c for (A, k, w), c in states.items()}
 
     def _lmul_e_states(self, states):
         out = {}
@@ -449,30 +440,18 @@ class QBrAlgebra:
         key = (k, A)
         hit = self._lefte_memo.get(key)
         if hit is None:
-            inv = self._T.inv
-            em = self._emul(k, inv[A])
-            hit = {(inv[w3], k3, inv[B]): c for (B, k3, w3), c in em.items()}
+            hit = self._star_states(self._emul(k, self._T.inv[A]))
             self._lefte_memo[key] = hit
         return hit
 
     # -- e_(k) g_w e -------------------------------------------------------------
 
     def _emul(self, k, w):
-        key = (k, w)
-        hit = self._emul_memo.get(key)
-        if hit is not None:
-            return hit
-        if key in self._emul_stack:
-            raise InternalInconsistency(
-                f"rewriting cycle at e_({k}) g_{self._T.perms[w]} e"
-            )
-        self._emul_stack.add(key)
-        try:
-            out = self._emul_compute(k, w)
-        finally:
-            self._emul_stack.discard(key)
-        self._emul_memo[key] = out
-        return out
+        """e_(k) g_w e as states (A, k3, w3) standing for g_A e_(k3) g_w3."""
+        return self._memoised(
+            self._emul_memo, self._emul_stack, self._emul_compute,
+            "rewriting cycle at e_({}) g_{} e", k, w,
+        )
 
     def _emul_compute(self, k, w):
         self._tick()
@@ -537,20 +516,27 @@ class QBrAlgebra:
 
     def _red(self, k, x):
         """e_(k) g_x as {r: coeff} over the codes r of minimal representatives."""
+        return self._memoised(
+            self._red_memo, self._red_stack, self._red_compute,
+            "straightening cycle at e_({}) g_{}", k, x,
+        )
+
+    def _memoised(self, memo, stack, compute, message, k, x):
+        """compute(k, x) once per key, memoised; a key reached again while
+        it is being computed raises InternalInconsistency with ``message``
+        filled in with k and the permutation of the code x."""
         key = (k, x)
-        hit = self._red_memo.get(key)
+        hit = memo.get(key)
         if hit is not None:
             return hit
-        if key in self._red_stack:
-            raise InternalInconsistency(
-                f"straightening cycle at e_({k}) g_{self._T.perms[x]}"
-            )
-        self._red_stack.add(key)
+        if key in stack:
+            raise InternalInconsistency(message.format(k, self._T.perms[x]))
+        stack.add(key)
         try:
-            out = self._red_compute(k, x)
+            out = compute(k, x)
         finally:
-            self._red_stack.discard(key)
-        self._red_memo[key] = out
+            stack.discard(key)
+        memo[key] = out
         return out
 
     def _swap_blocks(self, j, x):
@@ -574,24 +560,21 @@ class QBrAlgebra:
             delta = lx - T.length[y]
             if delta == 4:
                 # e_(k) g_{p_j} = (Q-1) e_(k) g_{2j} g_{2j+1} g_{2j}
-                #   + Q(Q-1) e_(k) g_{2j} + Q^2 e_(k)
+                #   + Q(Q-1) e_(k) g_{2j} + Q^2 e_(k), the left products
+                # taken as (g_{y^{-1}} g_{2j} ...)*
                 out, H = {}, self.hecke
-                t = H.lmul_gen(2 * j, {y: one})
-                self._red_acc(out, k, H.lmul_gen(2 * j, H.lmul_gen(2 * j + 1, t)), self._Qm1)
-                self._red_acc(out, k, t, self.Q * self._Qm1)
+                t = H.rmul_gen({T.inv[y]: one}, 2 * j)
+                self._red_acc(out, k, H.star(H.rmul_gen(H.rmul_gen(t, 2 * j + 1), 2 * j)), self._Qm1)
+                self._red_acc(out, k, H.star(t), self.Q * self._Qm1)
                 self._red_acc(out, k, {y: one}, self.Q * self.Q)
                 return out
             if delta == 2:
                 # interleaved blocks: through e_(k) g_{2j} g_{2j-1}
                 # = e_(k) g_{2j} g_{2j+1} both sides drop to shorter words
                 x2 = T.lmul[2 * j - 1][T.lmul[2 * j][x]]
-                z1 = T.lmul[2 * j][x2]
-                z2 = T.lmul[2 * j][T.lmul[2 * j + 1][x2]]
                 out = {}
-                for p, c in self._red(k, z1).items():
-                    _acc(out, p, c * self._Qm1)
-                for p, c in self._red(k, z2).items():
-                    _acc(out, p, c * self.Q)
+                self._red_acc(out, k, {T.lmul[2 * j][x2]: one}, self._Qm1)
+                self._red_acc(out, k, {T.lmul[2 * j][T.lmul[2 * j + 1][x2]]: one}, self.Q)
                 return out
         xt = T.perms[x]
         for j in range(1, k):

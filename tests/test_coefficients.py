@@ -118,6 +118,17 @@ def test_cyclo_zeta8():
     assert (z / z).is_one()
 
 
+def test_cyclo_rejects_conductor_below_one():
+    for make in (
+        lambda: Cyclo(0, [5]),
+        lambda: Cyclo(-4, [1, 2]),
+        lambda: Cyclo.zeta(0),
+        lambda: Cyclo.from_fraction(0, 1),
+    ):
+        with pytest.raises(ValueError, match="no cyclotomic field"):
+            make()
+
+
 def test_cyclo_rationals():
     # conductor 1 is plain Q
     a = Cyclo.from_fraction(1, Fraction(2, 3))

@@ -471,3 +471,60 @@ def test_gram_block_rewrite_steps_n5_fp(attempt_raising_cell, expect):
     # Cellular.gram makes one product per pair v <= u of B_{k,n} and level
     steps, _ = gram_steps(Cellular.gram, attempt_raising_cell)
     assert steps == expect
+
+
+def left_gen_states(alg, i, states, inverse):
+    """g_i states, or g_i^{-1} states, straight from the left descents of
+    each A: the left action written out, as an oracle for the engine's,
+    which conjugates the right action by the involution."""
+    T = alg._T
+    out = {}
+    for (A, k, w), c in states.items():
+        sA = T.lmul[i][A]
+        if bool(T.ldes[A] >> i & 1) == inverse:
+            _acc(out, (sA, k, w), c)
+        elif inverse:
+            _acc(out, (sA, k, w), c * alg.Qinv)
+            _acc(out, (A, k, w), c * (alg.Qinv - 1))
+        else:
+            _acc(out, (A, k, w), c * (alg.Q - 1))
+            _acc(out, (sA, k, w), c * alg.Q)
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_lmul_gen_states_matches_left_action(n, inverse):
+    # the terms must come out in the oracle's order too: it decides which
+    # memo entries a raising product fills, and so the pinned step counts
+    alg = QBrAlgebra(n, spec=FP101)
+    T, rng = alg._T, random.Random(n)
+    codes = range(len(T.perms))
+    for _ in range(10):
+        for i in range(1, n):
+            states = {}
+            for _ in range(rng.randrange(1, 12)):
+                A, k, w = rng.choice(codes), rng.randrange(n // 2 + 1), rng.choice(codes)
+                _acc(states, (A, k, w), alg.field.from_int(rng.randrange(1, 101)))
+                if rng.random() < 0.5:  # the partner g_{s_i A}, so terms merge
+                    _acc(states, (T.lmul[i][A], k, w), alg.field.from_int(rng.randrange(1, 101)))
+            alg._steps = 0
+            out = alg._lmul_gen_states(i, states, inverse)
+            assert list(out.items()) == list(left_gen_states(alg, i, states, inverse).items())
+            assert alg._steps == len(states)
+
+
+def test_rewrite_cycle_messages_n5():
+    alg = QBrAlgebra(5, spec=FP101)
+    with pytest.raises(InternalInconsistency) as exc:
+        Cellular(alg).gram(2, (1,))
+    assert str(exc.value) == "rewriting cycle at e_(2) g_(2, 3, 0, 4, 1) e"
+    # a key met again while it is being computed: the straightening
+    # recursion shares the memo and cycle check of the one above
+    alg = QBrAlgebra(5, spec=FP101)
+    x = alg._T.code[(1, 0, 3, 2, 4)]
+    alg._red_stack.add((2, x))
+    with pytest.raises(InternalInconsistency) as exc:
+        alg._red(2, x)
+    assert str(exc.value) == "straightening cycle at e_(2) g_(1, 0, 3, 2, 4)"
+    assert (2, x) not in alg._red_memo
