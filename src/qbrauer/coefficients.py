@@ -17,6 +17,13 @@ dicts (the ``_uni_*`` helpers) serves the integer gcd, the cyclotomic
 polynomials Phi_m and the arithmetic of Q(zeta_m); one routine,
 :func:`_power`, takes every power by repeated squaring; and :func:`_lead`
 is the one graded-lex leading-term rule of Z[q, r].
+
+RatFunc arithmetic keeps the canonical form by cross-cancellation
+(Henrici): operands are canonical, so the gcds that a sum or product needs
+are gcds of their factors, never of the full num*num' / den*den'.  Two
+operands with denominator 1 add and multiply with no gcd at all, and an
+inverse needs none.  Only the raw ``RatFunc(num, den)`` constructor runs
+the full canonicalisation, :func:`_rat_canonical`.
 """
 
 from __future__ import annotations
@@ -452,6 +459,8 @@ class LaurentPoly:
 # rational functions in q and r
 # ---------------------------------------------------------------------------
 
+_ONE = LaurentPoly.const(1)
+
 
 class RatFunc:
     """Element of Q(q, r) as num/den with a canonical representative.
@@ -460,13 +469,20 @@ class RatFunc:
     zero) with positive graded-lex leading coefficient, num and den have no
     common polynomial factor, and all monomial units have been absorbed
     into num.  Equality is therefore plain structural equality.
+
+    The operators return this form without canonicalising their result
+    (cross-cancellation, Knuth TAOCP vol. 2, 4.5.1): a/b * c/d divides out
+    gcd(a, d) and gcd(c, b); a/b + c/d with g = gcd(b, d) forms
+    t = a(d/g) + c(b/g) and divides out gcd(t, g); the inverse swaps num
+    and den and fixes the monomial shift and the sign.  With both
+    denominators 1 a sum or product is that of the numerators, gcd-free.
     """
 
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den=None, _canonical=False):
         if den is None:
-            den = LaurentPoly.const(1)
+            den = _ONE
         if den.is_zero():
             raise ZeroDivisionError("RatFunc with zero denominator")
         if not _canonical:
@@ -479,15 +495,15 @@ class RatFunc:
 
     @classmethod
     def from_int(cls, c):
-        return cls(LaurentPoly.const(c))
+        return cls(LaurentPoly.const(c), _canonical=True)
 
     @classmethod
     def q(cls, e=1):
-        return cls(LaurentPoly.gen_q(e))
+        return cls(LaurentPoly.gen_q(e), _canonical=True)
 
     @classmethod
     def r(cls, e=1):
-        return cls(LaurentPoly.gen_r(e))
+        return cls(LaurentPoly.gen_r(e), _canonical=True)
 
     # -- structure ------------------------------------------------------------
 
@@ -516,15 +532,25 @@ class RatFunc:
     def __add__(self, other):
         if isinstance(other, int):
             other = RatFunc.from_int(other)
-        if self.is_zero():
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a.terms:
             return other
-        if other.is_zero():
+        if not c.terms:
             return self
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        if b == d:
+            if b.is_one():
+                return RatFunc(a + c, b, _canonical=True)
+            g, bg, dg = b, _ONE, _ONE
+        else:
+            g = _gcd_with(b, d)
+            if g.is_one():
+                return RatFunc(a * d + c * b, b * d, _canonical=True)
+            bg, dg = _divexact(b, g), _divexact(d, g)
+        t = a * dg + c * bg
+        if not t.terms:
+            return RatFunc(t, _canonical=True)
+        g2 = _gcd_with(t, g)
+        return RatFunc(_divexact(t, g2), bg * _divexact(d, g2), _canonical=True)
 
     __radd__ = __add__
 
@@ -542,18 +568,24 @@ class RatFunc:
     def __mul__(self, other):
         if isinstance(other, int):
             other = RatFunc.from_int(other)
-        if self.is_zero() or other.is_zero():
-            return RatFunc.from_int(0)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not (a.terms and c.terms):
+            return RatFunc(LaurentPoly(), _canonical=True)
+        if b.is_one() and d.is_one():
+            return RatFunc(a * c, b, _canonical=True)
+        g1, g2 = _gcd_with(a, d), _gcd_with(c, b)
+        return RatFunc(
+            _divexact(a, g1) * _divexact(c, g2),
+            _divexact(b, g2) * _divexact(d, g1),
+            _canonical=True,
+        )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, int):
             other = RatFunc.from_int(other)
-        if other.is_zero():
-            raise NotInvertible("division by zero RatFunc")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self * other.inv()
 
     def __rtruediv__(self, other):
         if isinstance(other, int):
@@ -561,7 +593,14 @@ class RatFunc:
         return other / self
 
     def inv(self):
-        return RatFunc.from_int(1) / self
+        """1/self: num and den swap, then the monomial shift and sign fix."""
+        if not self.num.terms:
+            raise NotInvertible("division by zero RatFunc")
+        dq, dr = self.num.min_exps()
+        num, den = self.den.shifted(-dq, -dr), self.num.shifted(-dq, -dr)
+        if den.terms[_lead(den.terms)] < 0:
+            num, den = -num, -den
+        return RatFunc(num, den, _canonical=True)
 
     def __pow__(self, e):
         if e < 0:
@@ -601,6 +640,31 @@ def _rat_canonical(num, den):
         num = LaurentPoly({k: v // g for k, v in num.terms.items()})
         den = LaurentPoly({k: v // g for k, v in den.terms.items()})
     return num, den
+
+
+def _gcd_with(x, d):
+    """gcd in Z[q, r] of a nonzero LaurentPoly x and a canonical denominator d.
+
+    d has no monomial factor, so neither has the gcd, and the gcd of a
+    monomial c q^i r^j with d is the integer gcd(c, content of d)."""
+    if d.is_one():
+        return d
+    if len(x.terms) == 1:
+        (c,) = x.terms.values()
+        return LaurentPoly.const(math.gcd(c, _uni_content(d.terms)))
+    nq, nr = x.min_exps()
+    return LaurentPoly(_biv_gcd(x.shifted(-nq, -nr).terms, d.terms))
+
+
+def _divexact(x, g):
+    """x / g for a LaurentPoly x and a divisor g of it from :func:`_gcd_with`."""
+    if g.is_one():
+        return x
+    if len(g.terms) == 1:
+        (c,) = g.terms.values()
+        return LaurentPoly({k: v // c for k, v in x.terms.items()})
+    nq, nr = x.min_exps()
+    return LaurentPoly(_biv_divexact(x.shifted(-nq, -nr).terms, g.terms)).shifted(nq, nr)
 
 
 # ---------------------------------------------------------------------------
@@ -871,6 +935,9 @@ class Specialization:
     @classmethod
     def cyclotomic(cls, m, q_img, r_img):
         _check_conductor(m)
+        for name, img in (("q", q_img), ("r", r_img)):
+            if not (isinstance(img, Cyclo) and img.m == m):
+                raise ValueError(f"image of {name} is not in Q(zeta_{m}): {img!r}")
         return cls(("cyclo", m), q_img, r_img)
 
     def one(self):

@@ -7,7 +7,10 @@ import operator
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qbrauer import coefficients
+from qbrauer.cli import build_spec
 from qbrauer.coefficients import (
     Cyclo,
     DenominatorVanishes,
@@ -16,6 +19,7 @@ from qbrauer.coefficients import (
     LaurentPoly,
     RatFunc,
     Specialization,
+    _rat_canonical,
     cyclotomic_poly,
     quantum_char,
 )
@@ -257,3 +261,139 @@ def test_cyclotomic_specialization_needs_positive_conductor():
     for m in (0, -4):
         with pytest.raises(ValueError):
             Specialization.cyclotomic(m, Cyclo.zeta(8), Cyclo.zeta(8))
+
+
+def test_cyclotomic_specialization_needs_images_in_its_field():
+    with pytest.raises(ValueError, match="not in Q\\(zeta_8\\)"):
+        Specialization.cyclotomic(8, Cyclo.zeta(5), Cyclo.zeta(5, 2))
+    with pytest.raises(ValueError, match="image of r"):
+        Specialization.cyclotomic(8, Cyclo.zeta(8), 3)
+    # the CLI's points build their images in Q(zeta_m) of the field's own m
+    for field, q_tok, r_tok in (("cyclo:8", "zeta^3", "zeta^-3"), ("cyclo:12", "zeta", "zeta^5")):
+        spec = build_spec(field, q_tok, r_tok)
+        m = int(field[6:])
+        assert spec.field == ("cyclo", m) and spec.q_img.m == spec.r_img.m == m
+
+
+# -- RatFunc operators against the full canonicalisation ----------------------
+#
+# The operators cross-cancel instead of canonicalising num*num' / den*den';
+# canonical form is unique, so each must return exactly what _rat_canonical
+# makes of the textbook numerator and denominator.
+
+Q2M1 = LaurentPoly({(2, 0): 1, (0, 0): -1})
+DENOMINATORS = [
+    LaurentPoly.const(1),
+    LaurentPoly.const(4),
+    LaurentPoly({(1, 0): 2, (0, 0): 2}),
+    LaurentPoly({(1, 0): 1, (0, 1): -1}),
+    LaurentPoly({(1, 1): 1, (0, 0): -1}),
+    LaurentPoly({(-1, 0): 1, (1, 0): 1}),
+] + [Q2M1**k for k in (1, 2, 3)]
+
+# sizes stay small: the reference's PRS gcd blows up on products of wide
+# bivariate denominators
+exponents = st.integers(-2, 2)
+
+
+def laurents(max_terms):
+    keys = st.tuples(exponents, exponents)
+    return st.dictionaries(keys, st.integers(-6, 6), max_size=max_terms).map(LaurentPoly)
+
+
+monomials = st.builds(
+    LaurentPoly.monomial, st.integers(-6, 6).filter(bool), exponents, exponents
+)
+numerators = st.one_of(laurents(3), monomials, laurents(3).map(lambda p: p * 2))
+denominators = st.one_of(
+    st.sampled_from(DENOMINATORS), laurents(2).filter(lambda p: not p.is_zero())
+)
+ratfuncs = st.builds(RatFunc, numerators, denominators)
+
+
+@st.composite
+def ratfunc_pairs(draw):
+    """(x, y): unrelated, sharing x's denominator, or built to cancel to 0 or 1."""
+    x = draw(ratfuncs)
+    kind = draw(st.sampled_from(("plain", "shared", "same", "negated", "inverse")))
+    if kind == "shared":
+        return x, RatFunc(draw(numerators), x.den)
+    if kind == "same":
+        return x, RatFunc(x.num, x.den)
+    if kind == "negated":
+        return x, -x
+    if kind == "inverse" and not x.is_zero():
+        return x, RatFunc(x.den, x.num)
+    return x, draw(ratfuncs)
+
+
+def textbook(op, x, y):
+    """(num, den) of x op y by the schoolbook rules, not yet canonical."""
+    a, b, c, d = x.num, x.den, y.num, y.den
+    return {
+        "+": (a * d + c * b, b * d),
+        "-": (a * d - c * b, b * d),
+        "*": (a * c, b * d),
+        "/": (a * d, b * c),
+    }[op]
+
+
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def assert_canonical_result(got, num, den):
+    assert isinstance(got, RatFunc)
+    assert (got.num, got.den) == _rat_canonical(num, den)
+
+
+@given(ratfunc_pairs(), st.integers(-4, 4))
+@settings(max_examples=300, deadline=None)
+def test_ratfunc_operators_match_canonical_oracle(pair, n):
+    x, y = pair
+    for sym, op in OPS.items():
+        if sym != "/" or not y.is_zero():
+            assert_canonical_result(op(x, y), *textbook(sym, x, y))
+        # reflected and plain int operands
+        k = RatFunc.from_int(n)
+        if sym != "/" or not x.is_zero():
+            assert_canonical_result(op(n, x), *textbook(sym, k, x))
+        if sym != "/" or n:
+            assert_canonical_result(op(x, n), *textbook(sym, x, k))
+    if not x.is_zero():
+        assert_canonical_result(x.inv(), x.den, x.num)
+        assert_canonical_result(x**-2, x.den * x.den, x.num * x.num)
+
+
+@given(ratfunc_pairs())
+@settings(max_examples=25, deadline=None)
+def test_ratfunc_operators_match_sympy_cancel(pair):
+    sympy = pytest.importorskip("sympy")
+    qs, rs = sympy.symbols("q r")
+
+    def expr(x):
+        def poly(p):
+            return sympy.Add(*[c * qs**i * rs**j for (i, j), c in p.terms.items()])
+
+        return poly(x.num) / poly(x.den)
+
+    x, y = pair
+    for sym, op in OPS.items():
+        if sym == "/" and y.is_zero():
+            continue
+        assert sympy.cancel(expr(op(x, y)) - op(expr(x), expr(y))) == 0
+
+
+def test_polynomial_operands_need_no_gcd(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("gcd or canonicalisation on polynomial operands")
+
+    monkeypatch.setattr(coefficients, "_biv_gcd", refuse)
+    monkeypatch.setattr(coefficients, "_rat_canonical", refuse)
+    x, y = q**-2 * r + 3 * q, 2 * r - q**3
+    assert x.den.is_one() and y.den.is_one()
+    assert (x + y).num == x.num + y.num
+    assert (x - y).num == x.num - y.num
+    assert (x * y).num == x.num * y.num
+    assert (x - x).is_zero() and (x + 5).den.is_one() and (3 * y).den.is_one()
+    # a monomial numerator against a denominator takes an integer gcd
+    assert (q**3 * 4) / (2 * q + 2) == (q**3 * 2) / (q + 1)
