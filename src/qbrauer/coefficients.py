@@ -12,11 +12,13 @@ All coefficient classes overload the usual arithmetic operators, are
 immutable and hashable, and expose ``is_zero``.  Division is exact field
 division everywhere.
 
-Each arithmetic job is written once.  One univariate toolkit on exponent
-dicts (the ``_uni_*`` helpers) serves the integer gcd, the cyclotomic
-polynomials Phi_m and the arithmetic of Q(zeta_m); one routine,
-:func:`_power`, takes every power by repeated squaring; and :func:`_lead`
-is the one graded-lex leading-term rule of Z[q, r].
+Each arithmetic job is written once.  One gcd, :func:`_biv_gcd`, serves
+Z[q, r]: the heuristic gcd of Char, Geddes and Gonnet, from integer gcds
+of evaluations, checked by exact division.  One univariate toolkit on
+exponent dicts (the ``_uni_*`` helpers) serves that gcd's images in Z[r],
+the cyclotomic polynomials Phi_m and the arithmetic of Q(zeta_m); one
+routine, :func:`_power`, takes every power by repeated squaring; and
+:func:`_lead` is the one graded-lex leading-term rule of Z[q, r].
 
 RatFunc arithmetic keeps the canonical form by cross-cancellation
 (Henrici): operands are canonical, so the gcds that a sum or product needs
@@ -60,10 +62,11 @@ class NotInvertible(ArithmeticError):
 # integer polynomial helpers
 #
 # A "q-poly" is a dict {exponent: coeff} with non-negative exponents and
-# no zero values; its coefficients are ints in the gcd and exact division,
-# and Fractions in Q(zeta_m).  A "biv poly" is a dict {(dq, dr): int},
-# likewise with non-negative exponents.  LaurentPoly handles the general
-# (possibly negative exponent) case.
+# no zero values; its coefficients are ints in the gcd's univariate images
+# (polynomials in r) and exact division, and Fractions in Q(zeta_m).  A
+# "biv poly" is a dict {(dq, dr): int}, likewise with non-negative
+# exponents.  LaurentPoly handles the general (possibly negative exponent)
+# case.
 # ---------------------------------------------------------------------------
 
 
@@ -153,130 +156,66 @@ def _uni_divmod(a, b):
     return out, a
 
 
-def _uni_gcd(a, b):
-    """gcd in Z[q] via a primitive polynomial remainder sequence."""
-    a, b = _uni_trim(a), _uni_trim(b)
-    if not a:
-        return _scale_positive_uni(b)
-    if not b:
-        return _scale_positive_uni(a)
-    ca, cb = _uni_content(a), _uni_content(b)
-    cg = math.gcd(ca, cb)
-    a, b = _uni_primitive(a), _uni_primitive(b)
-    while b:
-        a, b = b, _uni_primitive(_uni_pseudo_rem(a, b))
-    g = _uni_scale(_uni_primitive(a), cg)
-    return _scale_positive_uni(g)
-
-
-def _scale_positive_uni(p):
-    if p and p[_uni_deg(p)] < 0:
-        return {e: -c for e, c in p.items()}
-    return dict(p)
-
-
-def _uni_pseudo_rem(a, b):
-    da, db = _uni_deg(a), _uni_deg(b)
-    if da < db:
-        return dict(a)
-    lb = b[db]
-    rem = dict(a)
-    for _ in range(da - db + 1):
-        dr = _uni_deg(rem)
-        if dr < db:
-            rem = _uni_scale(rem, lb)
-            continue
-        lr = rem[dr]
-        rem = _uni_scale(rem, lb)
-        shift = dr - db
-        for eb, cb in b.items():
-            e = eb + shift
-            rem[e] = rem.get(e, 0) - cb * lr
-            if not rem[e]:
-                del rem[e]
-    return rem
-
-
-# bivariate polynomials, viewed as polynomials in r with q-poly coefficients
-
-
-def _biv_to_rform(p):
-    out = {}
-    for (dq, dr), c in p.items():
-        out.setdefault(dr, {})[dq] = c
-    return out
-
-
-def _rform_to_biv(p):
-    out = {}
-    for dr, qp in p.items():
-        for dq, c in qp.items():
-            if c:
-                out[(dq, dr)] = c
-    return out
-
-
-def _rform_deg(p):
-    return max(p) if p else -1
-
-
-def _rform_trim(p):
-    return {d: qp for d, qp in ((d, _uni_trim(qp)) for d, qp in p.items()) if qp}
-
-
-def _rform_content(p):
-    g = {}
-    for qp in p.values():
-        g = _uni_gcd(g, qp)
-        if _uni_deg(g) == 0 and g.get(0) == 1:
-            break
-    return g
-
-
-def _rform_map(p, f):
-    return _rform_trim({d: f(qp) for d, qp in p.items()})
-
-
-def _rform_pseudo_rem(a, b):
-    da, db = _rform_deg(a), _rform_deg(b)
-    lb = b[db]
-    rem = {d: dict(qp) for d, qp in a.items()}
-    for _ in range(da - db + 1):
-        dr = _rform_deg(rem)
-        if dr < db:
-            rem = _rform_map(rem, lambda qp: _uni_mul(qp, lb))
-            continue
-        lr = rem[dr]
-        rem = _rform_map(rem, lambda qp: _uni_mul(qp, lb))
-        shift = dr - db
-        for d, qp in b.items():
-            t = _uni_mul(qp, lr)
-            nd = d + shift
-            rem[nd] = _uni_add(rem.get(nd, {}), _uni_scale(t, -1))
-        rem = _rform_trim(rem)
-    return rem
-
-
 def _biv_gcd(a, b):
-    """gcd in Z[q, r] by content/primitive-part recursion on r."""
+    """gcd in Z[q, r]: positive graded-lex leading coefficient, times the
+    gcd of the integer contents (the other operand when one is zero)."""
     a, b = {k: v for k, v in a.items() if v}, {k: v for k, v in b.items() if v}
-    if not a:
-        return _biv_positive(b)
-    if not b:
-        return _biv_positive(a)
-    ra, rb = _biv_to_rform(a), _biv_to_rform(b)
-    ca, cb = _rform_content(ra), _rform_content(rb)
-    cg = _uni_gcd(ca, cb)
-    pa = _rform_map(ra, lambda qp: _uni_divexact(qp, ca))
-    pb = _rform_map(rb, lambda qp: _uni_divexact(qp, cb))
-    if _rform_deg(pa) < _rform_deg(pb):
-        pa, pb = pb, pa
-    while pb:
-        rem = _rform_pseudo_rem(pa, pb)
-        c = _rform_content(rem)
-        pa, pb = pb, (_rform_map(rem, lambda qp: _uni_divexact(qp, c)) if rem else {})
-    g = _rform_map(pa, lambda qp: _uni_mul(qp, cg))
-    return _biv_positive(_rform_to_biv(g))
+    if not (a and b):
+        return _biv_positive(a or b)
+    return _biv_positive(_heu_gcd(a, b, True))
+
+
+def _heu_gcd(a, b, biv):
+    """gcd, up to sign, of nonzero a, b in Z[q, r] (biv, keys (dq, dr)) or
+    Z[r] (int keys), by the heuristic gcd of Char, Geddes and Gonnet
+    (J. Symbolic Comput. 7, 1989; Geddes-Czapor-Labahn 7.7).
+
+    With the integer contents taken out, the first variable is evaluated at
+    xi >= 2 min(|a|, |b|) + 2 (max norms), so at least one image is
+    nonzero; the images' gcd is taken one level down (math.gcd for
+    integers), its coefficients are read as balanced xi-adic digits, and
+    the primitive part of that lift is the gcd if it divides a and b.  A
+    xi this large makes any lift that divides both the gcd.  It fails only
+    while xi is too small to lift the gcd times the integer gcd of the
+    cofactors' images, or at the finitely many roots of a resultant of the
+    cofactors, so the loop xi -> 2 xi + 1 ends."""
+    ca, cb = _uni_content(a), _uni_content(b)
+    a, b = {k: v // ca for k, v in a.items()}, {k: v // cb for k, v in b.items()}
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
+    divexact = _biv_divexact if biv else _uni_divexact
+    while True:
+        if biv:
+            ia, ib = {}, {}
+            for img, p in ((ia, a), (ib, b)):
+                for (dq, dr), c in p.items():
+                    img[dr] = img.get(dr, 0) + c * xi**dq
+            ia, ib = _uni_trim(ia), _uni_trim(ib)
+            gamma = _heu_gcd(ia, ib, False) if ia and ib else ia or ib
+            g = {(i, dr): d for dr, c in gamma.items() for i, d in _digits(c, xi)}
+        else:
+            gamma = math.gcd(*(sum(c * xi**e for e, c in p.items()) for p in (a, b)))
+            g = dict(_digits(gamma, xi))
+        g = _uni_primitive(g)
+        try:
+            divexact(a, g)
+            divexact(b, g)
+        except ArithmeticError:
+            xi = 2 * xi + 1
+        else:
+            c = math.gcd(ca, cb)
+            return {k: v * c for k, v in g.items()}
+
+
+def _digits(n, xi):
+    """The nonzero balanced base-xi digits (i, d) of n, -xi/2 < d <= xi/2."""
+    i = 0
+    while n:
+        d = n % xi
+        if d > xi // 2:
+            d -= xi
+        if d:
+            yield i, d
+        n, i = (n - d) // xi, i + 1
 
 
 def _lead(p):
@@ -627,10 +566,8 @@ def _rat_canonical(num, den):
         if g != {(0, 0): 1}:
             npoly = _biv_divexact(npoly, g)
             den = LaurentPoly(_biv_divexact(den.terms, g))
+        # q, r divide neither den nor npoly, so neither quotient needs a shift
         num = LaurentPoly(npoly).shifted(nq, nr)
-        dq, dr = den.min_exps()
-        den = den.shifted(-dq, -dr)
-        num = num.shifted(-dq, -dr)
     # fix sign via den's graded-lex leading coefficient
     if den.terms[_lead(den.terms)] < 0:
         den, num = -den, -num

@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import reduce
 import operator
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from qbrauer.coefficients import (
     LaurentPoly,
     RatFunc,
     Specialization,
+    _biv_gcd,
     _rat_canonical,
     cyclotomic_poly,
     quantum_char,
@@ -291,9 +293,9 @@ DENOMINATORS = [
     LaurentPoly({(-1, 0): 1, (1, 0): 1}),
 ] + [Q2M1**k for k in (1, 2, 3)]
 
-# sizes stay small: the reference's PRS gcd blows up on products of wide
-# bivariate denominators
-exponents = st.integers(-2, 2)
+# wide enough for products of bivariate denominators with several terms,
+# which the heuristic gcd handles in milliseconds
+exponents = st.integers(-3, 3)
 
 
 def laurents(max_terms):
@@ -304,9 +306,9 @@ def laurents(max_terms):
 monomials = st.builds(
     LaurentPoly.monomial, st.integers(-6, 6).filter(bool), exponents, exponents
 )
-numerators = st.one_of(laurents(3), monomials, laurents(3).map(lambda p: p * 2))
+numerators = st.one_of(laurents(5), monomials, laurents(5).map(lambda p: p * 2))
 denominators = st.one_of(
-    st.sampled_from(DENOMINATORS), laurents(2).filter(lambda p: not p.is_zero())
+    st.sampled_from(DENOMINATORS), laurents(4).filter(lambda p: not p.is_zero())
 )
 ratfuncs = st.builds(RatFunc, numerators, denominators)
 
@@ -364,23 +366,27 @@ def test_ratfunc_operators_match_canonical_oracle(pair, n):
         assert_canonical_result(x**-2, x.den * x.den, x.num * x.num)
 
 
+def sympy_expr(x):
+    """x as a sympy expression in q and r."""
+    import sympy
+
+    qs, rs = sympy.symbols("q r")
+
+    def poly(p):
+        return sympy.Add(*[c * qs**i * rs**j for (i, j), c in p.terms.items()])
+
+    return poly(x.num) / poly(x.den)
+
+
 @given(ratfunc_pairs())
 @settings(max_examples=25, deadline=None)
 def test_ratfunc_operators_match_sympy_cancel(pair):
     sympy = pytest.importorskip("sympy")
-    qs, rs = sympy.symbols("q r")
-
-    def expr(x):
-        def poly(p):
-            return sympy.Add(*[c * qs**i * rs**j for (i, j), c in p.terms.items()])
-
-        return poly(x.num) / poly(x.den)
-
     x, y = pair
     for sym, op in OPS.items():
         if sym == "/" and y.is_zero():
             continue
-        assert sympy.cancel(expr(op(x, y)) - op(expr(x), expr(y))) == 0
+        assert sympy.cancel(sympy_expr(op(x, y)) - op(sympy_expr(x), sympy_expr(y))) == 0
 
 
 def test_polynomial_operands_need_no_gcd(monkeypatch):
@@ -397,3 +403,99 @@ def test_polynomial_operands_need_no_gcd(monkeypatch):
     assert (x - x).is_zero() and (x + 5).den.is_one() and (3 * y).den.is_one()
     # a monomial numerator against a denominator takes an integer gcd
     assert (q**3 * 4) / (2 * q + 2) == (q**3 * 2) / (q + 1)
+
+
+def test_wide_coprime_canonicalisation_takes_milliseconds():
+    # coprime moderate-size factors on which a primitive PRS gcd took 2.2 s
+    x = (-6 * q**3 * r**2 - 5 * q**5 * r**3 - 4 * q**6 * r**5) / (
+        2 * r + 3 * q * r**4 + 6 * q**3 + 4 * q**4 * r
+    )
+    y = (-2 * q**-3 * r**-1 - 3 * q**-2 * r**2 - 6 * r**-2 - 4 * q * r**-1) / (
+        6 + 5 * q**2 * r + 4 * q**3 * r**3
+    )
+    start = time.process_time()
+    z = RatFunc(x.num * y.den + y.num * x.den, x.den * y.den)
+    assert time.process_time() - start <= 0.5
+    assert z == x + y
+    sympy = pytest.importorskip("sympy")
+    assert sympy.cancel(sympy_expr(z) - sympy_expr(x) - sympy_expr(y)) == 0
+
+
+# -- the heuristic gcd of Z[q, r] against sympy -------------------------------
+
+
+def positive(p):
+    """p with a positive graded-lex leading coefficient."""
+    if p and p[max(p, key=lambda k: (k[0] + k[1], k[0]))] < 0:
+        return {k: -v for k, v in p.items()}
+    return p
+
+
+def sympy_gcd(a, b):
+    sympy = pytest.importorskip("sympy")
+    qs, rs = sympy.symbols("q r")
+    g = sympy.gcd(sympy.Poly.from_dict(a, qs, rs), sympy.Poly.from_dict(b, qs, rs))
+    return positive({k: int(c) for k, c in g.terms() if c})
+
+
+def biv(p):
+    return (p if isinstance(p, LaurentPoly) else LaurentPoly.const(p)).terms
+
+
+QL, RL, L1 = LaurentPoly.gen_q(), LaurentPoly.gen_r(), LaurentPoly.const(1)
+# q - r and 1 - qr are coprime, but both map to multiples of 1 - x under r -> q^D
+KRONECKER = (QL - RL, L1 - QL * RL)
+PINNED_GCDS = {
+    "kronecker_trap": (*KRONECKER, 1),
+    "kronecker_trap_times_q_plus_1": (
+        KRONECKER[0] * (QL + L1), KRONECKER[1] * (QL + L1), QL + L1
+    ),
+    "constant_operand": (6, 4 * QL * RL + 2 * RL + 8 * L1, 2),
+    "constant_coprime": (5, QL - RL, 1),
+    "zero_operand": (0, 3 * RL - QL * QL, QL * QL - 3 * RL),
+    "equal_operands": (2 * QL - QL * RL - L1, 2 * QL - QL * RL - L1, QL * RL - 2 * QL + L1),
+    "one_divides_other": (QL + RL + L1, (QL + RL + L1) * (QL - RL * RL), QL + RL + L1),
+    "integer_contents": (6 * (QL + RL), 4 * (QL + RL) * (QL - L1), 2 * (QL + RL)),
+    # the first xi fails in Z[q, r]: the images' gcd 2(3r + 1) lifts to qr + 2
+    "retry_in_z_q_r": (2 * QL - 3 * QL**2 * RL**2, -(QL * RL) - 2 * L1, 1),
+    # the first xi fails one level down, in Z[r]
+    "retry_in_z_r": (3 * QL * RL**2, 3 * QL**2 - 3 * QL * RL**2, 3 * QL),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_GCDS)
+def test_biv_gcd_pinned_cases(name, monkeypatch):
+    a, b, want = (biv(p) for p in PINNED_GCDS[name])
+    failed = []
+
+    def counting(divexact):
+        def wrapped(x, y):
+            try:
+                return divexact(x, y)
+            except ArithmeticError:
+                failed.append(divexact.__name__)
+                raise
+
+        return wrapped
+
+    for helper in ("_biv_divexact", "_uni_divexact"):
+        monkeypatch.setattr(coefficients, helper, counting(getattr(coefficients, helper)))
+    assert _biv_gcd(a, b) == _biv_gcd(b, a) == want == sympy_gcd(a, b)
+    if name == "retry_in_z_q_r":
+        assert "_biv_divexact" in failed
+    if name == "retry_in_z_r":
+        assert "_uni_divexact" in failed
+
+
+def biv_polys(max_exp):
+    keys = st.tuples(st.integers(0, max_exp), st.integers(0, max_exp))
+    coeffs = st.integers(-1000, 1000).filter(bool)
+    return st.dictionaries(keys, coeffs, min_size=1, max_size=5).map(LaurentPoly)
+
+
+@given(biv_polys(3), biv_polys(5), biv_polys(5), st.integers(1, 12), st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_biv_gcd_matches_sympy(g, u, v, cu, cv):
+    # a planted common factor g, cofactors with integer contents; degree <= 8
+    a, b = (g * u * cu).terms, (g * v * cv).terms
+    assert _biv_gcd(a, b) == sympy_gcd(a, b)
