@@ -60,8 +60,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import symgrp as sg
-from .coefficients import LaurentPoly, RatFunc, Specialization, _biv_divexact, _biv_gcd, quantum_char
-from .hecke import HeckeWindow, _acc, is_restricted
+from .coefficients import LaurentPoly, RatFunc, Specialization, _acc, _biv_divexact, _biv_gcd, quantum_char
+from .hecke import HeckeWindow, is_restricted
 from .qbrauer import InternalInconsistency, version_scalars
 
 __all__ = ["Cellular", "closed_form_criterion", "det", "det_rank", "rank"]
@@ -166,17 +166,19 @@ def _bareiss_entry(p, x, a, y, prev):
     return _biv_divexact({k: c for k, c in out.items() if c}, prev)
 
 
-def _pull(f, move, des, bit, Q, Qm1):
+def _pull(f, move, des, bit, alg):
     """The functional h -> f(g_i h) (move, des = lmul[i], ldes) or
     h -> f(h g_i) (rmul[i], rdes), for f = {code: coeff} standing for
-    h -> sum of f[w] h[w]; ``bit`` is 1 << i."""
+    h -> sum of f[w] h[w], in the internal coefficients of the algebra
+    ``alg``; ``bit`` is 1 << i."""
+    acc, Q, Qm1 = alg._acc, alg._Q, alg._Qm1
     out = {}
     for w, c in f.items():
         if des[w] & bit:
-            _acc(out, move[w], c)
-            _acc(out, w, c * Qm1)
+            acc(out, move[w], c)
+            acc(out, w, c * Qm1)
         else:
-            _acc(out, move[w], c * Q)
+            acc(out, move[w], c * Q)
     return out
 
 
@@ -286,12 +288,14 @@ class Cellular:
         the level blocks H_{v,u} of ``_blocks`` and the functional psi of
         ``_functional``, evaluated through the algebra's Hecke actions on
         permutation codes.  The form is symmetric, so only the entries with
-        i <= j are computed and the rest mirrored.
+        i <= j are computed and the rest mirrored.  Blocks and functional
+        hold internal coefficients; each entry is summed unreduced and
+        converted out once.
         """
         key = self._label(k, lam)
         if key not in self._gram:
             k, lam = key
-            alg, T, H = self.alg, self.alg._T, self.alg.hecke
+            alg, T, H, f = self.alg, self.alg._T, self.alg.hecke, self.field
             lo = 2 * k + 1
             blocks = self._blocks(k)
             psi = self._functional(k, lam)
@@ -300,7 +304,7 @@ class Cellular:
             Bk = alg.Bkn[k]
             nb = len(Bk)
             dim = len(dts) * nb
-            zero = self.field.zero()
+            zero = f.inner(f.zero())
             mat = [[None] * dim for _ in range(dim)]
             for i in range(dim):
                 dinv, v = T.inv[dts[i // nb]], Bk[i % nb]
@@ -314,7 +318,7 @@ class Cellular:
                     for w, cw in H.rmul_perm(x, T.inv[dts[j // nb]]).items():
                         if w in psi:
                             c = c + psi[w] * cw
-                    mat[i][j] = mat[j][i] = c
+                    mat[i][j] = mat[j][i] = f.outer(c)
             self._gram[key] = mat
         return self._gram[key]
 
@@ -325,12 +329,13 @@ class Cellular:
         k, with H_{v,u} in the window Hecke algebra, kept as {code: coeff}.
         Each pair v <= u takes one product; H_{u,v} = H_{v,u}* by the
         involution.  A term below level k, or one at level k with u or v
-        not the identity, raises InternalInconsistency.
+        not the identity, raises InternalInconsistency.  The blocks hold
+        internal coefficients, converted from the products of ``mul``.
         """
         hit = self._block_memo.get(k)
         if hit is None:
             alg = self.alg
-            code = alg._T.code
+            code, inner = alg._T.code, self.field.inner
             ident, one, Bk = alg.id, self.field.one(), alg.Bkn[k]
             hit = {}
             for a, v in enumerate(Bk):
@@ -344,7 +349,7 @@ class Cellular:
                                 f"e_({k})"
                             )
                         if k2 == k:
-                            h[code[pi]] = c
+                            h[code[pi]] = inner(c)
                     hit[v, u] = h
                     hit[u, v] = alg.hecke.star(h)
             self._block_memo[k] = hit
@@ -360,22 +365,28 @@ class Cellular:
         f(x) = [g_w](x g_w y_lam') as in the module docstring: the unit
         functional at w = d(t_lam) is pulled back through y_lam' on the
         right, then through g_w one generator at a time, last letter first,
-        then through c_lam on the left and on the right.
+        then through c_lam on the left and on the right.  The coefficients
+        are internal; the one-row closed form is taken in field values,
+        once per length, and converted.
         """
-        T, Q = self.alg._T, self.alg.Q
+        T, Q, field = self.alg._T, self.alg.Q, self.field
         if len(lam) > 1:
             f = self._pull_cosets(self._column_functional(k, lam), lam, T.lmul, T.ldes)
             return self._pull_cosets(f, lam, T.rmul, T.rdes)
         codes = [T.code[w] for w in sg.window_perms(self.n, 2 * k + 1)]
-        powers = [self.field.one()]
-        for _ in range(max(T.length[w] for w in codes)):
-            powers.append(powers[-1] * Q)
-        P = self.field.zero()
+        count = [0] * (max(T.length[w] for w in codes) + 1)
         for w in codes:
-            P = P + powers[T.length[w]]
+            count[T.length[w]] += 1
+        powers = [field.one()]
+        for _ in count[1:]:
+            powers.append(powers[-1] * Q)
+        P = field.zero()
+        for c, x in zip(count, powers):
+            P = P + c * x
         if P.is_zero():
             return {}
-        return {w: powers[T.length[w]] * P for w in codes}
+        psi = [field.inner(x * P) for x in powers]
+        return {w: psi[T.length[w]] for w in codes}
 
     def _column_functional(self, k, lam):
         """f(x) = [g_w](x g_w y_lam') as {code: coeff}, w = d(t_lam): the
@@ -386,9 +397,10 @@ class Cellular:
         sup = sg.superstandard(cols, lo)  # t_lam is its transpose
         t_lam = tuple(tuple(c[i] for c in sup if len(c) > i) for i in range(len(lam)))
         w = T.code[sg.tableau_perm(self.n, t_lam, lo)]
-        f = self._pull_cosets({w: self.field.one()}, cols, T.rmul, T.rdes, -alg.Qinv)
+        one, weight = alg._one, self.field.inner(-alg.Qinv)
+        f = self._pull_cosets({w: one}, cols, T.rmul, T.rdes, weight)
         for i in reversed(T.word(w)):
-            f = _pull(f, T.rmul[i], T.rdes, 1 << i, alg.Q, alg._Qm1)
+            f = _pull(f, T.rmul[i], T.rdes, 1 << i, alg)
         return f
 
     def _pull_cosets(self, f, lam, act, des, weight=None):
@@ -404,14 +416,16 @@ class Cellular:
         order.
         """
         alg = self.alg
+        acc = alg._acc
         for row in sg.superstandard(lam, self.n - lam.size + 1):
             for j in row[1:]:
-                run = total = f
+                run, total = f, dict(f)
                 for i in range(j - 1, row[0] - 1, -1):
-                    run = _pull(run, act[i], des, 1 << i, alg.Q, alg._Qm1)
+                    run = _pull(run, act[i], des, 1 << i, alg)
                     if weight is not None:
-                        run = {u: c * weight for u, c in run.items()}
-                    total = alg.add(total, run)
+                        run = alg._scale(run, weight)
+                    for u, c in run.items():
+                        acc(total, u, c)
                 f = total
         return f
 

@@ -26,6 +26,17 @@ are gcds of their factors, never of the full num*num' / den*den'.  Two
 operands with denominator 1 add and multiply with no gcd at all, and an
 inverse needs none.  Only the raw ``RatFunc(num, den)`` constructor runs
 the full canonicalisation, :func:`_rat_canonical`.
+
+The algebra code keeps its coefficients in an internal form that the
+:class:`Specialization` of its field owns: ``inner`` converts a field value
+in, ``outer`` converts back, ``acc`` adds into a dict entry and drops a zero,
+and ``scale`` multiplies every value of a dict.  Over F_p an internal
+coefficient is an int in [0, p): ``acc`` and ``scale`` reduce mod p, so an
+unreduced product of internal values can go straight in, and no ``Fp``
+object is made per operation.  Over the generic field, Q and Q(zeta_m) the
+internal value is the field value itself.  The rewrite engine, the Hecke
+actions and the Gram assembly work on internal values; their public
+methods convert at entry and exit.
 """
 
 from __future__ import annotations
@@ -835,6 +846,90 @@ class Cyclo:
 # ---------------------------------------------------------------------------
 
 
+def _acc(out, key, c):
+    """Add c to out[key], keeping no zero values."""
+    if key in out:
+        s = out[key] + c
+        if s.is_zero():
+            del out[key]
+        else:
+            out[key] = s
+    elif not c.is_zero():
+        out[key] = c
+
+
+def _same(x):
+    return x
+
+
+def _scale(x, c):
+    return {key: v * c for key, v in x.items()}
+
+
+def _fp_form(p):
+    """(inner, outer, acc, scale) of F_p, whose internal values are the ints
+    in [0, p).  ``inner`` takes what ``Fp`` arithmetic takes, an int or an
+    Fp of the same prime, and raises TypeError on anything else; ``acc``
+    and ``scale`` reduce mod p, so they take unreduced products."""
+    zero = Fp(p, 0)
+
+    def inner(x):
+        if x.__class__ is not Fp or x.p != p:
+            x = zero._lift(x)
+        return x.v
+
+    def outer(c):
+        return Fp(p, c)
+
+    def acc(out, key, c):
+        c = (out.get(key, 0) + c) % p
+        if c:
+            out[key] = c
+        elif key in out:
+            del out[key]
+
+    def scale(x, c):
+        return {key: v * c % p for key, v in x.items()}
+
+    return inner, outer, acc, scale
+
+
+# the first 13 primes, and psi_13: the least composite that is a strong
+# probable prime to all of them
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(p):
+    """Whether p is prime, by the Miller-Rabin test to the bases _MR_BASES.
+
+    The test is proven exact for p < psi_13 = 3,317,044,064,679,887,385,961,981
+    (Sorenson and Webster, Math. Comp. 86, 2017); a larger p raises
+    ValueError.
+    """
+    if p >= _MR_LIMIT:
+        raise ValueError(f"{p} is too large: the primality test is proven only below {_MR_LIMIT}")
+    if p < 2:
+        return False
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class Specialization:
     """A ring map Z[q^{±1}, r^{±1}] -> F determined by images of q and r.
 
@@ -842,6 +937,11 @@ class Specialization:
     ``("cyclo", m)``.  The images must be invertible in F; applying the map
     to a RatFunc whose canonical denominator vanishes raises
     :class:`DenominatorVanishes`.
+
+    The internal form of F (see the module docstring) is given by four
+    functions: ``inner(x)`` and ``outer(c)`` convert a field value in and
+    out, ``acc(out, key, c)`` adds c to out[key] and drops the key if the
+    sum is zero, and ``scale(x, c)`` is {key: v c} for a nonzero c.
     """
 
     def __init__(self, field, q_img, r_img):
@@ -853,6 +953,11 @@ class Specialization:
                 raise DenominatorVanishes(f"image of {name} must be invertible")
         if self.one().is_zero():  # pragma: no cover - sanity
             raise ValueError("degenerate target field")
+        if self.field[0] == "fp":
+            self.inner, self.outer, self.acc, self.scale = _fp_form(self.field[1])
+        else:
+            self.inner = self.outer = _same
+            self.acc, self.scale = _acc, _scale
 
     @classmethod
     def generic(cls):
@@ -865,7 +970,7 @@ class Specialization:
     @classmethod
     def prime_field(cls, p, q_img, r_img):
         # Fp divides by Fermat inverses, which are wrong unless p is prime
-        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        if not _is_prime(p):
             raise ValueError(f"{p} is not a prime")
         return cls(("fp", p), Fp(p, q_img), Fp(p, r_img))
 

@@ -13,7 +13,11 @@ This is the package's only Hecke arithmetic: the generator action
 product is taken through the anti-involution * fixing every g_i,
 g_i x = (x* g_i)* (``star``).  The rewrite engine of
 :mod:`qbrauer.qbrauer`, the Gram matrices of :mod:`qbrauer.cellular` and
-the Murphy basis below all call them.
+the Murphy basis below all call them.  They take and return the field's
+internal coefficients (ints mod p over F_p, see
+:mod:`qbrauer.coefficients`), so callers convert at their own boundary;
+``murphy_element`` converts its result out once, and the Murphy transition
+works on field values.
 
 The Murphy cellular basis c_{st} = g*_{d(s)} c_lam g_{d(t)} with
 c_lam = sum of g_sigma over the row stabiliser of t^lam is provided along
@@ -36,6 +40,7 @@ dominating lam (see :meth:`qbrauer.cellular.Cellular._functional`).
 from __future__ import annotations
 
 from . import symgrp as sg
+from .coefficients import INFINITY, _acc
 
 __all__ = [
     "HeckeWindow",
@@ -46,8 +51,6 @@ __all__ = [
 
 def is_restricted(lam, e):
     """True iff lam is e-restricted: consecutive part differences < e."""
-    from .coefficients import INFINITY
-
     if e == INFINITY:
         return True
     parts = tuple(lam) + (0,)
@@ -57,10 +60,13 @@ def is_restricted(lam, e):
 class HeckeWindow:
     """The Hecke algebra of S_{lo..n} over a coefficient field.
 
-    ``field`` provides zero/one/from_int; ``Q`` is the Hecke parameter.
-    Elements are plain dicts {code: coeff} over the permutation codes of
+    ``field`` is a :class:`qbrauer.coefficients.Specialization`; ``Q`` is
+    the Hecke parameter, a value of that field.  Elements are plain dicts
+    {code: coeff} over the permutation codes of
     :func:`qbrauer.symgrp.perm_table`, with no zero values; the actions
-    keep that invariant.
+    keep that invariant.  The generator actions and ``c_lambda`` work on
+    the field's internal coefficients; ``murphy_element`` and ``to_murphy``
+    on its values.
     """
 
     def __init__(self, n, lo, field, Q):
@@ -70,6 +76,8 @@ class HeckeWindow:
         self.field = field
         self.Q = Q
         self.Qm1 = Q - 1
+        self._Q, self._Qm1 = field.inner(Q), field.inner(self.Qm1)
+        self._acc = field.acc
         self._T = sg.perm_table(n)
         self._murphy = None
         self._pidx = None
@@ -79,16 +87,16 @@ class HeckeWindow:
     def rmul_gen(self, x, i):
         """x g_i: g_u g_i = (Q-1) g_u + Q g_{u s_i} if s_i is a right descent
         of u, and g_{u s_i} otherwise, with the terms added in that order."""
-        T = self._T
-        Q, Qm1 = self.Q, self.Qm1
+        T, acc = self._T, self._acc
+        Q, Qm1 = self._Q, self._Qm1
         right, rdes, bit = T.rmul[i], T.rdes, 1 << i
         out = {}
         for u, c in x.items():
             if rdes[u] & bit:
-                _acc(out, u, c * Qm1)
-                _acc(out, right[u], c * Q)
+                acc(out, u, c * Qm1)
+                acc(out, right[u], c * Q)
             else:
-                _acc(out, right[u], c)
+                acc(out, right[u], c)
         return out
 
     def rmul_perm(self, x, w):
@@ -108,7 +116,7 @@ class HeckeWindow:
 
     def c_lambda(self, lam):
         """Sum of g_sigma over the row stabiliser of t^lam."""
-        one, code = self.field.one(), self._T.code
+        one, code = self.field.inner(self.field.one()), self._T.code
         return {code[w]: one for w in sg.young_subgroup(self.n, lam, self.lo)}
 
     def murphy_labels(self):
@@ -123,11 +131,13 @@ class HeckeWindow:
 
     def murphy_element(self, lam, s, t):
         """c_{st} = g*_{d(s)} c_lam g_{d(t)} expanded in the g basis, with
-        g*_{d(s)} c_lam = (c_lam g_{d(s)})* as c_lam* = c_lam."""
-        code = self._T.code
+        g*_{d(s)} c_lam = (c_lam g_{d(s)})* as c_lam* = c_lam; in field
+        values."""
+        code, outer = self._T.code, self.field.outer
         x = self.c_lambda(lam)
         x = self.star(self.rmul_perm(x, code[sg.tableau_perm(self.n, s, self.lo)]))
-        return self.rmul_perm(x, code[sg.tableau_perm(self.n, t, self.lo)])
+        x = self.rmul_perm(x, code[sg.tableau_perm(self.n, t, self.lo)])
+        return {w: outer(c) for w, c in x.items()}
 
     def murphy_data(self):
         """(labels, codes, factorisation) for the window.
@@ -230,14 +240,3 @@ class SparseLU:
                 x[col] = s / row[col]
         return x
 
-
-def _acc(out, w, c):
-    """Add c to out[w], keeping no zero values."""
-    if w in out:
-        s = out[w] + c
-        if s.is_zero():
-            del out[w]
-        else:
-            out[w] = s
-    elif not c.is_zero():
-        out[w] = c

@@ -46,6 +46,13 @@ computed once per algebra; every other Hecke product goes through the
 algebra's :class:`qbrauer.hecke.HeckeWindow` on all n letters, ``hecke``.
 The leaf states of all words are merged into one dict before
 normalisation, so each distinct state is normalised once per product.
+Coefficients are the field's internal values (ints in [0, p) over F_p,
+the field values themselves otherwise; see :mod:`qbrauer.coefficients`)
+in every state dict and memo: ``mul`` and ``star`` convert in at entry and
+out at exit, the engine's scalars (Q, a, b, Q^{-1}, Q - 1, Q^{-1} - 1 and
+the core constants Q^2, Q(Q-1), bQ(Q-1)) are converted once per algebra,
+and every sum goes through the field's accumulate step.  The public
+scalars ``Q``, ``a``, ``b``, ``bprime`` and ``Qinv`` are field values.
 The scalars of each version and B_{k,n} with its coset representatives
 are built once per process.  Two rewriting routines do the work:
 
@@ -80,8 +87,8 @@ import os
 from functools import lru_cache
 
 from . import symgrp as sg
-from .coefficients import RatFunc, Specialization
-from .hecke import HeckeWindow, _acc
+from .coefficients import RatFunc, Specialization, _acc
+from .hecke import HeckeWindow
 
 __all__ = [
     "QBrAlgebra",
@@ -214,8 +221,16 @@ class QBrAlgebra:
         self.field = self.spec
         self.hecke = HeckeWindow(n, 1, self.field, self.Q)
         self.Qinv = self.spec.one() / self.Q
-        self._Qm1 = self.hecke.Qm1
-        self._Qinvm1 = self.Qinv - 1
+        # the engine's constants, in the field's internal form
+        f, Q, Qm1 = self.field, self.Q, self.Q - 1
+        self._acc, self._scale = f.acc, f.scale
+        (
+            self._one, self._Q, self._a, self._b, self._Qinv, self._Qm1,
+            self._Qinvm1, self._QQ, self._QQm1, self._bQQm1,
+        ) = map(f.inner, (
+            f.one(), Q, self.a, self.b, self.Qinv, Qm1,
+            self.Qinv - 1, Q * Q, Q * Qm1, self.b * Q * Qm1,
+        ))
         self.id = sg.identity(n)
         self.max_steps = max_rewrite_steps()
         self._steps = 0
@@ -266,7 +281,7 @@ class QBrAlgebra:
     def g_inv(self, i):
         return self.add(
             self.scale(self.g(i), self.Qinv),
-            self.scale(self.one(), self._Qinvm1),
+            self.scale(self.one(), self.Qinv - 1),
         )
 
     def e_k(self, k):
@@ -285,16 +300,16 @@ class QBrAlgebra:
 
     def star(self, x):
         """The involution fixing e and every g_i, reversing products."""
-        T = self._T
-        code, inv = T.code, T.inv
+        T, f = self._T, self.field
+        code, inv, acc = T.code, T.inv, self._acc
         out = {}
         for (k, u, pi, v), c in x.items():
             # star sends g_{u^{-1}} e_(k) g_pi g_v to
             # g_{v^{-1}} e_(k) g_{pi^{-1}} g_u
-            for y, cy in self.hecke.rmul_perm({inv[code[pi]]: c}, code[u]).items():
+            for y, cy in self.hecke.rmul_perm({inv[code[pi]]: f.inner(c)}, code[u]).items():
                 for idx, cn in self._normalize(inv[code[v]], k, y).items():
-                    _acc(out, idx, cy * cn)
-        return out
+                    acc(out, idx, cy * cn)
+        return {idx: f.outer(c) for idx, c in out.items()}
 
     def mul(self, x, y):
         """The product x y in the normal basis.
@@ -306,17 +321,19 @@ class QBrAlgebra:
         states on the current path are kept.  The leaf states of all words,
         times their terms' coefficients, are summed into one dict, and each
         distinct state is normalised once.  The rewrite budget counts the
-        steps of the whole call.
+        steps of the whole call.  The coefficients are converted into the
+        field's internal form on entry and out of it on exit.
         """
         if not x or not y:
             return {}
         self._steps = 0
         code, inv = self._T.code, self._T.inv
+        f, acc = self.field, self._acc
         xstates = {}
         for (k, u, pi, v), c in x.items():
-            _acc(xstates, (inv[code[u]], k, code[sg.mul(pi, v)]), c)
+            acc(xstates, (inv[code[u]], k, code[sg.mul(pi, v)]), f.inner(c))
         words = sorted(
-            ((self._index_atoms(idx2), cy) for idx2, cy in y.items()),
+            ((self._index_atoms(idx2), f.inner(cy)) for idx2, cy in y.items()),
             key=lambda t: t[0],
         )
         leaves = {}
@@ -330,13 +347,13 @@ class QBrAlgebra:
             for atom in word[d:]:
                 path.append(self._apply_atom(path[-1], atom))
             for s, c in path[-1].items():
-                _acc(leaves, s, c * cy)
+                acc(leaves, s, c * cy)
             prev = word
         out = {}
         for s, c in leaves.items():
             for idx, cn in self._normalize(*s).items():
-                _acc(out, idx, c * cn)
-        return out
+                acc(out, idx, c * cn)
+        return {idx: f.outer(c) for idx, c in out.items()}
 
     def _index_atoms(self, idx):
         k, u, pi, v = idx
@@ -371,16 +388,16 @@ class QBrAlgebra:
         if atom[0] != "E":
             self._tick(len(states))
             return self._rmul_gen_states(states, atom[1], atom[0] == "gi")
-        out = {}
+        out, acc = {}, self._acc
         for (A, k, w), c in states.items():
             self._tick()
             if k == 0:
                 for y, cy in self.hecke.rmul_perm({A: c}, w).items():
-                    _acc(out, (y, 1, 0), cy)
+                    acc(out, (y, 1, 0), cy)
                 continue
             for (B, k3, w3), ce in self._emul(k, w).items():
                 for C, cc in self.hecke.rmul_perm({A: ce}, B).items():
-                    _acc(out, (C, k3, w3), c * cc)
+                    acc(out, (C, k3, w3), c * cc)
         return out
 
     def _rmul_gen_states(self, states, i, inverse=False):
@@ -392,20 +409,20 @@ class QBrAlgebra:
         in that order: it decides which memo entries a product that raises
         has filled, and so the steps of later products.
         """
-        Q, Qm1, Qinv, Qinvm1 = self.Q, self._Qm1, self.Qinv, self._Qinvm1
-        T = self._T
+        Q, Qm1, Qinv, Qinvm1 = self._Q, self._Qm1, self._Qinv, self._Qinvm1
+        T, acc = self._T, self._acc
         right, rdes, bit = T.rmul[i], T.rdes, 1 << i
         out = {}
         for (A, k, w), c in states.items():
             wi = right[w]
             if bool(rdes[w] & bit) == inverse:
-                _acc(out, (A, k, wi), c)
+                acc(out, (A, k, wi), c)
             elif inverse:
-                _acc(out, (A, k, wi), c * Qinv)
-                _acc(out, (A, k, w), c * Qinvm1)
+                acc(out, (A, k, wi), c * Qinv)
+                acc(out, (A, k, w), c * Qinvm1)
             else:
-                _acc(out, (A, k, w), c * Qm1)
-                _acc(out, (A, k, wi), c * Q)
+                acc(out, (A, k, w), c * Qm1)
+                acc(out, (A, k, wi), c * Q)
         return out
 
     def _lmul_gen_states(self, i, states, inverse=False):
@@ -423,16 +440,16 @@ class QBrAlgebra:
         return {(inv[w], k, inv[A]): c for (A, k, w), c in states.items()}
 
     def _lmul_e_states(self, states):
-        out = {}
+        out, acc = {}, self._acc
         for (A, k, w), c in states.items():
             self._tick()
             if k == 0:
                 for y, cy in self.hecke.rmul_perm({A: c}, w).items():
-                    _acc(out, (0, 1, y), cy)
+                    acc(out, (0, 1, y), cy)
                 continue
             for (A3, k3, w3), cl in self._lefte(k, A).items():
                 for y, cy in self.hecke.rmul_perm({w3: cl}, w).items():
-                    _acc(out, (A3, k3, y), c * cy)
+                    acc(out, (A3, k3, y), c * cy)
         return out
 
     def _lefte(self, k, A):
@@ -458,14 +475,14 @@ class QBrAlgebra:
         n, T = self.n, self._T
         if w == 0:
             # e_(k) e = a e_(k), the level-one case of e_(j) e_(k) = a^j e_(k)
-            return {(0, k, 0): self.a}
+            return {(0, k, 0): self._a}
         if w not in self._minrep[k]:
             # straighten e_(k) g_w over minimal coset representatives first,
             # so the core analysis below only ever sees those
-            out = {}
+            out, acc = {}, self._acc
             for x, c in self._red(k, w).items():
                 for s, cs in self._emul(k, x).items():
-                    _acc(out, s, c * cs)
+                    acc(out, s, c * cs)
             return out
         # absorb or commute generators on the left of g_w
         ldes = T.ldes[w]
@@ -473,8 +490,7 @@ class QBrAlgebra:
             if ldes >> i & 1:
                 if i % 2 == 1 and i < 2 * k:
                     # e_(k) g_i = Q e_(k) for odd i < 2k
-                    sub = self._emul(k, T.lmul[i][w])
-                    return {s: c * self.Q for s, c in sub.items()}
+                    return self._scale(self._emul(k, T.lmul[i][w]), self._Q)
                 if i >= 2 * k + 1:
                     # g_i commutes with e_(k)
                     return self._lmul_gen_states(i, self._emul(k, T.lmul[i][w]))
@@ -483,25 +499,22 @@ class QBrAlgebra:
         for j in range(1, n):
             if rdes >> j & 1:
                 if j == 1:
-                    sub = self._emul(k, T.rmul[1][w])
-                    return {s: c * self.Q for s, c in sub.items()}
+                    return self._scale(self._emul(k, T.rmul[1][w]), self._Q)
                 if j >= 3:
                     return self._rmul_gen_states(self._emul(k, T.rmul[j][w]), j)
         # core elements: left descents even and <= 2k, right descents = {2}
         if k == 1:
             if w == T.lmul[2][0]:
-                return {(0, 1, 0): self.b}
+                return {(0, 1, 0): self._b}
             if w == self._z2:
                 # e g_{z_2} e with z_2 = s_2 s_1 s_3 s_2, expanded through
-                # e_(2) = e g_2 g_3 g_1^{-1} g_2^{-1} e
-                c1 = self.b * self.Q * self._Qm1
-                out = {
-                    (0, 1, T.lmul[3][0]): c1,
-                    (0, 1, 0): c1,
-                    (0, 2, 0): self.Q * self.Q,
-                }
-                # c1 vanishes when Q = 1, in the classical version
-                return {s: c for s, c in out.items() if not c.is_zero()}
+                # e_(2) = e g_2 g_3 g_1^{-1} g_2^{-1} e; acc drops the
+                # b Q (Q-1) terms when Q = 1, in the classical version
+                out, acc = {}, self._acc
+                acc(out, (0, 1, T.lmul[3][0]), self._bQQm1)
+                acc(out, (0, 1, 0), self._bQQm1)
+                acc(out, (0, 2, 0), self._QQ)
+                return out
             raise InternalInconsistency(f"unexpected level-1 core {T.perms[w]}")
         # shift the level down through
         # e_(k) = e g_2 ... g_{2k-1} g_1^{-1} ... g_{2k-2}^{-1} e_(k-1)
@@ -548,13 +561,12 @@ class QBrAlgebra:
         self._tick()
         T = self._T
         if x in self._minrep[k]:
-            return {x: self.field.one()}
+            return {x: self._one}
         for i in range(1, 2 * k, 2):
             if T.ldes[x] >> i & 1:
-                sub = self._red(k, T.lmul[i][x])
-                return {p: c * self.Q for p, c in sub.items()}
+                return self._scale(self._red(k, T.lmul[i][x]), self._Q)
         lx = T.length[x]
-        one = self.field.one()
+        one = self._one
         for j in range(1, k):
             y = self._swap_blocks(j, x)
             delta = lx - T.length[y]
@@ -565,8 +577,8 @@ class QBrAlgebra:
                 out, H = {}, self.hecke
                 t = H.rmul_gen({T.inv[y]: one}, 2 * j)
                 self._red_acc(out, k, H.star(H.rmul_gen(H.rmul_gen(t, 2 * j + 1), 2 * j)), self._Qm1)
-                self._red_acc(out, k, H.star(t), self.Q * self._Qm1)
-                self._red_acc(out, k, {y: one}, self.Q * self.Q)
+                self._red_acc(out, k, H.star(t), self._QQm1)
+                self._red_acc(out, k, {y: one}, self._QQ)
                 return out
             if delta == 2:
                 # interleaved blocks: through e_(k) g_{2j} g_{2j-1}
@@ -574,7 +586,7 @@ class QBrAlgebra:
                 x2 = T.lmul[2 * j - 1][T.lmul[2 * j][x]]
                 out = {}
                 self._red_acc(out, k, {T.lmul[2 * j][x2]: one}, self._Qm1)
-                self._red_acc(out, k, {T.lmul[2 * j][T.lmul[2 * j + 1][x2]]: one}, self.Q)
+                self._red_acc(out, k, {T.lmul[2 * j][T.lmul[2 * j + 1][x2]]: one}, self._Q)
                 return out
         xt = T.perms[x]
         for j in range(1, k):
@@ -589,10 +601,11 @@ class QBrAlgebra:
         raise InternalInconsistency(f"no reduction applies to e_({k}) g_{xt}")
 
     def _red_acc(self, out, k, helt, factor):
+        acc = self._acc
         for z, cz in helt.items():
             f = cz * factor
             for p, c in self._red(k, z).items():
-                _acc(out, p, c * f)
+                acc(out, p, c * f)
 
     # -- normalization -------------------------------------------------------------
 
@@ -602,8 +615,8 @@ class QBrAlgebra:
         hit = self._norm_memo.get(key)
         if hit is not None:
             return hit
-        T = self._T
-        perms, one = T.perms, self.field.one()
+        T, acc = self._T, self._acc
+        perms, one = T.perms, self._one
         if k == 0:
             out = {
                 (0, self.id, perms[y], self.id): c
@@ -620,7 +633,7 @@ class QBrAlgebra:
                 for y, c3 in self.hecke.rmul_perm({T.inv[pi1]: c1}, w).items():
                     for r2, c4 in self._red(k, y).items():
                         pi2, v2 = minrep[r2]
-                        _acc(out, (k, u, perms[pi2], perms[v2]), c3 * c4)
+                        acc(out, (k, u, perms[pi2], perms[v2]), c3 * c4)
         self._norm_memo[key] = out
         return out
 

@@ -11,6 +11,7 @@ from qbrauer.cellular import Cellular, closed_form_criterion, det, rank
 from qbrauer.coefficients import (
     Cyclo,
     DenominatorVanishes,
+    Fp,
     RatFunc,
     Specialization,
     quantum_char,
@@ -290,6 +291,54 @@ def test_gram_matches_full_fill():
             assert cell.gram(k, lam) == full_gram(cell, k, lam), (alg.n, alg.version, k, lam)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_fp_matches_the_specialised_generic_algebra(n):
+    # over F_p the engine, the Hecke actions and the Gram assembly compute
+    # with ints mod p; every product, star, Gram matrix and determinant must
+    # be the generic one specialised, and handed out as Fp values of p
+    rng = random.Random(n)
+    specs = [Specialization.prime_field(p, 3, 5) for p in (101, 2**61 - 1)]
+    for version, N in ALL_VERSIONS:
+        gen = QBrAlgebra(n, version=version, N=N)
+        gen_cell = Cellular(gen)
+        idxs = gen.basis_indices()
+        pairs = []
+        for _ in range(12):
+            x, y = (
+                {i: RatFunc.from_int(rng.randrange(1, 50)) * gen.b ** rng.randrange(3)
+                 for i in rng.sample(idxs, rng.randrange(1, 4))}
+                for _ in range(2)
+            )
+            pairs.append((x, y, gen.mul(x, y)))
+        stars = [(x, gen.star(x)) for x, _, _ in pairs]
+        for spec in specs:
+            p = spec.field[1]
+            alg = QBrAlgebra(n, version=version, N=N, spec=spec)
+            cell = Cellular(alg)
+
+            def image(x):
+                out = {}
+                for idx, c in x.items():
+                    if not spec(c).is_zero():
+                        out[idx] = spec(c)
+                return out
+
+            def all_fp(values):
+                return all(isinstance(c, Fp) and c.p == p for c in values)
+
+            for x, y, xy in pairs:
+                got = alg.mul(image(x), image(y))
+                assert all_fp(got.values()) and got == image(xy), (version, p)
+            for x, sx in stars:
+                got = alg.star(image(x))
+                assert all_fp(got.values()) and got == image(sx), (version, p)
+            for k, lam in cell.labels():
+                g, d = cell.gram(k, lam), cell.gram_det(k, lam)
+                assert all_fp(c for row in g for c in row) and all_fp([d])
+                assert g == [[spec(c) for c in row] for row in gen_cell.gram(k, lam)]
+                assert d == spec(gen_cell.gram_det(k, lam)), (version, p, k, lam)
+
+
 def block_algebras():
     for n in (2, 3, 4):
         for version, N in ALL_VERSIONS:
@@ -317,12 +366,14 @@ def test_level_blocks_lie_in_the_window():
 
 def phi_of_c_h_c(H, lam, clam, w):
     """phi(c_lam g_w c_lam) through the Murphy transition of the window H,
-    phi the Murphy coordinate at (lam, t^lam, t^lam)."""
+    phi the Murphy coordinate at (lam, t^lam, t^lam).  clam and the Hecke
+    actions hold the field's internal coefficients, converted out here."""
     # c_lam g_w c_lam, the right c_lam one term at a time
+    outer = H.field.outer
     left, x = H.rmul_perm(clam, w), {}
     for y, c in clam.items():
         for z, cz in H.rmul_perm(left, y).items():
-            _acc(x, z, cz * c)
+            _acc(x, z, outer(cz) * outer(c))
     sup = sg.superstandard(lam, H.lo)
     return H.to_murphy(x).get((lam, sup, sup), H.field.zero())
 
@@ -351,6 +402,7 @@ def check_functionals(one_row):
             if (len(lam) <= 1) != one_row:
                 continue
             psi, clam = cell._functional(k, lam), H.c_lambda(lam)
+            psi = {w: cell.field.outer(c) for w, c in psi.items()}
             for w in ws:
                 want = phi_of_c_h_c(H, lam, clam, w)
                 assert psi.get(w, cell.field.zero()) == want, (cell.n, cell.alg.version, k, lam, w)

@@ -59,6 +59,26 @@ def test_gram_empty_partition(capsys):
     assert res["dim_C"] == 1
 
 
+def test_gram_over_a_61_bit_prime(capsys):
+    # the primality test of fp:<p> costs milliseconds, not O(sqrt(p))
+    code, out, _ = run(
+        capsys, "gram", "--n", "3", "--k", "1", "--lambda", "1",
+        "--field", f"fp:{2**61 - 1}", "--q", "3", "--r", "5",
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["dim_C"] == 3
+
+
+def test_modulus_beyond_the_primality_bound_exits2(capsys):
+    psi13 = 3317044064679887385961981
+    code, out, err = run(
+        capsys, "gram", "--n", "3", "--k", "1", "--lambda", "1",
+        "--field", f"fp:{psi13}", "--q", "3", "--r", "5",
+    )
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: bad field")
+
+
 FP_FRACTION_SCALAR = (
     "gram", "--n", "3", "--k", "0", "--lambda", "2,1",
     "--field", "fp:7", "--q", "1/2", "--r", "3",

@@ -3,6 +3,7 @@ q and r, prime fields, cyclotomic fields, and parameter specialization."""
 
 from fractions import Fraction
 from functools import reduce
+import math
 import operator
 import random
 import time
@@ -163,6 +164,48 @@ def test_specialization_prime_field():
 def test_specialization_rejects_zero_images():
     with pytest.raises(DenominatorVanishes):
         Specialization.prime_field(5, 0, 1)
+
+
+# psi_13, the least composite that is a strong probable prime to each of
+# the first 13 primes 2..41 (Sorenson and Webster, Math. Comp. 86, 2017)
+PSI_13 = 3317044064679887385961981
+
+
+def test_prime_field_large_prime_takes_milliseconds():
+    t0 = time.process_time()
+    spec = Specialization.prime_field(2**61 - 1, 3, 5)
+    assert time.process_time() - t0 < 0.05
+    assert spec.field == ("fp", 2**61 - 1)
+    assert spec(q * r) == Fp(2**61 - 1, 15)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        561,  # Carmichael numbers
+        41041,
+        2047,  # strong pseudoprime to base 2
+        3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+        3825123056546413051,  # strong pseudoprime to every prime base up to 31
+        2**61 + 1,
+        PSI_13,  # the bound of the test, and above it
+        PSI_13 + 2**89,
+    ],
+)
+def test_prime_field_rejects_composites_and_the_test_bound(p):
+    with pytest.raises(ValueError):
+        Specialization.prime_field(p, 3, 5)
+
+
+def test_prime_field_agrees_with_trial_division():
+    for p in range(10**4):
+        prime = p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+        try:
+            Specialization.prime_field(p, 1, 1)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == prime, p
 
 
 def test_quantum_char():

@@ -11,7 +11,7 @@ import pytest
 from qbrauer import brauerdiag as bd
 from qbrauer import symgrp as sg
 from qbrauer.cellular import Cellular
-from qbrauer.coefficients import RatFunc, Specialization
+from qbrauer.coefficients import Fp, RatFunc, Specialization
 from qbrauer.hecke import _acc
 from qbrauer.qbrauer import (
     InternalInconsistency,
@@ -253,14 +253,16 @@ def test_commutation_with_window_letters():
 def termwise_mul(alg, x, y):
     """x y with every term of y replaying its whole generator word from the
     states of x and normalising its own leaf states: the product before
-    shared prefixes were replayed once and leaf states merged."""
+    shared prefixes were replayed once and leaf states merged.  The engine's
+    states hold the field's internal coefficients, converted here."""
     if not x or not y:
         return {}
     alg._steps = 0
-    code = alg._T.code
+    code, f = alg._T.code, alg.field
     xstates = {}
     for (k, u, pi, v), c in x.items():
         _acc(xstates, (code[sg.inv(u)], k, code[sg.mul(pi, v)]), c)
+    xstates = {s: f.inner(c) for s, c in xstates.items()}
     out = {}
     for idx2, cy in y.items():
         states = xstates
@@ -268,7 +270,7 @@ def termwise_mul(alg, x, y):
             states = alg._apply_atom(states, atom)
         for (A, k, w), c in states.items():
             for idx, cn in alg._normalize(A, k, w).items():
-                _acc(out, idx, c * cn * cy)
+                _acc(out, idx, f.outer(c) * f.outer(cn) * cy)
     return out
 
 
@@ -509,9 +511,24 @@ def test_lmul_gen_states_matches_left_action(n, inverse):
                 if rng.random() < 0.5:  # the partner g_{s_i A}, so terms merge
                     _acc(states, (T.lmul[i][A], k, w), alg.field.from_int(rng.randrange(1, 101)))
             alg._steps = 0
-            out = alg._lmul_gen_states(i, states, inverse)
+            f = alg.field
+            out = alg._lmul_gen_states(i, {s: f.inner(c) for s, c in states.items()}, inverse)
+            out = {s: f.outer(c) for s, c in out.items()}
             assert list(out.items()) == list(left_gen_states(alg, i, states, inverse).items())
             assert alg._steps == len(states)
+
+
+def test_fp_algebra_rejects_values_of_another_prime():
+    # the engine converts coefficients into ints mod p at entry, with the
+    # same check as Fp arithmetic: an F_7 value is no F_101 value
+    alg = QBrAlgebra(3, spec=FP101)
+    foreign = {(0, alg.id, alg.id, alg.id): Fp(7, 3)}
+    with pytest.raises(TypeError):
+        alg.mul(foreign, alg.g(1))
+    with pytest.raises(TypeError):
+        alg.mul(alg.g(1), foreign)
+    with pytest.raises(TypeError):
+        alg.star(foreign)
 
 
 def test_rewrite_cycle_messages_n5():
