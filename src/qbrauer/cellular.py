@@ -57,7 +57,8 @@ against the Gram determinants.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
+import math
 
 from . import symgrp as sg
 from .coefficients import LaurentPoly, RatFunc, Specialization, _acc, _biv_divexact, _biv_gcd, quantum_char
@@ -69,28 +70,40 @@ __all__ = ["Cellular", "closed_form_criterion", "det", "det_rank", "rank"]
 
 def det_rank(mat, field):
     """(det, rank) of mat from one forward elimination; det is None unless
-    mat is square.
+    mat is square.  Rows are pivoted and columns without a pivot skipped, so
+    the pivots count the rank.
 
-    Rows are pivoted and columns without a pivot skipped, so the pivots
-    count the rank.  Over the generic field the entries are first cleared
-    to Z[q, r] by one common denominator and monomial (``_cleared``) and
-    eliminated fraction-free (Bareiss, Math. Comp. 22, 1968): every update
-    divides exactly by the previous pivot, the last pivot is the cleared
-    determinant, and only that one value is canonicalised.  Over F_p, Q and
-    Q(zeta_m) an inverse is cheap, so the elimination is Gaussian.
+    Generic field: the entries are cleared to A_ij in Z[q, r] (``_cleared``)
+    and mapped into Z by the Kronecker substitution r -> 2^B, q -> 2^(B D)
+    (Harvey, J. Symbolic Comput. 44, 2009), a ring homomorphism.  By the
+    Leibniz expansion every minor of A has coefficients of absolute value at
+    most H = prod over the rows of max(1, sum_j |A_ij|_1), and r-degree at
+    most d_r = sum over the rows of max_j deg_r A_ij.  With B = H.bit_length()
+    + 1 and D = d_r + 1 its image has balanced base-2^B digits, digit i D + j
+    the coefficient of q^i r^j, so the map is injective on minors.  Every
+    entry of the fraction-free elimination (Bareiss, Math. Comp. 22, 1968) is
+    a minor, so it runs over Z with exact zero tests, every division is exact
+    by Sylvester's identity (``_bareiss_step`` checks), and the last pivot
+    decodes to the cleared determinant.  F_p: Gaussian elimination on
+    residues in [0, p).  Q and Q(zeta_m): Gaussian elimination on field values.
     """
-    generic = field.field == ("generic",)
-    if generic:
+    kind = field.field[0]
+    if kind == "generic":
         m, shift, den = _cleared(mat)
-        nonzero = bool
+        B = math.prod(max(1, sum(abs(c) for x in row for c in x.values())) for row in m).bit_length() + 1
+        D = 1 + sum(max((j for x in row for _, j in x), default=0) for row in m)
+        m = [[sum(c << B * (i * D + j) for (i, j), c in x.items()) for x in row] for row in m]
+        step, nonzero = _bareiss_step, bool
+    elif kind == "fp":
+        m = [[field.inner(x) for x in row] for row in mat]
+        step, nonzero = partial(_residue_step, field.field[1]), bool
     else:
         m = [list(row) for row in mat]
-        nonzero = lambda x: not x.is_zero()
+        step, nonzero = _field_step, lambda x: not x.is_zero()
     rows, cols = len(m), len(m[0]) if m else 0
-    rk, sign = 0, 1
-    prev = {(0, 0): 1}  # Bareiss: the previous pivot
-    acc = field.one()  # Gauss: the product of the pivots
+    pivots, sign = [], 1
     for col in range(cols):
+        rk = len(pivots)
         if rk == rows:
             break
         piv = next((r for r in range(rk, rows) if nonzero(m[r][col])), None)
@@ -99,31 +112,18 @@ def det_rank(mat, field):
         if piv != rk:
             m[rk], m[piv] = m[piv], m[rk]
             sign = -sign
-        top = m[rk]
-        p = top[col]
-        if generic:
-            for row in m[rk + 1:]:
-                a = row[col]
-                for c in range(col + 1, cols):
-                    row[c] = _bareiss_entry(p, row[c], a, top[c], prev)
-            prev = p
-        else:
-            inv = field.one() / p
-            for row in m[rk + 1:]:
-                if not row[col].is_zero():
-                    f = row[col] * inv
-                    for c in range(col + 1, cols):
-                        row[c] = row[c] - f * top[c]
-            acc = acc * p
-        rk += 1
+        step(m[rk], m[rk + 1:], col, pivots[-1] if pivots else 1)
+        pivots.append(m[rk][col])
+    rk = len(pivots)
     if rows != cols:
         return None, rk
     if rk < rows:
         return field.zero(), rk
-    if not generic:
-        return (acc if sign > 0 else -acc), rk
-    num = LaurentPoly({k: sign * v for k, v in prev.items()})
-    return RatFunc(num.shifted(rows * shift[0], rows * shift[1]), den ** rows), rk
+    if kind == "generic":
+        num = LaurentPoly(_unpacked(sign * (pivots[-1] if pivots else 1), B, D))
+        return RatFunc(num.shifted(rows * shift[0], rows * shift[1]), den ** rows), rk
+    d = math.prod(pivots, start=field.one())
+    return (d if sign > 0 else -d), rk
 
 
 def det(mat, field):
@@ -154,16 +154,51 @@ def _cleared(mat):
     return polys, shift, den
 
 
-def _bareiss_entry(p, x, a, y, prev):
-    """(p x - a y) / prev in Z[q, r]; the division is exact or raises."""
+def _unpacked(n, B, D):
+    """{(i, j): c} from the balanced base-2^B digits of n, digit i D + j
+    being c: read off one binary string after adding the offset whose every
+    digit is 2^(B-1), which makes each digit nonnegative."""
+    K, half = n.bit_length() // B + 2, 1 << B - 1
+    bits = format(n + int(format(half, "b") * K, 2), "b").zfill(B * K)
     out = {}
-    for u, v, s in ((p, x, 1), (a, y, -1)):
-        for (i, j), c in u.items():
-            c *= s
-            for (k, l), d in v.items():
-                key = (i + k, j + l)
-                out[key] = out.get(key, 0) + c * d
-    return _biv_divexact({k: c for k, c in out.items() if c}, prev)
+    for k in range(K):
+        c = int(bits[B * (K - 1 - k):B * (K - k)], 2) - half
+        if c:
+            out[divmod(k, D)] = c
+    return out
+
+
+def _bareiss_step(top, below, col, prev):
+    """One fraction-free step over Z: each row x below the pivot row top
+    becomes (top[col] x - x[col] top) / prev right of col; a division that
+    leaves a remainder raises ArithmeticError."""
+    p = top[col]
+    for row in below:
+        a = row[col]
+        for c in range(col + 1, len(top)):
+            row[c], rem = divmod(p * row[c] - a * top[c], prev)
+            if rem:
+                raise ArithmeticError("inexact division in a Bareiss step")
+
+
+def _residue_step(p, top, below, col, prev):
+    """One Gaussian step mod p: each row x below the pivot row top becomes
+    x - (x[col] / top[col]) top right of col."""
+    inv = pow(top[col], -1, p)
+    for row in below:
+        if row[col]:
+            f = p - row[col] * inv % p
+            row[col + 1:] = [(x + f * y) % p for x, y in zip(row[col + 1:], top[col + 1:])]
+
+
+def _field_step(top, below, col, prev):
+    """The same Gaussian step on field values."""
+    inv = 1 / top[col]
+    for row in below:
+        if not row[col].is_zero():
+            f = row[col] * inv
+            for c in range(col + 1, len(top)):
+                row[c] = row[c] - f * top[c]
 
 
 def _pull(f, move, des, bit, alg):

@@ -1010,7 +1010,10 @@ def quantum_char(x):
     """Least m >= 1 with 1 + x + ... + x^{m-1} = 0, or INFINITY.
 
     For x = 1 this is the characteristic of the ground field; otherwise it
-    is the multiplicative order of x when finite.
+    is the multiplicative order of x when finite.  That order divides the
+    group exponent N, p - 1 in F_p and lcm(2, m) in Q(zeta_m), whose roots
+    of unity are the lcm(2, m)-th ones: x has finite order iff x^N = 1, and
+    then it is N with each prime factor l divided out while x^(N/l) = 1.
     """
     if not isinstance(x, (Fp, Cyclo, RatFunc)):
         raise TypeError(f"quantum_char expects a field element, not {type(x)!r}")
@@ -1020,12 +1023,51 @@ def quantum_char(x):
         return x.p if isinstance(x, Fp) else INFINITY
     if isinstance(x, RatFunc):
         return 2 if x == RatFunc.from_int(-1) else INFINITY
-    # the order of x divides p - 1 in F_p; in Q(zeta_m) the roots of unity
-    # are the lcm(2, m)-th ones
-    bound = x.p - 1 if isinstance(x, Fp) else math.lcm(2, x.m)
-    y = x
-    for order in range(1, bound + 1):
-        if y.is_one():
-            return order
-        y = y * x
-    return INFINITY
+    order = x.p - 1 if isinstance(x, Fp) else math.lcm(2, x.m)
+    if not (x**order).is_one():
+        return INFINITY
+    for ell in _prime_factors(order):
+        while order % ell == 0 and (x ** (order // ell)).is_one():
+            order //= ell
+    return order
+
+
+def _prime_factors(n):
+    """The distinct prime factors of n >= 1: trial division by the primes
+    of _MR_BASES, then ``_is_prime`` on each cofactor (a cofactor beyond its
+    proven range raises ValueError) and Pollard's rho (``_rho``) to split
+    the composite ones."""
+    out = set()
+    for ell in _MR_BASES:
+        if n % ell == 0:
+            out.add(ell)
+            while n % ell == 0:
+                n //= ell
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if _is_prime(m):
+            out.add(m)
+        else:
+            d = _rho(m)
+            rest += [d, m // d]
+    return sorted(out)
+
+
+def _rho(n):
+    """A proper factor of a composite n by Pollard's rho with Brent's cycle
+    finding (BIT 20, 1980): y runs through y -> y^2 + c mod n and is
+    compared with its value at the last power of two steps; a polynomial
+    whose cycle gives only n itself is replaced by the next c."""
+    c = 0
+    while True:
+        c += 1
+        x = y = 2
+        g, power, steps = 1, 1, 0
+        while g == 1:
+            if steps == power:
+                x, power, steps = y, 2 * power, 0
+            y, steps = (y * y + c) % n, steps + 1
+            g = math.gcd(x - y, n)
+        if g != n:
+            return g

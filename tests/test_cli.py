@@ -1,6 +1,7 @@
 """Command line interface: subcommands, output schema, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -67,6 +68,19 @@ def test_gram_over_a_61_bit_prime(capsys):
     )
     assert code == 0
     assert json.loads(out)["result"]["dim_C"] == 3
+
+
+def test_semisimple_over_a_61_bit_prime_takes_under_a_second(capsys):
+    # the quantum characteristic of q^2 comes from the prime factors of
+    # p - 1, not from stepping through up to p - 1 powers
+    start = time.process_time()
+    code, out, _ = run(
+        capsys, "semisimple", "--n", "3",
+        "--field", f"fp:{2**61 - 1}", "--q", "3", "--r", "5",
+    )
+    assert time.process_time() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["result"]["semisimple"] is True
 
 
 def test_modulus_beyond_the_primality_bound_exits2(capsys):

@@ -302,6 +302,28 @@ def test_quantum_char_roots_of_unity_match_brute_force(m):
             assert quantum_char(x) == brute_quantum_char(x, one, 2 * m)
 
 
+def test_prime_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    # random n, semiprimes whose factors pass trial division (so rho splits
+    # them), prime powers, and p - 1 for the 61-bit Mersenne prime
+    cases = [rng.randrange(1, 10 ** rng.randint(1, 18)) for _ in range(300)]
+    cases += [1, 2, 43 * 43, 43**5, 43 * 47, 1000003 * 1000033, 4 * 1000003**2]
+    cases += [998244353 * 1000000007, 2**61 - 2]
+    for n in cases:
+        assert coefficients._prime_factors(n) == sorted(sympy.factorint(n)), n
+
+
+def test_quantum_char_at_a_61_bit_prime_is_the_order():
+    p = 2**61 - 1
+    for v in (2, 3, 9, 37, p - 1, 2**30 + 3):
+        e = quantum_char(Fp(p, v))
+        assert (p - 1) % e == 0 and pow(v, e, p) == 1
+        for ell in coefficients._prime_factors(e):
+            assert pow(v, e // ell, p) != 1
+    assert quantum_char(Fp(p, p - 1)) == 2
+
+
 def test_cyclotomic_specialization_needs_positive_conductor():
     for m in (0, -4):
         with pytest.raises(ValueError):

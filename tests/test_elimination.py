@@ -3,15 +3,17 @@ one elimination per Gram matrix in ``Cellular``.
 
 Over the generic field the reference is sympy (test-only): the
 determinant and rank of ``sympy.polys.matrices.DomainMatrix`` over
-Q(q, r) on random small matrices of rational functions, and its
-fraction-field determinant on every generic n = 4 Gram matrix.  Over F_p
-it is the plain Gaussian elimination below.  The generic Gram matrices
-are all nonsingular, so only the random matrices here reach the
-column-skipping path of the fraction-free elimination.
+Q(q, r) on random small matrices of rational functions, on matrices with
+wide coefficients and degrees that reach the bounds of the Kronecker
+packing, and its fraction-field determinant on every generic n = 4 Gram
+matrix.  Over F_p it is the plain Gaussian elimination below, at p = 7
+and p = 2^61 - 1.  The generic Gram matrices are all nonsingular, so only
+the random matrices here reach the column-skipping path of the
+fraction-free elimination.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qbrauer import cellular
 from qbrauer.cellular import Cellular, det_rank
@@ -94,7 +96,10 @@ def matrices(draw, entries, zero, max_dim=3):
 @given(matrices(ratfuncs, GENERIC.zero()))
 @settings(max_examples=60, deadline=None)
 def test_generic_det_rank_matches_sympy(drawn):
-    mat, cols = drawn
+    check_against_sympy(*drawn)
+
+
+def check_against_sympy(mat, cols):
     d, rk = det_rank(mat, GENERIC)
     expect_d, expect_rk = sympy_det_rank(mat, cols)
     assert rk == expect_rk
@@ -104,9 +109,9 @@ def test_generic_det_rank_matches_sympy(drawn):
         assert sympy.cancel(to_sympy(d) - expect_d) == 0
 
 
-def gauss_mod_p(mat, cols):
-    """(det or None, rank) of an integer matrix mod P, textbook style."""
-    m = [[x % P for x in row] for row in mat]
+def gauss_mod_p(mat, cols, p=P):
+    """(det or None, rank) of an integer matrix mod p, textbook style."""
+    m = [[x % p for x in row] for row in mat]
     rows, rk, d = len(m), 0, 1
     for col in range(cols):
         piv = next((i for i in range(rk, rows) if m[i][col]), None)
@@ -116,32 +121,96 @@ def gauss_mod_p(mat, cols):
         if piv != rk:
             m[rk], m[piv] = m[piv], m[rk]
             d = -d
-        d = d * m[rk][col] % P
-        inv = pow(m[rk][col], P - 2, P)
+        d = d * m[rk][col] % p
+        inv = pow(m[rk][col], p - 2, p)
         for i in range(rk + 1, rows):
-            f = m[i][col] * inv % P
-            m[i] = [(x - f * y) % P for x, y in zip(m[i], m[rk])]
+            f = m[i][col] * inv % p
+            m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rk])]
         rk += 1
-    return (d % P if rk == rows else 0) if rows == cols else None, rk
+    return (d % p if rk == rows else 0) if rows == cols else None, rk
 
 
 @given(matrices(fps, FP.zero(), max_dim=5))
 @settings(max_examples=150, deadline=None)
 def test_fp_det_rank_matches_gauss(drawn):
-    mat, cols = drawn
-    d, rk = det_rank(mat, FP)
-    expect_d, expect_rk = gauss_mod_p([[x.v for x in row] for row in mat], cols)
+    check_against_gauss(*drawn, FP)
+
+
+def check_against_gauss(mat, cols, spec):
+    d, rk = det_rank(mat, spec)
+    expect_d, expect_rk = gauss_mod_p([[x.v for x in row] for row in mat], cols, spec.field[1])
     assert rk == expect_rk
     assert (d if d is None else d.v) == expect_d
+
+
+MERSENNE61 = 2**61 - 1
+FP61 = Specialization.prime_field(MERSENNE61, 3, 5)
+fp61s = st.integers(0, MERSENNE61 - 1).map(lambda v: Fp(MERSENNE61, v))
+
+
+@given(matrices(fp61s, FP61.zero(), max_dim=5))
+@settings(max_examples=60, deadline=None)
+def test_fp_det_rank_matches_gauss_at_a_61_bit_prime(drawn):
+    check_against_gauss(*drawn, FP61)
+
+
+@pytest.mark.parametrize("p", [7, MERSENNE61])
+def test_fp_singular_mod_p_but_not_over_z(p):
+    # the residues have integer determinant p: a pivot test on the integer
+    # value instead of its residue would find rank 3
+    spec = Specialization.prime_field(p, 3, 5)
+    h = (p + 1) // 2
+    mat = [[Fp(p, v) for v in row] for row in ((1, 0, 0), (0, 2, 1), (0, 1, h))]
+    assert det_rank(mat, spec) == (spec.zero(), 2)
+    assert gauss_mod_p([[x.v for x in row] for row in mat], 3, p) == (0, 2)
+
+
+# -- wide coefficients: the bounds of the Kronecker packing ------------------------
+
+WIDE = 10**6
+wide_term = st.tuples(st.integers(-WIDE, WIDE), st.integers(0, 6), st.integers(0, 6))
+wide_entries = st.lists(wide_term, max_size=4).map(lambda terms: RatFunc(laurent(terms)))
+
+
+def monomial(c, dq, dr):
+    return RatFunc(LaurentPoly.monomial(c, dq, dr))
+
+
+@st.composite
+def monomial_matrices(draw, max_dim=4):
+    """(matrix, column count) with one monomial c q^a r^b per row and
+    column: the determinant is +-prod c q^(sum a) r^(sum b), whose
+    coefficient is the packing's bound H and whose r-degree is its d_r."""
+    dim = draw(st.integers(1, max_dim))
+    perm = draw(st.permutations(range(dim)))
+    mat = [[GENERIC.zero()] * dim for _ in range(dim)]
+    for i, j in enumerate(perm):
+        c = draw(st.integers(1, WIDE)) * draw(st.sampled_from((1, -1)))
+        mat[i][j] = monomial(c, draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+    return mat, dim
+
+
+@given(st.one_of(matrices(wide_entries, GENERIC.zero()), monomial_matrices()))
+@example(([[monomial(WIDE, 0, 0)]], 1))  # the coefficient at H
+@example(([[monomial(-(2**20), 3, 0)]], 1))  # -H, H a power of two
+@example(([[monomial(1, 0, 6)]], 1))  # r-degree at the stride edge
+@example(([[monomial(-5, 0, 4), GENERIC.zero()], [GENERIC.zero(), monomial(7, 2, 3)]], 2))
+@example(([[RatFunc(laurent([(-3, 2, 1), (5, 0, 6), (-1, 0, 0)]))]], 1))  # negative leading digit
+@settings(max_examples=60, deadline=None)
+def test_generic_det_rank_wide_coefficients_match_sympy(drawn):
+    check_against_sympy(*drawn)
 
 
 # -- the built-in check ------------------------------------------------------------
 
 def test_inexact_division_is_caught():
-    # a Bareiss update divides by the previous pivot; were that pivot wrong
+    # a Bareiss step divides by the previous pivot; were that pivot wrong
     # the exact division would fail loudly instead of giving a wrong det
+    below = [[4, 5]]
+    cellular._bareiss_step([2, 3], below, 0, 2)  # (2 * 5 - 4 * 3) / 2
+    assert below == [[4, -1]]
     with pytest.raises(ArithmeticError):
-        cellular._bareiss_entry({(0, 0): 1}, {(1, 0): 1}, {}, {}, {(0, 0): 2})
+        cellular._bareiss_step([2, 3], [[4, 5]], 0, 3)  # -2 / 3
 
 
 # -- the Gram determinants ----------------------------------------------------------
