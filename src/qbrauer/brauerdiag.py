@@ -1,4 +1,4 @@
-"""Brauer diagrams and the classical diagram algebra D_n(x).
+"""Brauer diagrams: composition with loop counting, and diagram lengths.
 
 The q = 1 oracle: nothing on the construction path (QBrAlgebra,
 Cellular) imports it, so it checks that code independently.
@@ -31,7 +31,6 @@ __all__ = [
     "order_preserving_throughs",
     "diagram_length",
     "enumerate_Dkn",
-    "DiagElement",
     "diagram_count",
 ]
 
@@ -208,56 +207,3 @@ def diagram_count(n):
         out *= m
     return out
 
-
-class DiagElement:
-    """An element of the diagram algebra D_n(x) over a coefficient field.
-
-    ``x`` is the loop parameter (a coefficient), supplied at construction;
-    coefficients must support +, *, is_zero.
-    """
-
-    __slots__ = ("n", "x", "terms")
-
-    def __init__(self, n, x, terms=None):
-        self.n = n
-        self.x = x
-        self.terms = {d: c for d, c in (terms or {}).items() if not c.is_zero()}
-
-    @classmethod
-    def from_diagram(cls, n, x, d, one):
-        return cls(n, x, {d: one})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            out[d] = out[d] + c if d in out else c
-        return DiagElement(self.n, self.x, out)
-
-    def __mul__(self, other):
-        out = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                d, loops = compose(d1, d2)
-                c = c1 * c2
-                for _ in range(loops):
-                    c = c * self.x
-                out[d] = out[d] + c if d in out else c
-        return DiagElement(self.n, self.x, out)
-
-    def scale(self, c):
-        return DiagElement(self.n, self.x, {d: v * c for d, v in self.terms.items()})
-
-    def star(self):
-        return DiagElement(
-            self.n, self.x, {star(d, self.n): c for d, c in self.terms.items()}
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DiagElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return f"DiagElement({self.terms!r})"

@@ -61,9 +61,9 @@ from functools import lru_cache, partial
 import math
 
 from . import symgrp as sg
-from .coefficients import LaurentPoly, RatFunc, Specialization, _acc, _biv_divexact, _biv_gcd, quantum_char
+from .coefficients import LaurentPoly, RatFunc, _acc, _biv_divexact, _biv_gcd, quantum_char
 from .hecke import HeckeWindow, is_restricted
-from .qbrauer import InternalInconsistency, version_scalars
+from .qbrauer import VERSION_MAPS, InternalInconsistency, version_map
 
 __all__ = ["Cellular", "closed_form_criterion", "det", "det_rank", "rank"]
 
@@ -143,11 +143,12 @@ def _cleared(mat):
     mat[i][j] = A[i][j] q^dq r^dr / D, where D is the lcm of the entries'
     denominators and q^dq r^dr the least monomial of the cleared entries."""
     dens = {x.den for row in mat for x in row}
-    den = LaurentPoly.const(1)
-    for d in dens:
+    rest = iter(dens)
+    den = next(rest, LaurentPoly.const(1))
+    for d in rest:
         den = den * LaurentPoly(_biv_divexact(d.terms, _biv_gcd(den.terms, d.terms)))
-    cofactor = {d: LaurentPoly(_biv_divexact(den.terms, d.terms)) for d in dens}
-    laurent = [[x.num * cofactor[x.den] for x in row] for row in mat]
+    cofactor = {d: LaurentPoly(_biv_divexact(den.terms, d.terms)) for d in dens if d != den}
+    laurent = [[x.num * cofactor[x.den] if x.den in cofactor else x.num for x in row] for row in mat]
     keys = [k for row in laurent for x in row for k in x.terms]
     shift = (min((k[0] for k in keys), default=0), min((k[1] for k in keys), default=0))
     polys = [[x.shifted(-shift[0], -shift[1]).terms for x in row] for row in laurent]
@@ -539,19 +540,13 @@ def closed_form_criterion(n, version, spec, N=None):
 @lru_cache(maxsize=None)
 def _closed_form_exprs(version, N):
     """The generic (e parameter, extra factor) of the n = 3 closed form,
-    built once per process for each (version, N); the e parameter is the
-    version's Hecke parameter Q."""
-    if version not in ("two_param", "one_param", "n_version"):
+    built once per process for each (version, N).
+
+    The factor is the one-parameter one, 3 x (y - x)^2 (x^2 y - 1)/(x - 1)^3
+    at q -> x, r -> y, for the version's map (x, y, c): rescaling e by the
+    unit c is an isomorphism, so it leaves semisimplicity unchanged.  The e
+    parameter is the version's Hecke parameter Q = x."""
+    if version not in VERSION_MAPS:
         raise ValueError(f"no closed form for version {version!r}")
-    eparam = version_scalars(version, N)["Q"]
-    q, r = RatFunc.q(), RatFunc.r()
-    if version == "one_param":
-        return eparam, 3 * q * (r - q) ** 2 * (q * q * r - 1) / ((q - 1) ** 3)
-    extra = 3 * q**5 * (r * r - q * q) ** 2 * (q**4 * r * r - 1) / (r**3 * (q * q - 1) ** 3)
-    if version == "n_version":
-        # the two-parameter criterion at r = q^N; this substituted form is
-        # invariant under q -> -q, matching the relation scalars (which
-        # depend on q only through q^2), and agrees with brute-force Gram
-        # nondegeneracy at every admissible point over F_5 and F_7
-        extra = Specialization(("generic",), q, q**N)(extra)
-    return eparam, extra
+    x, y, _ = version_map(version, N)
+    return x, 3 * x * (y - x) ** 2 * (x * x * y - 1) / ((x - 1) ** 3)

@@ -40,6 +40,7 @@ from .qbrauer import (
     MAX_N,
     InternalInconsistency,
     QBrAlgebra,
+    VERSION_MAPS,
     RewriteBudgetExceeded,
     max_rewrite_steps,
 )
@@ -280,7 +281,7 @@ def _point_verdict(n, version, N, spec):
     cell = Cellular(alg)
     verdict, witness = cell.is_semisimple()
     agrees = None
-    if n in (2, 3) and version in ("two_param", "one_param", "n_version"):
+    if n in (2, 3) and version in VERSION_MAPS:
         cf, _ = closed_form_criterion(n, version, spec, N=N)
         agrees = cf == verdict
     if witness is None:

@@ -933,10 +933,11 @@ def _is_prime(p):
 class Specialization:
     """A ring map Z[q^{±1}, r^{±1}] -> F determined by images of q and r.
 
-    ``field`` is one of ``("generic",)``, ``("qq",)``, ``("fp", p)`` or
-    ``("cyclo", m)``.  The images must be invertible in F; applying the map
-    to a RatFunc whose canonical denominator vanishes raises
-    :class:`DenominatorVanishes`.
+    ``field`` is one of ``("generic",)``, ``("fp", p)`` or ``("cyclo", m)``,
+    the rationals being ``("cyclo", 1)``.  The images must be invertible in
+    F; applying the map to a RatFunc whose canonical denominator vanishes
+    raises :class:`DenominatorVanishes`.  On the generic field with images
+    q and r the map is the identity and returns a RatFunc unchanged.
 
     The internal form of F (see the module docstring) is given by four
     functions: ``inner(x)`` and ``outer(c)`` convert a field value in and
@@ -953,6 +954,7 @@ class Specialization:
                 raise DenominatorVanishes(f"image of {name} must be invertible")
         if self.one().is_zero():  # pragma: no cover - sanity
             raise ValueError("degenerate target field")
+        self._identity = self.field == ("generic",) and (q_img, r_img) == (RatFunc.q(), RatFunc.r())
         if self.field[0] == "fp":
             self.inner, self.outer, self.acc, self.scale = _fp_form(self.field[1])
         else:
@@ -965,7 +967,7 @@ class Specialization:
 
     @classmethod
     def rationals(cls, q_img, r_img):
-        return cls(("qq",), Cyclo.from_fraction(1, q_img), Cyclo.from_fraction(1, r_img))
+        return cls(("cyclo", 1), Cyclo.from_fraction(1, q_img), Cyclo.from_fraction(1, r_img))
 
     @classmethod
     def prime_field(cls, p, q_img, r_img):
@@ -994,7 +996,7 @@ class Specialization:
     def __call__(self, x):
         if isinstance(x, int):
             return self.from_int(x)
-        if not isinstance(x, RatFunc):
+        if not isinstance(x, RatFunc) or self._identity:
             return x
         one = self.one()
         den = x.den.evaluate(self.q_img, self.r_img, one)

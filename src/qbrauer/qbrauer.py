@@ -11,19 +11,24 @@ g_i^2 = (Q - 1) g_i + Q and an extra idempotent-like element e subject to
 where e_(k+1) = e g_2 ... g_{2k+1} g_1^{-1} ... g_{2k}^{-1} e_(k) and
 e_(1) = e.  The scalar b' is determined by the others,
 b' = Q^{-1} b + (Q^{-1} - 1) a, because g_2^{-1} expands in the Hecke
-algebra.  Four parameter choices are supported:
+algebra.  The three Hecke-type versions are one family: a version with
+map (x, y, c) in ``VERSION_MAPS`` has
 
-    two_param   Q = q^2, a = (r - r^{-1})/(q - q^{-1}), b = rq.
-    one_param   Q = q,   a = (r - 1)/(q - 1),           b = r.
-                Obtained from two_param by q -> q^2, r -> r^2 and
-                rescaling e by q^{-1} r.
-    n_version   Q = q^2, a = [N] = (q^{2N} - 1)/(q^2 - 1), b = q^{2N}.
-                Obtained from two_param at r = q^N with e rescaled by
-                q^{N-1}; at q = 1 this is the Brauer algebra with loop
-                parameter N.
-    classical   Q = 1, a = x (a free symbol, stored in the r slot),
-                b = 1.  The Brauer diagram algebra itself, used as an
-                independent oracle for the q = 1 degeneration.
+    Q = x,   a = c (y - 1)/(x - 1),   b = c y,
+
+the one_param scalars at q -> x, r -> y with e rescaled by c (c e
+satisfies the relations with a and b multiplied by c, and e_(k) becomes
+c^k e_(k)).
+
+    version     (x, y, c)           Q       a                            b
+    one_param   (q, r, 1)           q       (r - 1)/(q - 1)              r
+    two_param   (q^2, r^2, q/r)     q^2     (r - r^{-1})/(q - q^{-1})    rq
+    n_version   (q^2, q^{2N}, 1)    q^2     (q^{2N} - 1)/(q^2 - 1)       q^{2N}
+
+At q = 1 n_version is the Brauer algebra with loop parameter N.  The
+fourth version, classical, has Q = 1, a = x (a free symbol, stored in the
+r slot) and b = 1: the Brauer diagram algebra itself, used as an
+independent oracle for the q = 1 degeneration.
 
 Elements are dicts mapping normal basis indices (k, u, pi, v) to nonzero
 coefficients, where the index stands for g_{u^{-1}} e_(k) g_pi g_v with
@@ -92,6 +97,7 @@ from .hecke import HeckeWindow
 
 __all__ = [
     "QBrAlgebra",
+    "version_map",
     "version_scalars",
     "RewriteBudgetExceeded",
     "InternalInconsistency",
@@ -122,7 +128,12 @@ def max_rewrite_steps():
     return steps
 
 
-VERSIONS = ("two_param", "one_param", "n_version", "classical")
+# (x, y, c) of each Hecke-type version, from (q, r, N)
+VERSION_MAPS = {
+    "one_param": lambda q, r, N: (q, r, 1),
+    "two_param": lambda q, r, N: (q * q, r * r, q / r),
+    "n_version": lambda q, r, N: (q * q, q ** (2 * N), 1),
+}
 
 
 class RewriteBudgetExceeded(RuntimeError):
@@ -144,31 +155,24 @@ def version_scalars(version, N=None):
     return dict(_version_scalars(version, N))
 
 
+def version_map(version, N=None):
+    """(x, y, c) of a Hecke-type version as rational functions (see the
+    module docstring); ValueError for classical or an unknown version."""
+    if version not in VERSION_MAPS:
+        raise ValueError(f"unknown version {version!r}")
+    if version == "n_version" and not N:
+        raise ValueError("n_version needs a nonzero integer N")
+    return VERSION_MAPS[version](RatFunc.q(), RatFunc.r(), N)
+
+
 @lru_cache(maxsize=None)
 def _version_scalars(version, N):
-    q = RatFunc.q()
-    r = RatFunc.r()
-    one = RatFunc.from_int(1)
-    if version == "two_param":
-        Q = q * q
-        a = q * (r * r - 1) / (r * (q * q - 1))
-        b = r * q
-    elif version == "one_param":
-        Q = q
-        a = (r - 1) / (q - 1)
-        b = r
-    elif version == "n_version":
-        if N is None or N == 0:
-            raise ValueError("n_version needs a nonzero integer N")
-        Q = q * q
-        a = (q ** (2 * N) - 1) / (q * q - 1)
-        b = q ** (2 * N)
-    elif version == "classical":
-        Q = one
-        a = r
-        b = one
+    if version == "classical":
+        one = RatFunc.from_int(1)
+        Q, a, b = one, RatFunc.r(), one
     else:
-        raise ValueError(f"unknown version {version!r}")
+        x, y, c = version_map(version, N)
+        Q, a, b = x, c * (y - 1) / (x - 1), c * y
     bprime = b / Q + (1 / Q - 1) * a
     return {"Q": Q, "a": a, "b": b, "bprime": bprime}
 

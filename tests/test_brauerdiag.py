@@ -1,15 +1,13 @@
-"""Brauer diagrams: composition with loop counting, the involution, and
-the diagram algebra used as the q = 1 oracle."""
+"""Brauer diagrams, the q = 1 oracle: composition with loop counting, the
+involution and diagram lengths."""
 
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from qbrauer import brauerdiag as bd
 from qbrauer import symgrp as sg
-from qbrauer.coefficients import RatFunc
 
 
 def test_perm_diagram_compose():
@@ -77,20 +75,6 @@ def test_construction_does_not_import_the_oracle():
         check=True,
     )
     assert out.stdout.strip() == "False"
-
-
-def test_diag_element_algebra():
-    n = 3
-    x = RatFunc.r()
-    one = RatFunc.from_int(1)
-    e = bd.DiagElement.from_diagram(n, x, bd.e_k_diagram(n, 1), one)
-    assert e * e == e.scale(x)
-    s2 = bd.DiagElement.from_diagram(n, x, bd.perm_diagram(sg.gen(n, 2)), one)
-    # e s_2 e = e in the diagram algebra (no loop)
-    assert e * s2 * e == e
-    # involution is an anti-automorphism
-    prod = e * s2
-    assert prod.star() == s2.star() * e.star()
 
 
 def test_diagram_length_of_basis_words():

@@ -238,7 +238,24 @@ def test_semisimple_grid_one_param(capsys):
         ri, qi, verdict = line.split(",")[:3]
         if verdict == "false":
             non_ss.add((int(ri), int(qi)))
+        if verdict in ("true", "false"):
+            assert line.split(",")[4] == "true"  # closed form agrees
     assert non_ss == {(ri, 4) for ri in (2, 3, 4)}
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("version", ("oneparam", "N=2"))
+def test_semisimple_grid_closed_form_agrees_on_every_admissible_row(capsys, version, n):
+    code, out, _ = run(
+        capsys,
+        "semisimple", "--n", str(n), "--field", "fp:7",
+        "--version", version, "--grid", "all",
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 36
+    admissible = [row for row in rows if row[2] != "excluded"]
+    assert admissible and all(row[4] == "true" for row in admissible)
 
 
 def test_semisimple_cyclotomic_point(capsys):

@@ -149,6 +149,16 @@ def test_specialization_generic_identity():
     assert spec((r - q) / (r + q)) == (r - q) / (r + q)
 
 
+def test_specialization_skips_only_the_identity_substitution():
+    x = (r - q) / (r + q)
+    assert Specialization.generic()(x) is x
+    assert Specialization(("generic",), q, r)(x) is x
+    squares = Specialization(("generic",), q * q, r * r)
+    assert squares(x) == (r * r - q * q) / (r * r + q * q)
+    with pytest.raises(DenominatorVanishes):
+        Specialization(("generic",), q, -q)(x)
+
+
 def test_specialization_prime_field():
     spec = Specialization.prime_field(5, 2, 3)
     assert spec(q * r) == Fp(5, 1)

@@ -274,3 +274,22 @@ def test_singular_gram_matrices_take_a_second_pass_only_for_det_then_rank(monkey
     assert [cell.radical_dim(k, lam) for k, lam in labels] == rads
     cell.is_semisimple()
     assert len(calls) == len(labels) + singular
+
+
+@pytest.mark.parametrize("version,N", (("n_version", 3), ("two_param", None)))
+def test_cleared_takes_one_gcd_per_further_denominator(monkeypatch, version, N):
+    # the lcm starts from the first denominator, so a Gram matrix with one
+    # distinct denominator needs no gcd at all
+    calls = []
+    original = cellular._biv_gcd
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    g = Cellular(QBrAlgebra(3, version=version, N=N)).gram(1, (1,))
+    monkeypatch.setattr(cellular, "_biv_gcd", counting)
+    d = cellular.det(g, GENERIC)
+    assert len(calls) == len({x.den for row in g for x in row}) - 1
+    dm = sympy.Matrix([[to_sympy(x) for x in row] for row in g])
+    assert sympy.cancel(to_sympy(d) - dm.det()) == 0
