@@ -28,9 +28,15 @@ each such product factors as
                                             mod levels above k,
 
 where H_{v,u} lies in the window Hecke algebra (Murphy, J. Algebra 152,
-1992; Graham-Lehrer, Invent. Math. 123, 1996).  The blocks H_{v,u} take
-one algebra product per pair v <= u of B_{k,n}, H_{u,v} = H*_{v,u}, and
-every lam at level k shares them.  A Gram entry is then
+1992; Graham-Lehrer, Invent. Math. 123, 1996).  The blocks come from
+sandwiches: modulo the levels above k, e_(k) g_v e_(k) = e_(k) N_v with
+N_v in the window Hecke algebra, one algebra product per v in B_{k,n}.
+Writing e_(k) g_v g_{u^{-1}} = sum c e_(k) g_pi g_v' over normal indices,
+with pi a window permutation, and using that g_pi commutes with e_(k)
+(e_(k) is a word in e and g_1, ..., g_{2k-1}), gives
+H_{v,u} = sum c g_pi N_v' by Hecke arithmetic alone, for each pair
+v <= u; H_{u,v} = H*_{v,u}, and every lam at level k shares them.  A Gram
+entry is then
 psi_lam(g_{d(t)} H_{v,u} g_{d(s)^{-1}}) with the window functional
 psi_lam(h) = phi_lam(c_lam h c_lam), phi_lam the Murphy coordinate at
 (lam, t^lam, t^lam).  No Murphy transition is needed for it: with
@@ -361,33 +367,58 @@ class Cellular:
     def _blocks(self, k):
         """{(v, u): H_{v,u}} for v, u in B_{k,n}, computed once per level.
 
-        e_(k) g_v g_{u^{-1}} e_(k) = e_(k) H_{v,u} modulo the levels above
-        k, with H_{v,u} in the window Hecke algebra, kept as {code: coeff}.
-        Each pair v <= u takes one product; H_{u,v} = H_{v,u}* by the
-        involution.  A term below level k, or one at level k with u or v
-        not the identity, raises InternalInconsistency.  The blocks hold
-        internal coefficients, converted from the products of ``mul``.
+        e_(k) g_v g_{u^{-1}} e_(k) = e_(k) H_{v,u} modulo J_{>k}, the
+        two-sided ideal of the levels above k, with H_{v,u} in the window
+        Hecke algebra, kept as {code: coeff}.  The level takes one algebra
+        product per v: N_v is the level-k part of e_(k) g_v e_(k), so
+        e_(k) g_v e_(k) = e_(k) N_v mod J_{>k}; a term below level k, or
+        one at level k with u or v not the identity, raises
+        InternalInconsistency.  Each pair v <= u then takes Hecke
+        arithmetic only.  g_v g_{u^{-1}} = sum c_w g_w on all n letters,
+        and e_(k) g_w straightens (``QBrAlgebra.straighten``) to a sum of
+        c_r e_(k) g_pi g_v' with pi a window permutation and v' in B_{k,n}.
+        g_pi commutes with e_(k): e_(k) is a word in e and g_1..g_{2k-1},
+        and g_i with i >= 2k+1 commutes with each of them.  So
+
+            e_(k) g_v g_{u^{-1}} e_(k) = sum c_w c_r g_pi e_(k) g_v' e_(k)
+                                       = e_(k) sum c_w c_r g_pi N_v'
+
+        modulo J_{>k}, with each window product g_pi N_v' = (N_v'* g_{pi^-1})*
+        taken once per (pi, v'), and H_{u,v} = H_{v,u}* by the involution.
+        The blocks hold internal coefficients, converted from the products
+        of ``mul``.
         """
         hit = self._block_memo.get(k)
         if hit is None:
-            alg = self.alg
-            code, inner = alg._T.code, self.field.inner
+            alg, H = self.alg, self.alg.hecke
+            code, inv, inner, acc = alg._T.code, alg._T.inv, self.field.inner, alg._acc
             ident, one, Bk = alg.id, self.field.one(), alg.Bkn[k]
+            ek = {(k, ident, ident, ident): one}
+            stars = {}  # code of v -> N_v*
+            for v in Bk:
+                h = {}
+                for (k2, u2, pi, v2), c in alg.mul({(k, ident, ident, v): one}, ek).items():
+                    if k2 < k or (k2 == k and (u2, v2) != (ident, ident)):
+                        raise InternalInconsistency(
+                            f"term {(k2, u2, pi, v2)} in e_({k}) g_{v} e_({k})"
+                        )
+                    if k2 == k:
+                        h[code[pi]] = inner(c)
+                stars[code[v]] = H.star(h)
+            lefts = {}  # (pi, v') -> g_pi N_v'
             hit = {}
             for a, v in enumerate(Bk):
                 for u in Bk[a:]:
                     h = {}
-                    x, y = {(k, ident, ident, v): one}, {(k, u, ident, ident): one}
-                    for (k2, u2, pi, v2), c in alg.mul(x, y).items():
-                        if k2 < k or (k2 == k and (u2, v2) != (ident, ident)):
-                            raise InternalInconsistency(
-                                f"term {(k2, u2, pi, v2)} in e_({k}) g_{v} g_{u}^-1 "
-                                f"e_({k})"
-                            )
-                        if k2 == k:
-                            h[code[pi]] = inner(c)
+                    gvu = H.rmul_perm({code[v]: alg._one}, inv[code[u]])
+                    for (pi, v2), c in alg.straighten(k, gvu).items():
+                        x = lefts.get((pi, v2))
+                        if x is None:
+                            x = lefts[pi, v2] = H.star(H.rmul_perm(stars[v2], inv[pi]))
+                        for w, cw in x.items():
+                            acc(h, w, c * cw)
                     hit[v, u] = h
-                    hit[u, v] = alg.hecke.star(h)
+                    hit[u, v] = H.star(h)
             self._block_memo[k] = hit
         return hit
 

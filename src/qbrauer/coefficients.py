@@ -998,6 +998,14 @@ class Specialization:
             return self.from_int(x)
         if not isinstance(x, RatFunc) or self._identity:
             return x
+        if self.field[0] == "fp":
+            # on residues: sum of c q^dq r^dr mod p, negative powers
+            # being modular inverses
+            p = self.field[1]
+            den = self._residue(x.den, p)
+            if not den:
+                raise DenominatorVanishes(f"denominator {x.den!r} vanishes")
+            return Fp(p, self._residue(x.num, p) * pow(den, -1, p))
         one = self.one()
         den = x.den.evaluate(self.q_img, self.r_img, one)
         if den.is_zero():
@@ -1006,6 +1014,11 @@ class Specialization:
             return self.zero()
         num = x.num.evaluate(self.q_img, self.r_img, one)
         return num / den
+
+    def _residue(self, poly, p):
+        """The residue in [0, p) of a LaurentPoly at the F_p images."""
+        q, r = self.q_img.v, self.r_img.v
+        return sum(c * pow(q, dq, p) * pow(r, dr, p) for (dq, dr), c in poly.terms.items()) % p
 
 
 def quantum_char(x):

@@ -78,8 +78,9 @@ are built once per process.  Two rewriting routines do the work:
   k >= 2 the recursion e_(k) = e g_2 ... g_{2k-1} g_1^{-1} ... g_{2k-2}^{-1}
   e_(k-1) shifts the level down.
 
-The amount of rewriting per product call, over all of y's words, is
-capped; the limit is read from the environment variable
+The amount of rewriting per product call, over all of y's words, and per
+``straighten`` call is capped; the limit is read from the environment
+variable
 QBR_MAX_REWRITE_STEPS (default 10^6) and exceeding it raises
 RewriteBudgetExceeded.  A reduction reaching a state no rule applies to
 raises InternalInconsistency; this is checked, never assumed.
@@ -358,6 +359,22 @@ class QBrAlgebra:
             for idx, cn in self._normalize(*s).items():
                 acc(out, idx, c * cn)
         return {idx: f.outer(c) for idx, c in out.items()}
+
+    def straighten(self, k, helt):
+        """e_(k) h for h = {code: coeff} in the Hecke algebra on all n
+        letters, as {(pi, v): coeff} over the pairs of codes with
+        e_(k) g_pi g_v a normal index: pi a permutation of the letters
+        2k+1..n and v in B_{k,n}.  Each g_w is straightened through the
+        memoised minimal coset representatives of ``_red``; the rewrite
+        budget counts the steps of the whole call, as for ``mul``.  The
+        coefficients are internal, as in the Hecke actions.
+        """
+        self._steps = 0
+        out, acc, minrep = {}, self._acc, self._minrep[k]
+        for w, c in helt.items():
+            for r, cr in self._red(k, w).items():
+                acc(out, minrep[r], c * cr)
+        return out
 
     def _index_atoms(self, idx):
         k, u, pi, v = idx

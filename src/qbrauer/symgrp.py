@@ -268,13 +268,18 @@ def hook_product(lam):
 def standard_tableaux(lam, lo=1):
     """All standard tableaux of shape lam with entries lo, lo+1, ...
 
-    A tableau is a tuple of row tuples.  The list starts with the
-    row-reading superstandard tableau t^lam.
+    A tableau is a tuple of row tuples.  The tuple starts with the
+    row-reading superstandard tableau t^lam.  Built once per process for
+    each (lam, lo).
     """
-    lam = Partition(lam)
+    return _standard_tableaux(Partition(lam), lo)
+
+
+@lru_cache(maxsize=None)
+def _standard_tableaux(lam, lo):
     m = lam.size
     if m == 0:
-        return [()]
+        return ((),)
     cells = lam.cells()
     out = []
 
@@ -300,7 +305,7 @@ def standard_tableaux(lam, lo=1):
     out.sort(key=lambda t: tuple(itertools.chain(*t)))
     sup = superstandard(lam, lo)
     out.remove(sup)
-    return [sup] + out
+    return (sup, *out)
 
 
 def superstandard(lam, lo=1):

@@ -364,6 +364,72 @@ def test_level_blocks_lie_in_the_window():
                     assert blocks[v, u] == {T.code[pi]: c for (_, _, pi, _), c in level.items()}
 
 
+def pairwise_blocks(alg, k):
+    """The level blocks from one product e_(k) g_v . g_{u^{-1}} e_(k) per
+    pair v <= u, with the same guard: the reference for the sandwich blocks
+    of ``Cellular._blocks``."""
+    T, f, ident, Bk = alg._T, alg.field, alg.id, alg.Bkn[k]
+    out = {}
+    for a, v in enumerate(Bk):
+        for u in Bk[a:]:
+            h = {}
+            p = alg.mul({(k, ident, ident, v): f.one()}, {(k, u, ident, ident): f.one()})
+            for (k2, u2, pi, v2), c in p.items():
+                if k2 < k or (k2 == k and (u2, v2) != (ident, ident)):
+                    raise InternalInconsistency(f"term {(k2, u2, pi, v2)} at level {k}")
+                if k2 == k:
+                    h[T.code[pi]] = f.inner(c)
+            out[v, u] = h
+            out[u, v] = alg.hecke.star(h)
+    return out
+
+
+def block_outcome(blocks, alg, k):
+    try:
+        return blocks(alg, k)
+    except InternalInconsistency as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sandwich_blocks_match_pairwise_products(n):
+    # one product per v and Hecke arithmetic per pair give the blocks of one
+    # product per pair, and raise where those raise, with the same message
+    raised = set()
+    for version, N in ALL_VERSIONS:
+        for point in (None, (5, 2, 3), (7, 3, 5), (101, 3, 5)):
+            spec = point and Specialization.prime_field(*point)
+            for k in range(n // 2 + 1):
+                # fresh algebras each: a product that raises leaves memo
+                # entries behind
+                got = block_outcome(
+                    lambda alg, k: Cellular(alg)._blocks(k),
+                    QBrAlgebra(n, version=version, N=N, spec=spec), k,
+                )
+                want = block_outcome(pairwise_blocks, QBrAlgebra(n, version=version, N=N, spec=spec), k)
+                assert got == want, (version, point, k)
+                if isinstance(got, str):
+                    raised.add((k, got))
+    assert raised == ({(2, "rewriting cycle at e_(2) g_(2, 3, 0, 4, 1) e")} if n == 5 else set())
+
+
+def test_blocks_take_one_product_per_coset_representative(monkeypatch):
+    calls = []
+    mul = QBrAlgebra.mul
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return mul(self, x, y)
+
+    monkeypatch.setattr(QBrAlgebra, "mul", counted)
+    for alg, levels in block_algebras():
+        cell = Cellular(alg)
+        for k in levels:
+            calls.clear()
+            cell._blocks(k)
+            assert len(calls) == len(alg.Bkn[k])
+
+
 def phi_of_c_h_c(H, lam, clam, w):
     """phi(c_lam g_w c_lam) through the Murphy transition of the window H,
     phi the Murphy coordinate at (lam, t^lam, t^lam).  clam and the Hecke

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, output schema, exit codes."""
 
+import hashlib
 import json
 import time
 
@@ -256,6 +257,18 @@ def test_semisimple_grid_closed_form_agrees_on_every_admissible_row(capsys, vers
     assert len(rows) == 36
     admissible = [row for row in rows if row[2] != "excluded"]
     assert admissible and all(row[4] == "true" for row in admissible)
+
+
+# sha256 of the CSV of ``qbrauer semisimple --n 4 --field fp:13 --grid all``
+GRID_N4_F13_SHA256 = "15db27dc40c5ba97b6adf38ca1d31a0e1830007a637fc4b873038418acd28470"
+
+
+def test_semisimple_grid_n4_f13_csv_is_unchanged(capsys):
+    # every verdict and witness of the 144 points of the n = 4 grid over F_13
+    code, out, _ = run(capsys, "semisimple", "--n", "4", "--field", "fp:13", "--grid", "all")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 12 * 12
+    assert hashlib.sha256(out.encode()).hexdigest() == GRID_N4_F13_SHA256
 
 
 def test_semisimple_cyclotomic_point(capsys):

@@ -464,6 +464,34 @@ def test_ratfunc_operators_match_sympy_cancel(pair):
         assert sympy.cancel(sympy_expr(op(x, y)) - op(sympy_expr(x), sympy_expr(y))) == 0
 
 
+def field_value_outcome(spec, x):
+    """spec(x) for a RatFunc x over F_p the way the other fields take it:
+    LaurentPoly.evaluate on Fp values, then one division; as the repr and
+    type of the value, or the message of DenominatorVanishes."""
+    one = spec.one()
+    try:
+        den = x.den.evaluate(spec.q_img, spec.r_img, one)
+        if den.is_zero():
+            raise DenominatorVanishes(f"denominator {x.den!r} vanishes")
+        value = spec.zero() if x.num.is_zero() else x.num.evaluate(spec.q_img, spec.r_img, one) / den
+    except DenominatorVanishes as exc:
+        return str(exc)
+    return repr(value), type(value), value.p
+
+
+@given(ratfuncs, st.sampled_from((2, 3, 5, 7, 13, 2**61 - 1)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_fp_specialisation_on_residues_matches_field_values(x, p, data):
+    spec = Specialization.prime_field(p, data.draw(st.integers(1, p - 1)), data.draw(st.integers(1, p - 1)))
+    try:
+        got = spec(x)
+    except DenominatorVanishes as exc:
+        got = str(exc)
+    else:
+        got = repr(got), type(got), got.p
+    assert got == field_value_outcome(spec, x)
+
+
 def test_polynomial_operands_need_no_gcd(monkeypatch):
     def refuse(*args):
         raise AssertionError("gcd or canonicalisation on polynomial operands")
