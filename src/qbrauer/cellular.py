@@ -208,12 +208,13 @@ def _field_step(top, below, col, prev):
                 row[c] = row[c] - f * top[c]
 
 
-def _pull(f, move, des, bit, alg):
-    """The functional h -> f(g_i h) (move, des = lmul[i], ldes) or
-    h -> f(h g_i) (rmul[i], rdes), for f = {code: coeff} standing for
+def _pull(alg, move, des, f, i):
+    """The functional h -> f(g_i h) (move, des = lmul, ldes) or
+    h -> f(h g_i) (rmul, rdes), for f = {code: coeff} standing for
     h -> sum of f[w] h[w], in the internal coefficients of the algebra
-    ``alg``; ``bit`` is 1 << i."""
+    ``alg``."""
     acc, Q, Qm1 = alg._acc, alg._Q, alg._Qm1
+    move, bit = move[i], 1 << i
     out = {}
     for w, c in f.items():
         if des[w] & bit:
@@ -432,14 +433,17 @@ class Cellular:
         f(x) = [g_w](x g_w y_lam') as in the module docstring: the unit
         functional at w = d(t_lam) is pulled back through y_lam' on the
         right, then through g_w one generator at a time, last letter first,
-        then through c_lam on the left and on the right.  The coefficients
-        are internal; the one-row closed form is taken in field values,
-        once per length, and converted.
+        then through c_lam on the left and on the right, each the
+        ``HeckeWindow.coset_sums`` of the adjoint pass ``_pull``; as c* = c,
+        the right one takes the same coset sums starred, in the same order.
+        The coefficients are internal; the one-row closed form is taken in
+        field values, once per length, and converted.
         """
         T, Q, field = self.alg._T, self.alg.Q, self.field
         if len(lam) > 1:
-            f = self._pull_cosets(self._column_functional(k, lam), lam, T.lmul, T.ldes)
-            return self._pull_cosets(f, lam, T.rmul, T.rdes)
+            H, f = self.window(k), self._column_functional(k, lam)
+            f = H.coset_sums(f, lam, partial(_pull, self.alg, T.lmul, T.ldes))
+            return H.coset_sums(f, lam, partial(_pull, self.alg, T.rmul, T.rdes))
         codes = [T.code[w] for w in sg.window_perms(self.n, 2 * k + 1)]
         count = [0] * (max(T.length[w] for w in codes) + 1)
         for w in codes:
@@ -457,43 +461,18 @@ class Cellular:
 
     def _column_functional(self, k, lam):
         """f(x) = [g_w](x g_w y_lam') as {code: coeff}, w = d(t_lam): the
-        functional of the module docstring, before the c_lam pull-backs."""
+        functional of the module docstring, before the c_lam pull-backs;
+        y_lam' weights g_b by (-Q)^{-l(b)}, so each pass is scaled by -Q^-1."""
         alg, T = self.alg, self.alg._T
         lo = 2 * k + 1
         cols = lam.conjugate()
         sup = sg.superstandard(cols, lo)  # t_lam is its transpose
         t_lam = tuple(tuple(c[i] for c in sup if len(c) > i) for i in range(len(lam)))
         w = T.code[sg.tableau_perm(self.n, t_lam, lo)]
-        one, weight = alg._one, self.field.inner(-alg.Qinv)
-        f = self._pull_cosets({w: one}, cols, T.rmul, T.rdes, weight)
+        pull, weight = partial(_pull, alg, T.rmul, T.rdes), self.field.inner(-alg.Qinv)
+        f = self.window(k).coset_sums({w: alg._one}, cols, lambda x, i: alg._scale(pull(x, i), weight))
         for i in reversed(T.word(w)):
-            f = _pull(f, T.rmul[i], T.rdes, 1 << i, alg)
-        return f
-
-    def _pull_cosets(self, f, lam, act, des, weight=None):
-        """The functional h -> f(c h) ((act, des) = (lmul, ldes)) or
-        h -> f(h c) ((rmul, rdes)), c the sum of weight^{l(b)} g_b over the
-        row stabiliser of t^lam on the window (weight 1 if None).
-
-        c is the product over the rows (letters a..b) of the coset sums
-        1 + g_{j-1} + g_{j-1} g_{j-2} + ... + g_{j-1} ... g_a, j = a+1..b,
-        each term weighted by weight^{length}, so each pull-back is a
-        sequence of adjoint generator passes (``_pull``).  As c* = c, the
-        right pull-back takes the same coset sums starred, in the same
-        order.
-        """
-        alg = self.alg
-        acc = alg._acc
-        for row in sg.superstandard(lam, self.n - lam.size + 1):
-            for j in row[1:]:
-                run, total = f, dict(f)
-                for i in range(j - 1, row[0] - 1, -1):
-                    run = _pull(run, act[i], des, 1 << i, alg)
-                    if weight is not None:
-                        run = alg._scale(run, weight)
-                    for u, c in run.items():
-                        acc(total, u, c)
-                f = total
+            f = pull(f, i)
         return f
 
     def gram_det(self, k, lam):

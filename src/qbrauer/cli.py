@@ -56,6 +56,11 @@ class ConfigError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one error: line, as for any invalid configuration
+        raise ConfigError(message)
+
+
 # -- config parsing ---------------------------------------------------------------
 
 
@@ -379,9 +384,6 @@ def _suite_associativity(n, alg, report, trials=60):
 
 
 def _suite_brauer_oracle(n, alg, report):
-    if alg.version not in ("n_version", "classical"):
-        report("brauer-oracle: needs --version N=<int> or classical", False)
-        return False
     if alg.version == "n_version":
         spec = Specialization.rationals(Fraction(1), Fraction(1))
         alg = QBrAlgebra(n, version="n_version", spec=spec, N=alg.N)
@@ -444,11 +446,12 @@ SUITES = {
 
 def cmd_verify(args):
     version, N = parse_version(args.version)
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    oracle = version in ("n_version", "classical")  # the versions with a q = 1 diagram oracle
     if args.suite != "all" and args.suite not in SUITES:
         raise ConfigError(f"unknown suite {args.suite!r}")
-    if args.suite == "all" and version == "two_param":
-        names.remove("brauer-oracle")
+    if args.suite == "brauer-oracle" and not oracle:
+        raise ConfigError("the brauer-oracle suite needs --version N=<int> or classical")
+    names = [name for name in SUITES if args.suite in ("all", name) and (oracle or name != "brauer-oracle")]
     alg = QBrAlgebra(args.n, version=version, N=N)
     all_ok = True
 
@@ -466,7 +469,7 @@ def cmd_verify(args):
 
 
 def make_parser():
-    ap = argparse.ArgumentParser(prog="qbrauer", description=__doc__)
+    ap = _Parser(prog="qbrauer", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -500,12 +503,11 @@ def make_parser():
 
 
 def main(argv=None):
-    ap = make_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else 0
-    try:
+        try:
+            args = make_parser().parse_args(argv)
+        except SystemExit:  # --help
+            return EXIT_OK
         if not 2 <= args.n <= MAX_N:
             raise ConfigError(f"n must be in 2..{MAX_N}")
         if getattr(args, "format", None) == "csv" and not getattr(args, "grid", None):

@@ -577,16 +577,13 @@ def _rat_canonical(num, den):
         if g != {(0, 0): 1}:
             npoly = _biv_divexact(npoly, g)
             den = LaurentPoly(_biv_divexact(den.terms, g))
-        # q, r divide neither den nor npoly, so neither quotient needs a shift
+        # q, r divide neither den nor npoly, so neither quotient needs a
+        # shift; g carries the gcd of the contents, so by Gauss's lemma the
+        # quotients' contents are coprime, as are those of an undivided pair
         num = LaurentPoly(npoly).shifted(nq, nr)
     # fix sign via den's graded-lex leading coefficient
     if den.terms[_lead(den.terms)] < 0:
         den, num = -den, -num
-    # integer content reduction
-    g = math.gcd(_uni_content(num.terms), _uni_content(den.terms))
-    if g > 1:
-        num = LaurentPoly({k: v // g for k, v in num.terms.items()})
-        den = LaurentPoly({k: v // g for k, v in den.terms.items()})
     return num, den
 
 

@@ -464,10 +464,6 @@ class QBrAlgebra:
         out, acc = {}, self._acc
         for (A, k, w), c in states.items():
             self._tick()
-            if k == 0:
-                for y, cy in self.hecke.rmul_perm({A: c}, w).items():
-                    acc(out, (0, 1, y), cy)
-                continue
             for (A3, k3, w3), cl in self._lefte(k, A).items():
                 for y, cy in self.hecke.rmul_perm({w3: cl}, w).items():
                     acc(out, (A3, k3, y), c * cy)
@@ -505,16 +501,13 @@ class QBrAlgebra:
                 for s, cs in self._emul(k, x).items():
                     acc(out, s, c * cs)
             return out
-        # absorb or commute generators on the left of g_w
+        # commute generators on the left of g_w: w is a minimal coset
+        # representative, so no s_i below 2k+1 that e_(k) absorbs is a left
+        # descent, and g_i with i >= 2k+1 commutes with e_(k)
         ldes = T.ldes[w]
-        for i in range(1, n):
+        for i in range(2 * k + 1, n):
             if ldes >> i & 1:
-                if i % 2 == 1 and i < 2 * k:
-                    # e_(k) g_i = Q e_(k) for odd i < 2k
-                    return self._scale(self._emul(k, T.lmul[i][w]), self._Q)
-                if i >= 2 * k + 1:
-                    # g_i commutes with e_(k)
-                    return self._lmul_gen_states(i, self._emul(k, T.lmul[i][w]))
+                return self._lmul_gen_states(i, self._emul(k, T.lmul[i][w]))
         # absorb or commute generators on the right of g_w against e
         rdes = T.rdes[w]
         for j in range(1, n):

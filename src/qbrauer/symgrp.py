@@ -12,8 +12,9 @@ Tableaux live on a window {lo, ..., n} of letters (lo = 2k+1 when k pairs
 have been used up by the diagram part), with shape a partition of
 n - lo + 1.
 
-B_{k,n} is built in closed form; :mod:`qbrauer.brauerdiag`, the q = 1
-oracle that checks it, is not on this construction path.
+B_{k,n} and the tables of :class:`PermTable` are built in closed form;
+:mod:`qbrauer.brauerdiag`, the q = 1 oracle that checks B_{k,n}, is not
+on this construction path.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "standard_tableaux",
     "superstandard",
     "tableau_perm",
-    "young_subgroup",
     "window_perms",
     "enumerate_Bkn",
 ]
@@ -132,8 +132,9 @@ class PermTable:
     For a generator label i, ``lmul[i][c]`` is the code of s_i * w and
     ``rmul[i][c]`` that of w * s_i (index 0 of both is unused).  ``inv``
     and ``length`` are per code; bit i of ``ldes[c]`` (``rdes[c]``) is set
-    iff s_i is a left (right) descent of w.  Lengths come from a
-    breadth-first walk from the identity, descents from the lengths.
+    iff s_i is a left (right) descent of w.  Nothing is searched: the
+    digits of c in the factorial base are the Lehmer code of w, so its
+    length is their sum, and s_i is a left descent iff w[i-1] > w[i].
     ``word(c)`` is ``reduced_word(perms[c])``, computed once per code.
     """
 
@@ -150,25 +151,14 @@ class PermTable:
         self.rmul = (None,) + tuple(
             tuple([inv_[left[ic]] for ic in inv_]) for left in lmul[1:]
         )
-        ln = [-1] * len(perms)
-        ln[0] = 0
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for left in lmul[1:]:
-                    d = left[c]
-                    if ln[d] < 0:
-                        ln[d] = ln[c] + 1
-                        nxt.append(d)
-            frontier = nxt
+        ln = [0]
+        for m in range(2, n + 1):
+            ln = [q + x for q in range(m) for x in ln]
         self.length = tuple(ln)
         ldes = [0] * len(perms)
         for i in range(1, n):
-            left, bit = lmul[i], 1 << i
-            for c, lc in enumerate(ln):
-                if ln[left[c]] < lc:
-                    ldes[c] |= bit
+            bit = 1 << i
+            ldes = [d | bit if w[i - 1] > w[i] else d for d, w in zip(ldes, perms)]
         self.ldes = tuple(ldes)
         # s_i is a right descent of w iff it is a left descent of w^{-1}
         self.rdes = tuple([ldes[ic] for ic in inv_])
@@ -333,23 +323,6 @@ def tableau_perm(n, t, lo=1):
         for a, b in zip(rs, rt):
             img[a - 1] = b - 1
     return tuple(img)
-
-
-def young_subgroup(n, lam, lo=1):
-    """All permutations of the row stabiliser of t^lam inside S_{lo..n}."""
-    lam = Partition(lam)
-    sup = superstandard(lam, lo)
-    groups = [row for row in sup if len(row) > 1]
-    perms = [identity(n)]
-    for row in groups:
-        new = []
-        for assign in itertools.permutations(row):
-            base = list(range(n))
-            for a, b in zip(row, assign):
-                base[a - 1] = b - 1
-            new.append(tuple(base))
-        perms = [mul(p, q) for p in perms for q in new]
-    return perms
 
 
 def window_perms(n, lo):

@@ -111,12 +111,50 @@ N_TOO_LARGE = (
     "gram", "--n", "40", "--k", "0", "--lambda", "40",
     "--field", "fp:7", "--q", "2", "--r", "3",
 )
+GRAM_31 = ("gram", "--n", "3", "--k", "1", "--lambda", "1")
+GENERIC_WITH_Q = GRAM_31 + ("--field", "generic", "--q", "2")
+FP_WITHOUT_IMAGES = GRAM_31 + ("--field", "fp:5")
+CYCLO_NOT_INT = GRAM_31 + ("--field", "cyclo:x", "--q", "zeta", "--r", "2")
+CYCLO_WITHOUT_IMAGES = GRAM_31 + ("--field", "cyclo:8")
+UNKNOWN_FIELD = GRAM_31 + ("--field", "foo")
+PARTITION_NOT_INTS = ("gram", "--n", "3", "--k", "0", "--lambda", "x,y")
+PARTITION_INCREASING = ("gram", "--n", "3", "--k", "0", "--lambda", "1,2")
+# r = q^2 = 4 makes the scalar a = (r - r^-1)/(q - q^-1) vanish mod 5
+A_VANISHES = GRAM_31 + ("--field", "fp:5", "--q", "2", "--r", "4")
+GRID_GENERIC = ("semisimple", "--n", "3", "--field", "generic", "--grid", "all")
+UNKNOWN_SUITE = ("verify", "--n", "3", "--suite", "nosuch")
+ORACLE_TWO_PARAM = ("verify", "--n", "3", "--suite", "brauer-oracle")
+ORACLE_ONE_PARAM = ORACLE_TWO_PARAM + ("--version", "oneparam")
+Q_ZERO = GRAM_31 + ("--field", "fp:5", "--q", "0", "--r", "2")
+# argparse's own errors, without its usage block
+BASIS_FIELD = ("basis", "--n", "3", "--field", "fp:4")
+GRID_BAD_CHOICE = ("semisimple", "--n", "2", "--field", "fp:5", "--grid", "some")
+GRAM_MISSING_ARGS = ("gram", "--n", "3")
+N_NOT_INT = ("basis", "--n", "x")
+ORACLE_VERSIONS = "the brauer-oracle suite needs --version N=<int> or classical"
 # the whole stderr of the test_bad_config_exit2 cases that pin it
 BAD_CONFIG_MESSAGES = {
     FP_FRACTION_SCALAR: "cannot parse scalar '1/2'",
     CYCLO_ZERO: "bad field 'cyclo:0'",
     CYCLO_NEGATIVE: "bad field 'cyclo:-4'",
     N_TOO_LARGE: "n must be in 2..9",
+    GENERIC_WITH_Q: "the generic field keeps q and r symbolic",
+    FP_WITHOUT_IMAGES: "fp fields need --q and --r",
+    CYCLO_NOT_INT: "bad field 'cyclo:x'",
+    CYCLO_WITHOUT_IMAGES: "cyclotomic fields need --q and --r",
+    UNKNOWN_FIELD: "unknown field 'foo'",
+    PARTITION_NOT_INTS: "cannot parse partition 'x,y'",
+    PARTITION_INCREASING: "'1,2' is not a partition",
+    A_VANISHES: "parameter a vanishes; the basis construction needs a invertible",
+    GRID_GENERIC: "grid sweeps need a finite field fp:<p>",
+    UNKNOWN_SUITE: "unknown suite 'nosuch'",
+    ORACLE_TWO_PARAM: ORACLE_VERSIONS,
+    ORACLE_ONE_PARAM: ORACLE_VERSIONS,
+    Q_ZERO: "image of q must be invertible",
+    BASIS_FIELD: "unrecognized arguments: --field fp:4",
+    GRID_BAD_CHOICE: "argument --grid: invalid choice: 'some' (choose from 'all')",
+    GRAM_MISSING_ARGS: "the following arguments are required: --k, --lambda",
+    N_NOT_INT: "argument --n: invalid int value: 'x'",
 }
 
 
@@ -131,7 +169,7 @@ BAD_CONFIG_MESSAGES = {
           "--field", "fp:9", "--q", "2", "--r", "2"), {}),
         (("semisimple", "--n", "2", "--field", "fp:x", "--grid", "all"), {}),
         (("semisimple", "--n", "2", "--field", "fp:4", "--grid", "all"), {}),
-        (("semisimple", "--n", "2", "--field", "fp:5", "--grid", "some"), {}),
+        (GRID_BAD_CHOICE, {}),
         (("basis", "--n", "1"), {}),
         (("basis", "--n", "2"), {"QBR_MAX_REWRITE_STEPS": "abc"}),
         (("basis", "--n", "2"), {"QBR_MAX_REWRITE_STEPS": "-5"}),
@@ -144,7 +182,7 @@ BAD_CONFIG_MESSAGES = {
           "--q", "2"), {}),
         (("semisimple", "--n", "2", "--field", "fp:5", "--grid", "all",
           "--r", "3"), {}),
-        (("basis", "--n", "3", "--field", "fp:4"), {}),
+        (BASIS_FIELD, {}),
         (("basis", "--n", "3", "--q", "2"), {}),
         (("verify", "--n", "3", "--suite", "dimension",
           "--field", "fp:5", "--q", "2", "--r", "3"), {}),
@@ -155,6 +193,21 @@ BAD_CONFIG_MESSAGES = {
         (CYCLO_ZERO, {}),
         (CYCLO_NEGATIVE, {}),
         (N_TOO_LARGE, {}),
+        (GENERIC_WITH_Q, {}),
+        (FP_WITHOUT_IMAGES, {}),
+        (CYCLO_NOT_INT, {}),
+        (CYCLO_WITHOUT_IMAGES, {}),
+        (UNKNOWN_FIELD, {}),
+        (PARTITION_NOT_INTS, {}),
+        (PARTITION_INCREASING, {}),
+        (A_VANISHES, {}),
+        (GRID_GENERIC, {}),
+        (UNKNOWN_SUITE, {}),
+        (ORACLE_TWO_PARAM, {}),
+        (ORACLE_ONE_PARAM, {}),
+        (Q_ZERO, {}),
+        (GRAM_MISSING_ARGS, {}),
+        (N_NOT_INT, {}),
     ],
     ids=[
         "bad-partition",
@@ -181,16 +234,51 @@ BAD_CONFIG_MESSAGES = {
         "cyclo-zero",
         "cyclo-negative",
         "n-too-large",
+        "generic-with-q",
+        "fp-without-images",
+        "cyclo-not-int",
+        "cyclo-without-images",
+        "unknown-field",
+        "partition-not-ints",
+        "partition-increasing",
+        "a-vanishes",
+        "grid-generic",
+        "unknown-suite",
+        "oracle-two-param",
+        "oracle-one-param",
+        "q-zero",
+        "gram-missing-args",
+        "n-not-int",
     ],
 )
 def test_bad_config_exit2(capsys, monkeypatch, argv, env):
+    # nothing on stdout and one error: line on stderr, argparse's included
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    code, _, err = run(capsys, *argv)
-    assert code == 2
-    assert "error:" in err.strip().splitlines()[-1]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
     if argv in BAD_CONFIG_MESSAGES:
         assert err == f"error: {BAD_CONFIG_MESSAGES[argv]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--n", "3", "--suite", "relations"), GRAM_31],
+    ids=["verify-relations", "gram"],
+)
+def test_rewrite_budget_exit3(capsys, monkeypatch, argv):
+    monkeypatch.setenv("QBR_MAX_REWRITE_STEPS", "1")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: rewrite budget exceeded")
+
+
+def test_help_exits0(capsys):
+    code, out, err = run(capsys, "gram", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: qbrauer gram")
 
 
 def test_semisimple_grid_two_param(capsys):
@@ -293,6 +381,16 @@ def test_verify_all(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") == 5
+
+
+@pytest.mark.parametrize("version, oracle", [("oneparam", False), ("N=3", True), ("classical", True)])
+def test_verify_all_versions(capsys, version, oracle):
+    # all runs the brauer oracle exactly for the versions it applies to
+    code, out, _ = run(capsys, "verify", "--n", "3", "--suite", "all", "--version", version)
+    assert code == 0
+    assert "FAIL" not in out
+    assert out.count("PASS") == 5 + oracle
+    assert ("PASS brauer-oracle" in out) == oracle
 
 
 def test_verify_brauer_oracle(capsys):

@@ -2,6 +2,7 @@
 transition matrices and their sparse factorisation, and Specht-module Gram
 matrices."""
 
+import itertools
 import math
 import random
 
@@ -148,6 +149,32 @@ def assert_invertible(lu, size):
     # the pivot on the diagonal, which is nonzero as no zero is stored
     assert sorted(lu.pivots) == list(range(size))
     assert [min(row) for row in lu.upper] == list(range(size))
+
+
+def row_sum_brute_force(H, lam):
+    """The sum of g_sigma over the row stabiliser of t^lam, sigma running
+    over every product of one permutation of each row's letters."""
+    T, one = sg.perm_table(H.n), H.field.inner(H.field.one())
+    rows = sg.superstandard(lam, H.lo)
+    out = {}
+    for images in itertools.product(*(itertools.permutations(row) for row in rows)):
+        w = list(range(H.n))
+        for row, img in zip(rows, images):
+            for a, b in zip(row, img):
+                w[a - 1] = b - 1
+        for u, c in H.rmul_perm({0: one}, T.code[tuple(w)]).items():
+            H.field.acc(out, u, c)
+    return out
+
+
+@pytest.mark.parametrize("point", ["generic", "F7"])
+def test_c_lambda_is_the_row_stabiliser_sum(point):
+    # windows of 1..5 letters, starting at letter 1 and ending at letter 6
+    field = Specialization.generic() if point == "generic" else Specialization.prime_field(7, 3, 5)
+    for n, lo in [(m, 1) for m in range(1, 6)] + [(6, 7 - m) for m in range(1, 6)]:
+        H = HeckeWindow(n, lo, field, field(Q))
+        for lam in sg.partitions(H.m):
+            assert H.c_lambda(lam) == row_sum_brute_force(H, lam), (n, lo, lam)
 
 
 def test_murphy_transition_invertible_n4():
