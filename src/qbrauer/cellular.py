@@ -444,7 +444,7 @@ class Cellular:
             H, f = self.window(k), self._column_functional(k, lam)
             f = H.coset_sums(f, lam, partial(_pull, self.alg, T.lmul, T.ldes))
             return H.coset_sums(f, lam, partial(_pull, self.alg, T.rmul, T.rdes))
-        codes = [T.code[w] for w in sg.window_perms(self.n, 2 * k + 1)]
+        codes = T.window(2 * k + 1)
         count = [0] * (max(T.length[w] for w in codes) + 1)
         for w in codes:
             count[T.length[w]] += 1

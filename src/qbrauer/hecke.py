@@ -82,7 +82,6 @@ class HeckeWindow:
         self._acc = field.acc
         self._T = sg.perm_table(n)
         self._murphy = None
-        self._pidx = None
 
     # -- generator actions --------------------------------------------------------
 
@@ -162,29 +161,29 @@ class HeckeWindow:
         """(labels, codes, factorisation) for the window.
 
         The transition matrix has rows indexed by the window's permutation
-        codes in increasing order and column j equal to
-        murphy_element(labels[j]) in those coordinates.  Its rows are built
-        sparse and factored here once per window by :class:`SparseLU`; the
-        code -> row dict is kept for ``to_murphy``.
+        codes, ``PermTable.window``: 0, 1, ..., m! - 1, so row w is code w.
+        Column j is murphy_element(labels[j]) in those coordinates.  Its
+        rows are built sparse and factored here once per window by
+        :class:`SparseLU`.
         """
         if self._murphy is None:
             labels = self.murphy_labels()
-            code = self._T.code
-            codes = sorted(code[w] for w in sg.window_perms(self.n, self.lo))
-            pidx = {w: i for i, w in enumerate(codes)}
+            codes = self._T.window(self.lo)
             rows = [{} for _ in codes]
             for j, lab in enumerate(labels):
                 for w, c in self.murphy_element(*lab).items():
-                    rows[pidx[w]][j] = c
+                    rows[w][j] = c
             self._murphy = (labels, codes, SparseLU(rows, self.field))
-            self._pidx = pidx
         return self._murphy
 
     def to_murphy(self, x):
-        """Coordinates of x in the Murphy basis, as {(lam,s,t): coeff}."""
-        labels, _, lu = self.murphy_data()
-        pidx = self._pidx
-        sol = lu.solve({pidx[w]: c for w, c in x.items()})
+        """Coordinates of x in the Murphy basis, as {(lam,s,t): coeff};
+        KeyError if x has a term off the window."""
+        labels, codes, lu = self.murphy_data()
+        off = [w for w in x if w not in codes]
+        if off:
+            raise KeyError(off[0])
+        sol = lu.solve(x)
         return {labels[j]: sol[j] for j in sorted(sol)}
 
 

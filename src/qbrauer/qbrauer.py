@@ -45,10 +45,10 @@ indices are tuples only at the API.  In x y every term of y is a
 generator word; the words of all of y's terms form a prefix tree, and the
 states of x are pushed through each shared prefix once.  A generator atom
 g_i or g_i^{-1} acts on a whole state dict in one pass, on the w of every
-state (and g_i on the left, on the A, in the level shift below, as that
-action conjugated by the involution), with Q - 1, Q^{-1} and Q^{-1} - 1
-computed once per algebra; every other Hecke product goes through the
-algebra's :class:`qbrauer.hecke.HeckeWindow` on all n letters, ``hecke``.
+state, with Q - 1, Q^{-1} and Q^{-1} - 1 computed once per algebra; a
+word acting on the left is taken as (states* word*)* through the
+involution, and every other Hecke product goes through the algebra's
+:class:`qbrauer.hecke.HeckeWindow` on all n letters, ``hecke``.
 The leaf states of all words are merged into one dict before
 normalisation, so each distinct state is normalised once per product.
 Coefficients are the field's internal values (ints in [0, p) over F_p,
@@ -78,12 +78,12 @@ are built once per process.  Two rewriting routines do the work:
   k >= 2 the recursion e_(k) = e g_2 ... g_{2k-1} g_1^{-1} ... g_{2k-2}^{-1}
   e_(k-1) shifts the level down.
 
-The amount of rewriting per product call, over all of y's words, and per
-``straighten`` call is capped; the limit is read from the environment
-variable
-QBR_MAX_REWRITE_STEPS (default 10^6) and exceeding it raises
-RewriteBudgetExceeded.  A reduction reaching a state no rule applies to
-raises InternalInconsistency; this is checked, never assumed.
+The amount of rewriting per product call, over all of y's words, per
+``star`` call and per ``straighten`` call is capped; the limit is read
+from the environment variable QBR_MAX_REWRITE_STEPS (default 10^6) and
+exceeding it raises RewriteBudgetExceeded.  A reduction reaching a state
+no rule applies to raises InternalInconsistency; this is checked, never
+assumed.
 """
 
 from __future__ import annotations
@@ -194,10 +194,9 @@ def _cosets(n):
         bk = tuple(sg.enumerate_Bkn(n, k))
         vcodes = [(v, code[v]) for v in bk]
         table = {}
-        for pi in sg.window_perms(n, 2 * k + 1):
-            p = code[pi]
+        for p in T.window(2 * k + 1):
             for v, vc in vcodes:
-                x = code[sg.mul(pi, v)]
+                x = code[sg.mul(T.perms[p], v)]
                 assert ln[x] == ln[p] + ln[vc], "lengths must add in pi * v"
                 assert x not in table, "coset representatives must be distinct"
                 table[x] = (p, vc)
@@ -248,7 +247,7 @@ class QBrAlgebra:
         self._red_memo = {}
         self._red_stack = set()
         self._emul_memo = {}
-        self._lefte_memo = {}
+        self._lefte_memo = {}  # always empty: only the bench tracer's memo count reads it
         self._norm_memo = {}
         self._emul_stack = set()
 
@@ -258,7 +257,7 @@ class QBrAlgebra:
         """All normal basis indices (k, u, pi, v), level by level."""
         out = []
         for k in range(self.n // 2 + 1):
-            ws = sg.window_perms(self.n, 2 * k + 1)
+            ws = [self._T.perms[p] for p in self._T.window(2 * k + 1)]
             for u in self.Bkn[k]:
                 for pi in ws:
                     for v in self.Bkn[k]:
@@ -304,7 +303,8 @@ class QBrAlgebra:
         return {idx: v * c for idx, v in x.items()}
 
     def star(self, x):
-        """The involution fixing e and every g_i, reversing products."""
+        """The involution fixing e and every g_i, reversing products; budgeted per call."""
+        self._steps = 0
         T, f = self._T, self.field
         code, inv, acc = T.code, T.inv, self._acc
         out = {}
@@ -387,6 +387,8 @@ class QBrAlgebra:
         return atoms
 
     def _ek_atoms(self, k):
+        """The atoms of e_(k) = e g_2 ... g_{2k-1} g_1^{-1} ... g_{2k-2}^{-1}
+        e_(k-1); the first 4k - 3 are the level shift of ``_emul_compute``."""
         if k == 0:
             return []
         atoms = [("E",)]
@@ -446,37 +448,18 @@ class QBrAlgebra:
                 acc(out, (A, k, wi), c * Q)
         return out
 
-    def _lmul_gen_states(self, i, states, inverse=False):
-        """g_i states, or g_i^{-1} states, acting on the A of each (A, k, w).
-
-        ``_rmul_gen_states`` conjugated by the involution (``_star_states``),
-        which fixes g_i and g_i^{-1}, one rewrite step per state.
-        """
-        self._tick(len(states))
-        return self._star_states(self._rmul_gen_states(self._star_states(states), i, inverse))
+    def _lmul(self, word, states):
+        """word states, for a list of atoms, as (states* word*)*: the involution
+        fixes e and every g_i^{+-1}, so ``_apply_atom`` is the only action."""
+        states = self._star_states(states)
+        for atom in reversed(word):
+            states = self._apply_atom(states, atom)
+        return self._star_states(states)
 
     def _star_states(self, states):
         """The involution g_A e_(k) g_w -> g_{w^{-1}} e_(k) g_{A^{-1}} on states."""
         inv = self._T.inv
         return {(inv[w], k, inv[A]): c for (A, k, w), c in states.items()}
-
-    def _lmul_e_states(self, states):
-        out, acc = {}, self._acc
-        for (A, k, w), c in states.items():
-            self._tick()
-            for (A3, k3, w3), cl in self._lefte(k, A).items():
-                for y, cy in self.hecke.rmul_perm({w3: cl}, w).items():
-                    acc(out, (A3, k3, y), c * cy)
-        return out
-
-    def _lefte(self, k, A):
-        """e g_A e_(k) as states, via the involution of e_(k) g_{A^{-1}} e."""
-        key = (k, A)
-        hit = self._lefte_memo.get(key)
-        if hit is None:
-            hit = self._star_states(self._emul(k, self._T.inv[A]))
-            self._lefte_memo[key] = hit
-        return hit
 
     # -- e_(k) g_w e -------------------------------------------------------------
 
@@ -507,7 +490,7 @@ class QBrAlgebra:
         ldes = T.ldes[w]
         for i in range(2 * k + 1, n):
             if ldes >> i & 1:
-                return self._lmul_gen_states(i, self._emul(k, T.lmul[i][w]))
+                return self._lmul([("g", i)], self._emul(k, T.lmul[i][w]))
         # absorb or commute generators on the right of g_w against e
         rdes = T.rdes[w]
         for j in range(1, n):
@@ -530,14 +513,8 @@ class QBrAlgebra:
                 acc(out, (0, 2, 0), self._QQ)
                 return out
             raise InternalInconsistency(f"unexpected level-1 core {T.perms[w]}")
-        # shift the level down through
-        # e_(k) = e g_2 ... g_{2k-1} g_1^{-1} ... g_{2k-2}^{-1} e_(k-1)
-        states = self._emul(k - 1, w)
-        for i in range(2 * k - 2, 0, -1):
-            states = self._lmul_gen_states(i, states, inverse=True)
-        for i in range(2 * k - 1, 1, -1):
-            states = self._lmul_gen_states(i, states)
-        return self._lmul_e_states(states)
+        # shift the level down through e_(k) = (head of _ek_atoms(k)) e_(k-1)
+        return self._lmul(self._ek_atoms(k)[:4 * k - 3], self._emul(k - 1, w))
 
     # -- e_(k) g_x straightening ---------------------------------------------------
 

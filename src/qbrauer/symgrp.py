@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 import itertools
+import math
 from types import MappingProxyType
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "standard_tableaux",
     "superstandard",
     "tableau_perm",
-    "window_perms",
     "enumerate_Bkn",
 ]
 
@@ -78,20 +78,6 @@ def length(u):
     """Coxeter length: number of inversions."""
     n = len(u)
     return sum(1 for i in range(n) for j in range(i + 1, n) if u[i] > u[j])
-
-
-def lmul_gen(i, u):
-    """s_i * u, i.e. swap positions i, i+1 of the one-line form (1-based)."""
-    img = list(u)
-    img[i - 1], img[i] = img[i], img[i - 1]
-    return tuple(img)
-
-
-def rmul_gen(u, i):
-    """u * s_i, i.e. swap the letters i, i+1 in the one-line form."""
-    img = list(u)
-    img[u.index(i - 1)], img[u.index(i)] = i, i - 1
-    return tuple(img)
 
 
 def reduced_word(u):
@@ -132,37 +118,56 @@ class PermTable:
     For a generator label i, ``lmul[i][c]`` is the code of s_i * w and
     ``rmul[i][c]`` that of w * s_i (index 0 of both is unused).  ``inv``
     and ``length`` are per code; bit i of ``ldes[c]`` (``rdes[c]``) is set
-    iff s_i is a left (right) descent of w.  Nothing is searched: the
-    digits of c in the factorial base are the Lehmer code of w, so its
-    length is their sum, and s_i is a left descent iff w[i-1] > w[i].
-    ``word(c)`` is ``reduced_word(perms[c])``, computed once per code.
+    iff s_i is a left (right) descent of w.  No entry is searched for or
+    looked up in ``code``: the digits of c in the factorial base are the
+    Lehmer code of w, so its length is their sum, s_i is a left descent iff
+    w[i-1] > w[i], and s_i w changes only the digits (a, b) at i-1, i, to
+    (b + 1, a) if a <= b and to (b, a - 1) otherwise.  ``word(c)`` is
+    ``reduced_word(perms[c])``, computed once per code.
     """
 
     def __init__(self, n):
+        self.n = n
         self.perms = perms = tuple(itertools.permutations(range(n)))
-        code = {w: c for c, w in enumerate(perms)}
-        self.code = MappingProxyType(code)  # the table is shared: read-only
-        self.inv = inv_ = tuple(code[inv(w)] for w in perms)
-        self.lmul = lmul = (None,) + tuple(
-            tuple(code[w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]] for w in perms)
-            for i in range(1, n)
-        )
-        # w s_i = (s_i w^{-1})^{-1}
-        self.rmul = (None,) + tuple(
-            tuple([inv_[left[ic]] for ic in inv_]) for left in lmul[1:]
-        )
+        # the table is shared: read-only
+        self.code = MappingProxyType({w: c for c, w in enumerate(perms)})
+        size, fact = len(perms), [math.factorial(m) for m in range(n + 1)]
+        lmul, ldes = [None], [0] * size
+        for i in range(1, n):
+            # s_i moves the code by the same d over each run of fb codes with
+            # digits (a, b) at i-1, i, of weights fa = (n - i) fb and fb
+            fb, bit = fact[n - 1 - i], 1 << i
+            fa, run = fb * (n - i), []
+            for a in range(n - i + 1):
+                for b in range(n - i):
+                    a2, b2 = (b + 1, a) if a <= b else (b, a - 1)
+                    run += [(a2 - a) * fa + (b2 - b) * fb] * fb
+            lmul.append(tuple([c + d for c, d in zip(range(size), run * (size // len(run)))]))
+            ldes = [d | bit if w[i - 1] > w[i] else d for d, w in zip(ldes, perms)]
+        self.lmul, self.ldes = lmul, ldes = tuple(lmul), tuple(ldes)
         ln = [0]
         for m in range(2, n + 1):
             ln = [q + x for q in range(m) for x in ln]
         self.length = tuple(ln)
-        ldes = [0] * len(perms)
-        for i in range(1, n):
-            bit = 1 << i
-            ldes = [d | bit if w[i - 1] > w[i] else d for d, w in zip(ldes, perms)]
-        self.ldes = tuple(ldes)
+        # for a left descent s_i of w, s_i w has the smaller code, and
+        # w^{-1} = (s_i w)^{-1} s_i, a product raising only digit w[i] by one
+        inv_ = [0] * size
+        for c in range(1, size):
+            i = (ldes[c] & -ldes[c]).bit_length() - 1
+            inv_[c] = inv_[lmul[i][c]] + fact[n - 1 - perms[c][i]]
+        self.inv = inv_ = tuple(inv_)
+        # w s_i = (s_i w^{-1})^{-1}
+        self.rmul = (None,) + tuple(
+            tuple([inv_[left[ic]] for ic in inv_]) for left in lmul[1:]
+        )
         # s_i is a right descent of w iff it is a left descent of w^{-1}
         self.rdes = tuple([ldes[ic] for ic in inv_])
-        self._words = [None] * len(perms)
+        self._words = [None] * size
+
+    def window(self, lo):
+        """The codes of the permutations of the letters lo..n: as they fix a
+        prefix, they are the first (n - lo + 1)! codes, in the same order."""
+        return range(math.factorial(self.n - lo + 1))
 
     def word(self, c):
         """The reduced word of ``reduced_word`` for code c."""
@@ -323,13 +328,6 @@ def tableau_perm(n, t, lo=1):
         for a, b in zip(rs, rt):
             img[a - 1] = b - 1
     return tuple(img)
-
-
-def window_perms(n, lo):
-    """All permutations of {1..n} fixing 1..lo-1 pointwise."""
-    fixed = list(range(lo - 1))
-    rest = list(range(lo - 1, n))
-    return [tuple(fixed + list(p)) for p in itertools.permutations(rest)]
 
 
 # ---------------------------------------------------------------------------

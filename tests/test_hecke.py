@@ -228,6 +228,18 @@ def oracle_windows():
         yield HeckeWindow(5, lo, fp, fp(Q))
 
 
+def test_to_murphy_rejects_codes_off_the_window():
+    # the rows are the window's codes 0..m!-1, so a code past them, here a
+    # generator moving a letter below the window, is a KeyError
+    H = window(4, 3)
+    T, one = sg.perm_table(4), H.field.one()
+    s2, s3 = T.code[sg.gen(4, 2)], T.code[sg.gen(4, 3)]
+    assert H.to_murphy({s3: one})
+    for x in ({s2: one}, {s3: one, s2: one}):
+        with pytest.raises(KeyError):
+            H.to_murphy(x)
+
+
 def test_sparse_solves_match_dense_inverse():
     rng = random.Random(5)
     for H in oracle_windows():

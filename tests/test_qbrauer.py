@@ -480,8 +480,8 @@ def test_gram_block_rewrite_steps_n5_fp(attempt_raising_cell, expect):
 
 def left_gen_states(alg, i, states, inverse):
     """g_i states, or g_i^{-1} states, straight from the left descents of
-    each A: the left action written out, as an oracle for the engine's,
-    which conjugates the right action by the involution."""
+    each A: the left action written out, as an oracle for the engine's
+    ``_lmul``, which conjugates the right action by the involution."""
     T = alg._T
     out = {}
     for (A, k, w), c in states.items():
@@ -515,10 +515,76 @@ def test_lmul_gen_states_matches_left_action(n, inverse):
                     _acc(states, (T.lmul[i][A], k, w), alg.field.from_int(rng.randrange(1, 101)))
             alg._steps = 0
             f = alg.field
-            out = alg._lmul_gen_states(i, {s: f.inner(c) for s, c in states.items()}, inverse)
+            atom = ("gi" if inverse else "g", i)
+            out = alg._lmul([atom], {s: f.inner(c) for s, c in states.items()})
             out = {s: f.outer(c) for s, c in out.items()}
             assert list(out.items()) == list(left_gen_states(alg, i, states, inverse).items())
             assert alg._steps == len(states)
+
+
+def left_e_states(alg, states):
+    """e states by e g_A e_(k) g_w = (e_(k) g_{A^{-1}} e)* g_w, with the
+    star taken on the states of ``_emul`` and g_w multiplied on the right
+    in the Hecke algebra; k >= 1, as ``_emul`` does not take k = 0.
+    Internal coefficients, as in the engine."""
+    T, out = alg._T, {}
+    for (A, k, w), c in states.items():
+        for (B, k3, w3), ce in alg._emul(k, T.inv[A]).items():
+            for y, cy in alg.hecke.rmul_perm({T.inv[B]: ce}, w).items():
+                alg._acc(out, (T.inv[w3], k3, y), c * cy)
+    return out
+
+
+def outcome(f, ordered=True):
+    try:
+        out = f()
+    except InternalInconsistency as exc:
+        return str(exc)
+    return list(out.items()) if ordered else out
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_lmul_e_matches_star_of_emul(n):
+    # the E atom through the involution against the formula it replaced:
+    # equal on random states, and in the same order on every state dict the
+    # level shift hands it, where the order decides which memo entries a
+    # raising product fills; both raise alike at the keys no rule closes
+    alg = QBrAlgebra(n, spec=FP101)
+    T, f, rng = alg._T, alg.field, random.Random(n)
+    codes = range(len(T.perms))
+    for _ in range(30):
+        states = {}
+        for _ in range(rng.randrange(1, 5)):
+            s = (rng.choice(codes), rng.randrange(1, n // 2 + 1), rng.choice(codes))
+            f.acc(states, s, f.inner(f.from_int(rng.randrange(1, 101))))
+        alg._steps = 0
+        got = outcome(lambda: alg._lmul([("E",)], states), ordered=False)
+        assert got == outcome(lambda: left_e_states(alg, states), ordered=False)
+    shifted = 0
+    for k in range(2, n // 2 + 1):
+        head = alg._ek_atoms(k)[:4 * k - 3]
+        for w in alg._minrep[k]:
+            alg._steps = 0
+            try:
+                states = alg._lmul(head[1:], alg._emul(k - 1, w))
+            except InternalInconsistency:
+                continue
+            got = outcome(lambda: alg._lmul(head[:1], states))
+            assert got == outcome(lambda: left_e_states(alg, states))
+            shifted += 1
+    assert shifted == {4: 3, 5: 15, 6: 103}[n]
+
+
+def test_star_budget_is_per_call(monkeypatch):
+    # star counts its own steps, as mul does: 2 here, after a product that
+    # used all 60 of the budget
+    monkeypatch.setenv("QBR_MAX_REWRITE_STEPS", "60")
+    alg = QBrAlgebra(4, spec=FP101)
+    one, ident, s2, v = FP101.one(), alg.id, sg.gen(4, 2), (1, 2, 0, 3)
+    alg.mul({(0, ident, (2, 0, 3, 1), ident): one}, {(2, v, ident, v): one})
+    assert alg._steps == 60
+    assert alg.star({(1, ident, ident, s2): one}) == {(1, s2, ident, ident): one}
+    assert alg._steps == 2
 
 
 def test_fp_algebra_rejects_values_of_another_prime():

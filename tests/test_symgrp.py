@@ -48,8 +48,8 @@ def test_perm_table_matches_tuple_functions(n):
         assert T.word(c) == sg.reduced_word(w)
         assert T.ldes[c] & ~gens == 0 and T.rdes[c] & ~gens == 0
         for i in range(1, n):
-            assert T.perms[T.lmul[i][c]] == sg.lmul_gen(i, w)
-            assert T.perms[T.rmul[i][c]] == sg.rmul_gen(w, i)
+            assert T.perms[T.lmul[i][c]] == sg.mul(sg.gen(n, i), w)
+            assert T.perms[T.rmul[i][c]] == sg.mul(w, sg.gen(n, i))
             assert bool(T.ldes[c] >> i & 1) == (w[i - 1] > w[i])
             assert bool(T.rdes[c] >> i & 1) == (w.index(i) < w.index(i - 1))
 
@@ -97,10 +97,15 @@ def test_tableau_perm_definition():
 
 
 def test_window_perms():
-    assert len(sg.window_perms(5, 3)) == 6
-    assert sg.window_perms(2, 3) == [sg.identity(2)]
-    for w in sg.window_perms(5, 3):
-        assert w[0] == 0 and w[1] == 1
+    # the permutations of the letters lo..n are the first (n - lo + 1)!
+    # codes, in the order of itertools.permutations of those letters
+    for n in range(0, 7):
+        T = sg.perm_table(n)
+        for lo in range(1, n + 2):
+            fixed = tuple(range(lo - 1))
+            brute = [fixed + p for p in itertools.permutations(range(lo - 1, n))]
+            assert [T.perms[c] for c in T.window(lo)] == brute
+            assert len(T.window(lo)) == math.factorial(n - lo + 1)
 
 
 def test_Bkn_counts():
