@@ -35,8 +35,22 @@ Writing e_(k) g_v g_{u^{-1}} = sum c e_(k) g_pi g_v' over normal indices,
 with pi a window permutation, and using that g_pi commutes with e_(k)
 (e_(k) is a word in e and g_1, ..., g_{2k-1}), gives
 H_{v,u} = sum c g_pi N_v' by Hecke arithmetic alone, for each pair
-v <= u; H_{u,v} = H*_{v,u}, and every lam at level k shares them.  A Gram
-entry is then
+v <= u; H_{u,v} = H*_{v,u}, and every lam at level k shares them.
+
+The products N_v, the window products g_pi N_v' and the straightenings
+behind the blocks of level k >= 1 are built once per process for each
+(n, k) over the parameter ring Z[Q^{±1}, a, b], whose indeterminates are
+the engine's Q, Q^{-1}, a and b; each algebra evaluates them and sums its
+blocks from them.  This is exact: the cell forms are
+defined over the generic ring and specialise by base change
+(Graham-Lehrer), the engine reaches the blocks by + and x on those four
+constants alone, and evaluation is a ring homomorphism.  The engine's only
+branches on values drop zero coefficients, which changes no value, or
+raise InternalInconsistency: at a term off level k, kept with its
+coefficient and raised where that evaluates to nonzero, or at a rewriting
+cycle, raised for every algebra.  Where the field kills Q - 1 or a, the
+engine run over the field itself skips terms and may meet another cycle
+first, so that message can name another key.  A Gram entry is then
 psi_lam(g_{d(t)} H_{v,u} g_{d(s)^{-1}}) with the window functional
 psi_lam(h) = phi_lam(c_lam h c_lam), phi_lam the Murphy coordinate at
 (lam, t^lam, t^lam).  No Murphy transition is needed for it: with
@@ -67,9 +81,9 @@ from functools import lru_cache, partial
 import math
 
 from . import symgrp as sg
-from .coefficients import LaurentPoly, RatFunc, _acc, _biv_divexact, _biv_gcd, quantum_char
+from .coefficients import LaurentPoly, RatFunc, _acc, _biv_divexact, _biv_gcd, _exponents, quantum_char
 from .hecke import HeckeWindow, is_restricted
-from .qbrauer import VERSION_MAPS, InternalInconsistency, version_map
+from .qbrauer import VERSION_MAPS, InternalInconsistency, QBrAlgebra, version_map
 
 __all__ = ["Cellular", "closed_form_criterion", "det", "det_rank", "rank"]
 
@@ -79,8 +93,12 @@ def det_rank(mat, field):
     mat is square.  Rows are pivoted and columns without a pivot skipped, so
     the pivots count the rank.
 
-    Generic field: the entries are cleared to A_ij in Z[q, r] (``_cleared``)
-    and mapped into Z by the Kronecker substitution r -> 2^B, q -> 2^(B D)
+    Generic field: the entries are cleared to A_ij in Z[q, r] (``_cleared``),
+    q^g and r^h become q and r for g and h the gcds of the q and r exponents
+    (an injective ring map, so the rank is kept and the determinant's
+    exponents are multiplied back; a two_param entry is (q/r)^k times a
+    polynomial in q^2 and r^2, so g = h = 2 there), and A is mapped into Z
+    by the Kronecker substitution r -> 2^B, q -> 2^(B D)
     (Harvey, J. Symbolic Comput. 44, 2009), a ring homomorphism.  By the
     Leibniz expansion every minor of A has coefficients of absolute value at
     most H = prod over the rows of max(1, sum_j |A_ij|_1), and r-degree at
@@ -96,6 +114,8 @@ def det_rank(mat, field):
     kind = field.field[0]
     if kind == "generic":
         m, shift, den = _cleared(mat)
+        g = [math.gcd(*(e[i] for row in m for x in row for e in x)) or 1 for i in (0, 1)]
+        m = [[{(i // g[0], j // g[1]): c for (i, j), c in x.items()} for x in row] for row in m]
         B = math.prod(max(1, sum(abs(c) for x in row for c in x.values())) for row in m).bit_length() + 1
         D = 1 + sum(max((j for x in row for _, j in x), default=0) for row in m)
         m = [[sum(c << B * (i * D + j) for (i, j), c in x.items()) for x in row] for row in m]
@@ -126,7 +146,8 @@ def det_rank(mat, field):
     if rk < rows:
         return field.zero(), rk
     if kind == "generic":
-        num = LaurentPoly(_unpacked(sign * (pivots[-1] if pivots else 1), B, D))
+        num = _unpacked(sign * (pivots[-1] if pivots else 1), B, D)
+        num = LaurentPoly({(i * g[0], j * g[1]): c for (i, j), c in num.items()})
         return RatFunc(num.shifted(rows * shift[0], rows * shift[1]), den ** rows), rk
     d = math.prod(pivots, start=field.one())
     return (d if sign > 0 else -d), rk
@@ -225,6 +246,76 @@ def _pull(alg, move, des, f, i):
     return out
 
 
+def _level_blocks(alg, k, stray):
+    """(lefts, pairs) of level k (module docstring), in the internal
+    coefficients of ``alg``.  ``pairs`` lists (v, u, {(pi, v'): c}) for
+    v <= u in B_{k,n}, the straightening of g_v g_{u^{-1}}
+    (``QBrAlgebra.straighten``), so that H_{v,u} = sum c g_pi N_v'
+    (``_summed``); ``lefts`` maps each (pi, v') met to g_pi N_v' =
+    (N_v'* g_{pi^-1})* as {code: coeff}, N_v being the level-k part of
+    e_(k) g_v e_(k), one product per v.  A term of that product below level
+    k, or at level k with u or v not the identity, is appended to ``stray``
+    as (message, coeff)."""
+    H = alg.hecke
+    code, inv, inner = alg._T.code, alg._T.inv, alg.field.inner
+    ident, one, Bk = alg.id, alg.field.one(), alg.Bkn[k]
+    ek = {(k, ident, ident, ident): one}
+    stars = {}  # code of v -> N_v*
+    for v in Bk:
+        h = {}
+        for (k2, u2, pi, v2), c in alg.mul({(k, ident, ident, v): one}, ek).items():
+            if k2 < k or (k2 == k and (u2, v2) != (ident, ident)):
+                stray.append((f"term {(k2, u2, pi, v2)} in e_({k}) g_{v} e_({k})", inner(c)))
+            elif k2 == k:
+                h[code[pi]] = inner(c)
+        stars[code[v]] = H.star(h)
+    lefts, pairs = {}, []
+    for a, v in enumerate(Bk):
+        for u in Bk[a:]:
+            terms = alg.straighten(k, H.rmul_perm({code[v]: alg._one}, inv[code[u]]))
+            for pi, v2 in terms:
+                if (pi, v2) not in lefts:
+                    lefts[pi, v2] = H.star(H.rmul_perm(stars[v2], inv[pi]))
+            pairs.append((v, u, terms))
+    return lefts, pairs
+
+
+def _summed(lefts, pairs, acc):
+    """[(v, u, H_{v,u})] from ``_level_blocks``: each H_{v,u} = sum c g_pi
+    N_v' as {code: coeff}, summed with the accumulate step ``acc``."""
+    out = []
+    for v, u, terms in pairs:
+        h = {}
+        for key, c in terms.items():
+            for w, cw in lefts[key].items():
+                acc(h, w, c * cw)
+        out.append((v, u, h))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _universal_blocks(n, k):
+    """``_level_blocks`` of level k over the parameter ring, once per process
+    for each (n, k), on an algebra of its own so that no other level decides
+    its steps or its messages: (monomials, stray, blocks) with ``monomials``
+    the pairs (key, (i, j, l)) of the monomial keys the ParamPoly
+    coefficients use, and ``blocks`` the (lefts, pairs), or a rewriting
+    cycle's message where the build met one.  RewriteBudgetExceeded is not
+    cached."""
+    stray = []
+    try:
+        blocks = _level_blocks(QBrAlgebra.over_parameters(n), k, stray)
+    except InternalInconsistency as exc:
+        blocks = str(exc)
+    coeffs = [c for _, c in stray]
+    if not isinstance(blocks, str):
+        lefts, pairs = blocks
+        coeffs += [c for x in lefts.values() for c in x.values()]
+        coeffs += [c for _, _, terms in pairs for c in terms.values()]
+    keys = set().union(*(c.terms for c in coeffs))
+    return tuple((m, _exponents(m)) for m in keys), tuple(stray), blocks
+
+
 class Cellular:
     """Cell data, cellular basis and Gram forms for one algebra instance."""
 
@@ -236,6 +327,7 @@ class Cellular:
         self._gram = {}
         self._det_rank = {}  # (k, lam) -> (det, rank or None if not known)
         self._block_memo = {}  # k -> {(v, u): H_{v,u}}
+        self._monomials = {}  # ParamPoly monomial key -> its value here
         self._labels = frozenset(self.labels())
 
     def window(self, k):
@@ -366,60 +458,51 @@ class Cellular:
         return self._gram[key]
 
     def _blocks(self, k):
-        """{(v, u): H_{v,u}} for v, u in B_{k,n}, computed once per level.
+        """{(v, u): H_{v,u}} for v, u in B_{k,n}, in internal coefficients,
+        computed once per level: H_{v,u} for v <= u, and H_{u,v} = H_{v,u}*.
 
-        e_(k) g_v g_{u^{-1}} e_(k) = e_(k) H_{v,u} modulo J_{>k}, the
-        two-sided ideal of the levels above k, with H_{v,u} in the window
-        Hecke algebra, kept as {code: coeff}.  The level takes one algebra
-        product per v: N_v is the level-k part of e_(k) g_v e_(k), so
-        e_(k) g_v e_(k) = e_(k) N_v mod J_{>k}; a term below level k, or
-        one at level k with u or v not the identity, raises
-        InternalInconsistency.  Each pair v <= u then takes Hecke
-        arithmetic only.  g_v g_{u^{-1}} = sum c_w g_w on all n letters,
-        and e_(k) g_w straightens (``QBrAlgebra.straighten``) to a sum of
-        c_r e_(k) g_pi g_v' with pi a window permutation and v' in B_{k,n}.
-        g_pi commutes with e_(k): e_(k) is a word in e and g_1..g_{2k-1},
-        and g_i with i >= 2k+1 commutes with each of them.  So
-
-            e_(k) g_v g_{u^{-1}} e_(k) = sum c_w c_r g_pi e_(k) g_v' e_(k)
-                                       = e_(k) sum c_w c_r g_pi N_v'
-
-        modulo J_{>k}, with each window product g_pi N_v' = (N_v'* g_{pi^-1})*
-        taken once per (pi, v'), and H_{u,v} = H_{v,u}* by the involution.
-        The blocks hold internal coefficients, converted from the products
-        of ``mul``.
+        Level k >= 1 evaluates ``_universal_blocks`` (module docstring): each
+        monomial Q^i a^j b^l once per algebra, on residues over F_p and in
+        field values otherwise, then each coefficient of the straightenings
+        and of the window products g_pi N_v' as the sum of its terms
+        c Q^i a^j b^l, and sums the blocks from those (``_summed``).  A term
+        off level k raises where it evaluates to nonzero, and a level whose
+        build met a rewriting cycle raises its message.  Level 0 runs
+        ``_level_blocks`` here: e_(0) = 1, and its one block, 1, comes from
+        a product 1 . 1 with no rewriting step.
         """
         hit = self._block_memo.get(k)
         if hit is None:
-            alg, H = self.alg, self.alg.hecke
-            code, inv, inner, acc = alg._T.code, alg._T.inv, self.field.inner, alg._acc
-            ident, one, Bk = alg.id, self.field.one(), alg.Bkn[k]
-            ek = {(k, ident, ident, ident): one}
-            stars = {}  # code of v -> N_v*
-            for v in Bk:
-                h = {}
-                for (k2, u2, pi, v2), c in alg.mul({(k, ident, ident, v): one}, ek).items():
-                    if k2 < k or (k2 == k and (u2, v2) != (ident, ident)):
-                        raise InternalInconsistency(
-                            f"term {(k2, u2, pi, v2)} in e_({k}) g_{v} e_({k})"
+            alg, f, m = self.alg, self.field, self._monomials
+            if k == 0:
+                pairs = _summed(*_level_blocks(alg, 0, []), alg._acc)
+            else:
+                monomials, stray, blocks = _universal_blocks(self.n, k)
+                p = f.field[1] if f.field[0] == "fp" else None
+                for key, (i, j, l) in monomials:
+                    if key not in m:
+                        m[key] = (
+                            pow(alg._Q, i, p) * pow(alg._a, j, p) * pow(alg._b, l, p) % p if p
+                            else f.inner(alg.Q ** i * alg.a ** j * alg.b ** l)
                         )
-                    if k2 == k:
-                        h[code[pi]] = inner(c)
-                stars[code[v]] = H.star(h)
-            lefts = {}  # (pi, v') -> g_pi N_v'
+                zero, acc = f.inner(f.zero()), alg._acc
+
+                def evaluated(items):
+                    out = {}
+                    for x, c in items:
+                        acc(out, x, sum([m[key] * y for key, y in c.terms.items()], zero))
+                    return out
+
+                for message in evaluated(stray):
+                    raise InternalInconsistency(message)
+                if isinstance(blocks, str):
+                    raise InternalInconsistency(blocks)
+                lefts = {key: evaluated(x.items()) for key, x in blocks[0].items()}
+                pairs = _summed(lefts, [(v, u, evaluated(t.items())) for v, u, t in blocks[1]], acc)
             hit = {}
-            for a, v in enumerate(Bk):
-                for u in Bk[a:]:
-                    h = {}
-                    gvu = H.rmul_perm({code[v]: alg._one}, inv[code[u]])
-                    for (pi, v2), c in alg.straighten(k, gvu).items():
-                        x = lefts.get((pi, v2))
-                        if x is None:
-                            x = lefts[pi, v2] = H.star(H.rmul_perm(stars[v2], inv[pi]))
-                        for w, cw in x.items():
-                            acc(h, w, c * cw)
-                    hit[v, u] = h
-                    hit[u, v] = H.star(h)
+            for v, u, h in pairs:
+                hit[v, u] = h
+                hit[u, v] = alg.hecke.star(h)
             self._block_memo[k] = hit
         return hit
 

@@ -52,6 +52,7 @@ __all__ = [
     "Fp",
     "Cyclo",
     "Specialization",
+    "ParamPoly",
     "quantum_char",
     "DenominatorVanishes",
     "NotInvertible",
@@ -1016,6 +1017,71 @@ class Specialization:
         """The residue in [0, p) of a LaurentPoly at the F_p images."""
         q, r = self.q_img.v, self.r_img.v
         return sum(c * pow(q, dq, p) * pow(r, dr, p) for (dq, dr), c in poly.terms.items()) % p
+
+
+# ---------------------------------------------------------------------------
+# the parameter ring Z[Q^{±1}, a, b]
+# ---------------------------------------------------------------------------
+
+_SHIFT = 32  # Q^i a^j b^l has the key i + j 2^32 + l 2^64, |i|, j, l < 2^31
+
+
+def _exponents(key):
+    """(i, j, l) of the monomial Q^i a^j b^l keyed by ``key``."""
+    jl, i = divmod(key + (1 << _SHIFT - 1), 1 << _SHIFT)
+    return (i - (1 << _SHIFT - 1),) + divmod(jl, 1 << _SHIFT)[::-1]
+
+
+class ParamPoly:
+    """An element of Z[Q^{±1}, a, b] as {monomial key: nonzero int}; keys
+    add as the exponents do.  The class is also the internal form (see
+    :class:`Specialization`) of ``QBrAlgebra.over_parameters``, whose Q,
+    Q^{-1}, a and b are ``Q``, ``Qinv``, ``a`` and ``b``.  Only ring
+    operations are defined, so its values specialise to any algebra by
+    evaluating those four, a ring homomorphism."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        out = self.terms.copy()
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c
+        return ParamPoly({m: c for m, c in out.items() if c})
+
+    def __sub__(self, c):  # only ints are subtracted
+        return self + ParamPoly({0: -c})
+
+    def __mul__(self, other):
+        x, y = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
+        a, b = x.terms, y.terms
+        if len(b) == 1:
+            ((m2, c2),) = b.items()
+            return x if m2 == 0 and c2 == 1 else ParamPoly({m + m2: c * c2 for m, c in a.items()})
+        rest = iter(b.items())
+        m2, c2 = next(rest, (0, 0))
+        out = {m + m2: c * c2 for m, c in a.items()}
+        get = out.get
+        for m2, c2 in rest:
+            for m, c in a.items():
+                m += m2
+                out[m] = get(m, 0) + c * c2
+        return ParamPoly({m: c for m, c in out.items() if c})
+
+    inner = outer = staticmethod(_same)
+    acc, scale = staticmethod(_acc), staticmethod(_scale)
+    one = staticmethod(lambda: ParamPoly({0: 1}))
+    zero = staticmethod(lambda: ParamPoly({}))
+
+
+ParamPoly.Q, ParamPoly.Qinv, ParamPoly.a, ParamPoly.b = (
+    ParamPoly({m: 1}) for m in (1, -1, 1 << _SHIFT, 1 << 2 * _SHIFT)
+)
 
 
 def quantum_char(x):

@@ -57,8 +57,9 @@ in every state dict and memo: ``mul`` and ``star`` convert in at entry and
 out at exit, the engine's scalars (Q, a, b, Q^{-1}, Q - 1, Q^{-1} - 1 and
 the core constants Q^2, Q(Q-1), bQ(Q-1)) are converted once per algebra,
 and every sum goes through the field's accumulate step.  The public
-scalars ``Q``, ``a``, ``b``, ``bprime`` and ``Qinv`` are field values.
-The scalars of each version and B_{k,n} with its coset representatives
+scalars ``Q``, ``a``, ``b``, ``bprime`` and ``Qinv`` are field values;
+``QBrAlgebra.over_parameters`` takes Q, Q^{-1}, a and b as indeterminates
+instead, so that its products specialise.  The scalars of each version and B_{k,n} with its coset representatives
 are built once per process.  Two rewriting routines do the work:
 
 * e_(k) g_x is straightened onto the normal indices by reducing x to the
@@ -93,7 +94,7 @@ import os
 from functools import lru_cache
 
 from . import symgrp as sg
-from .coefficients import RatFunc, Specialization, _acc
+from .coefficients import ParamPoly, RatFunc, Specialization, _acc
 from .hecke import HeckeWindow
 
 __all__ = [
@@ -213,27 +214,41 @@ class QBrAlgebra:
     def __init__(self, n, version="two_param", spec=None, N=None):
         if not 2 <= n <= MAX_N:
             raise ValueError(f"n must be in 2..{MAX_N}")
-        self.n = n
         self.version = version
         self.N = N
         self.spec = spec if spec is not None else Specialization.generic()
         sc = _version_scalars(version, N)
-        self.Q = self.spec(sc["Q"])
-        self.a = self.spec(sc["a"])
-        self.b = self.spec(sc["b"])
+        Q = self.spec(sc["Q"])
+        self._setup(n, self.spec, Q, self.spec.one() / Q, self.spec(sc["a"]), self.spec(sc["b"]))
         self.bprime = self.spec(sc["bprime"])
-        self.field = self.spec
-        self.hecke = HeckeWindow(n, 1, self.field, self.Q)
-        self.Qinv = self.spec.one() / self.Q
+
+    @classmethod
+    def over_parameters(cls, n):
+        """Br_n with Q, Q^{-1}, a and b the indeterminates of the parameter
+        ring Z[Q^{±1}, a, b] (:class:`qbrauer.coefficients.ParamPoly`): its
+        products specialise to every algebra of size n.  It has no version."""
+        alg = cls.__new__(cls)
+        alg.version = alg.N = alg.spec = None
+        R = ParamPoly
+        alg._setup(n, R, R.Q, R.Qinv, R.a, R.b)
+        alg.bprime = R.Qinv * R.b + (R.Qinv - 1) * R.a
+        return alg
+
+    def _setup(self, n, field, Q, Qinv, a, b):
+        """The field and its scalars Q, Q^{-1}, a and b, the engine's
+        constants in the field's internal form, the tables and the memos."""
+        self.n = n
+        self.field = field
+        self.Q, self.Qinv, self.a, self.b = Q, Qinv, a, b
+        self.hecke = HeckeWindow(n, 1, field, Q)
         # the engine's constants, in the field's internal form
-        f, Q, Qm1 = self.field, self.Q, self.Q - 1
+        f, Qm1 = field, Q - 1
         self._acc, self._scale = f.acc, f.scale
         (
             self._one, self._Q, self._a, self._b, self._Qinv, self._Qm1,
             self._Qinvm1, self._QQ, self._QQm1, self._bQQm1,
         ) = map(f.inner, (
-            f.one(), Q, self.a, self.b, self.Qinv, Qm1,
-            self.Qinv - 1, Q * Q, Q * Qm1, self.b * Q * Qm1,
+            f.one(), Q, a, b, Qinv, Qm1, Qinv - 1, Q * Q, Q * Qm1, b * Q * Qm1,
         ))
         self.id = sg.identity(n)
         self.max_steps = max_rewrite_steps()
@@ -464,7 +479,8 @@ class QBrAlgebra:
     # -- e_(k) g_w e -------------------------------------------------------------
 
     def _emul(self, k, w):
-        """e_(k) g_w e as states (A, k3, w3) standing for g_A e_(k3) g_w3."""
+        """e_(k) g_w e as states (A, k3, w3) standing for g_A e_(k3) g_w3; at
+        k = 0, (w, 1, 0), as the E atom of ``_apply_atom`` makes it."""
         return self._memoised(
             self._emul_memo, self._emul_stack, self._emul_compute,
             "rewriting cycle at e_({}) g_{} e", k, w,
@@ -473,6 +489,8 @@ class QBrAlgebra:
     def _emul_compute(self, k, w):
         self._tick()
         n, T = self.n, self._T
+        if k == 0:
+            return {(w, 1, 0): self._one}
         if w == 0:
             # e_(k) e = a e_(k), the level-one case of e_(j) e_(k) = a^j e_(k)
             return {(0, k, 0): self._a}

@@ -32,13 +32,11 @@ __all__ = [
     "length",
     "reduced_word",
     "from_word",
-    "all_perms",
     "PermTable",
     "perm_table",
     "Partition",
     "partitions",
     "dominates",
-    "hook_product",
     "standard_tableaux",
     "superstandard",
     "tableau_perm",
@@ -104,10 +102,6 @@ def from_word(n, word):
     for i in word:
         u = mul(u, gen(n, i))
     return u
-
-
-def all_perms(n):
-    return [tuple(p) for p in itertools.permutations(range(n))]
 
 
 class PermTable:
@@ -243,16 +237,6 @@ def dominates(lam, mu):
         if a < b:
             return False
     return True
-
-
-def hook_product(lam):
-    """Product of hook lengths of lam."""
-    lam = Partition(lam)
-    conj = lam.conjugate()
-    out = 1
-    for i, j in lam.cells():
-        out *= lam[i] - j + conj[j] - i - 1
-    return out
 
 
 # ---------------------------------------------------------------------------

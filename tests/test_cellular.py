@@ -8,17 +8,18 @@ from fractions import Fraction
 import pytest
 
 from qbrauer import symgrp as sg
-from qbrauer.cellular import Cellular, closed_form_criterion, det, rank
+from qbrauer.cellular import Cellular, _level_blocks, _summed, _universal_blocks, closed_form_criterion, det, rank
 from qbrauer.coefficients import (
     Cyclo,
     DenominatorVanishes,
     Fp,
+    ParamPoly,
     RatFunc,
     Specialization,
     quantum_char,
 )
 from qbrauer.hecke import HeckeWindow, _acc
-from qbrauer.qbrauer import InternalInconsistency, QBrAlgebra
+from qbrauer.qbrauer import InternalInconsistency, QBrAlgebra, RewriteBudgetExceeded
 
 
 q = RatFunc.q()
@@ -414,21 +415,119 @@ def test_sandwich_blocks_match_pairwise_products(n):
     assert raised == ({(2, "rewriting cycle at e_(2) g_(2, 3, 0, 4, 1) e")} if n == 5 else set())
 
 
+# every field kind the blocks are evaluated in: generic, F_p down to p = 5
+# and up to 2^61 - 1, and two cyclotomic fields
+BLOCK_FIELDS = {
+    "generic": None,
+    "F_5": Specialization.prime_field(5, 2, 3),
+    "F_7": Specialization.prime_field(7, 3, 5),
+    "F_101": FP101,
+    "F_2^61-1": Specialization.prime_field(2**61 - 1, 3, 5),
+    "Q(zeta_8)": Specialization.cyclotomic(8, Cyclo.zeta(8, 3), Cyclo.zeta(8, -3)),
+    "Q(zeta_12)": Specialization.cyclotomic(12, Cyclo.zeta(12), Cyclo.zeta(12, 5)),
+}
+
+
+def direct_blocks(alg, k):
+    """``_level_blocks`` run on the algebra itself, summed and mirrored by star,
+    raising as the evaluation does: at the first term off level k, else at
+    the rewriting cycle."""
+    stray = []
+    try:
+        blocks = _level_blocks(alg, k, stray)
+    except InternalInconsistency as exc:
+        blocks = exc
+    for message, _ in stray:
+        raise InternalInconsistency(message)
+    if isinstance(blocks, InternalInconsistency):
+        raise blocks
+    out = {}
+    for v, u, h in _summed(*blocks, alg._acc):
+        out[v, u] = h
+        out[u, v] = alg.hecke.star(h)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_evaluated_blocks_match_blocks_built_on_the_algebra(n):
+    # the parameter-ring blocks, evaluated, are the blocks the engine builds
+    # over the field itself, or raise with the same message
+    raised = set()
+    for version, N in ALL_VERSIONS:
+        for name, spec in BLOCK_FIELDS.items():
+            for k in range(n // 2 + 1):
+                got = block_outcome(
+                    lambda alg, k: Cellular(alg)._blocks(k), QBrAlgebra(n, version=version, N=N, spec=spec), k
+                )
+                want = block_outcome(direct_blocks, QBrAlgebra(n, version=version, N=N, spec=spec), k)
+                assert got == want, (version, name, k)
+                if isinstance(got, str):
+                    raised.add((k, got))
+    assert raised == ({(2, "rewriting cycle at e_(2) g_(2, 3, 0, 4, 1) e")} if n == 5 else set())
+
+
+def test_raising_level_keeps_its_message_in_any_order():
+    # the cycle of level 2 at n = 5 is kept per (n, k), so the message is
+    # the same asked first, asked again, or asked after the other levels
+    def ask(cell):
+        return block_outcome(lambda alg, k: cell._blocks(k), cell.alg, 2)
+
+    _universal_blocks.cache_clear()
+    cell = Cellular(QBrAlgebra(5, spec=FP101))
+    first, again = ask(cell), ask(cell)
+    other = Cellular(QBrAlgebra(5, version="one_param", spec=Specialization.prime_field(7, 3, 5)))
+    elsewhere = ask(other)
+    _universal_blocks.cache_clear()
+    cell = Cellular(QBrAlgebra(5, spec=FP101))
+    cell._blocks(0), cell._blocks(1)
+    after = ask(cell)
+    assert first == again == elsewhere == after == "rewriting cycle at e_(2) g_(2, 3, 0, 4, 1) e"
+
+
+def test_budget_failure_of_the_block_build_is_not_kept(monkeypatch):
+    # a build that runs out of rewrite steps raises and leaves nothing
+    # behind, so the next request builds the level again
+    _universal_blocks.cache_clear()
+    monkeypatch.setenv("QBR_MAX_REWRITE_STEPS", "1")
+    with pytest.raises(RewriteBudgetExceeded):
+        Cellular(QBrAlgebra(4, spec=FP101))._blocks(1)
+    monkeypatch.delenv("QBR_MAX_REWRITE_STEPS")
+    alg = QBrAlgebra(4, spec=FP101)
+    assert Cellular(alg)._blocks(1) == direct_blocks(alg, 1)
+
+
 def test_blocks_take_one_product_per_coset_representative(monkeypatch):
+    # level k >= 1 is built once per process, over the parameter ring, with
+    # one product per v in B_{k,n}; _blocks on every algebra then makes no
+    # product and no straightening of its own, except level 0's product
+    # 1 . 1 and its straightening
     calls = []
-    mul = QBrAlgebra.mul
 
-    def counted(self, x, y):
-        calls.append((x, y))
-        return mul(self, x, y)
+    def counted(method):
+        def call(alg, *args):
+            calls.append((method.__name__, "params" if alg.field is ParamPoly else alg))
+            return method(alg, *args)
 
-    monkeypatch.setattr(QBrAlgebra, "mul", counted)
+        return call
+
+    monkeypatch.setattr(QBrAlgebra, "mul", counted(QBrAlgebra.mul))
+    monkeypatch.setattr(QBrAlgebra, "straighten", counted(QBrAlgebra.straighten))
+    _universal_blocks.cache_clear()
+    built = set()
     for alg, levels in block_algebras():
         cell = Cellular(alg)
         for k in levels:
             calls.clear()
             cell._blocks(k)
-            assert len(calls) == len(alg.Bkn[k])
+            if k == 0:
+                assert calls == [("mul", alg), ("straighten", alg)]
+            elif (alg.n, k) in built:
+                assert calls == []
+            else:
+                products = [c for c in calls if c[0] == "mul"]
+                assert products == [("mul", "params")] * len(alg.Bkn[k])
+                assert all(owner == "params" for _, owner in calls)
+                built.add((alg.n, k))
 
 
 def phi_of_c_h_c(H, lam, clam, w):

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from qbrauer.cellular import _universal_blocks
 from qbrauer.cli import main
 
 
@@ -268,6 +269,8 @@ def test_bad_config_exit2(capsys, monkeypatch, argv, env):
     ids=["verify-relations", "gram"],
 )
 def test_rewrite_budget_exit3(capsys, monkeypatch, argv):
+    # a command runs in a fresh process, where no level blocks are built yet
+    _universal_blocks.cache_clear()
     monkeypatch.setenv("QBR_MAX_REWRITE_STEPS", "1")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")

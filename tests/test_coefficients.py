@@ -19,9 +19,11 @@ from qbrauer.coefficients import (
     Fp,
     INFINITY,
     LaurentPoly,
+    ParamPoly,
     RatFunc,
     Specialization,
     _biv_gcd,
+    _exponents,
     _rat_canonical,
     cyclotomic_poly,
     quantum_char,
@@ -602,3 +604,51 @@ def test_biv_gcd_matches_sympy(g, u, v, cu, cv):
     # a planted common factor g, cofactors with integer contents; degree <= 8
     a, b = (g * u * cu).terms, (g * v * cv).terms
     assert _biv_gcd(a, b) == sympy_gcd(a, b)
+
+
+def const(c):
+    """The constant c of the parameter ring, c a nonzero int."""
+    return ParamPoly({0: c})
+
+
+def param_polys():
+    """ParamPoly values with Q exponents of either sign, built from the
+    indeterminates by the ring operations alone."""
+    R = ParamPoly
+    atoms = st.sampled_from((R.Q, R.Qinv, R.a, R.b, R.one(), R.Q - 1, R.Qinv - 1))
+    term = st.tuples(st.integers(-5, 5).filter(bool), st.lists(atoms, max_size=4)).map(
+        lambda t: reduce(operator.mul, t[1], const(t[0]))
+    )
+    return st.lists(term, max_size=4).map(lambda ts: sum(ts, R.zero()))
+
+
+@given(param_polys(), param_polys(), st.sampled_from((5, 101, 2**61 - 1)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_param_poly_evaluation_is_a_ring_homomorphism(x, y, p, data):
+    # evaluating Q^i a^j b^l at Q, a, b in F_p term by term commutes with
+    # +, * and the subtraction of ints, and acc drops exactly the zero sums
+    Q, a, b = (Fp(p, data.draw(st.integers(1, p - 1))) for _ in range(3))
+
+    def value(z):
+        total = Fp(p, 0)
+        for m, c in z.terms.items():
+            i, j, l = _exponents(m)
+            total = total + Q**i * a**j * b**l * c
+        return total
+
+    assert all(all(z.terms.values()) for z in (x, y, x + y, x * y, x - 3))
+    assert value(x + y) == value(x) + value(y)
+    assert value(x - 3) == value(x) - 3
+    assert value(x * y) == value(x) * value(y)
+    assert (x * y).is_zero() == (x.is_zero() or y.is_zero())
+    out = {}
+    ParamPoly.acc(out, "k", x)
+    ParamPoly.acc(out, "k", x * const(-1))
+    assert out == {}
+
+
+def test_param_poly_monomials_decode_each_sign():
+    Q, Qinv, a, b = ParamPoly.Q, ParamPoly.Qinv, ParamPoly.a, ParamPoly.b
+    x = Qinv * Qinv * Qinv * a * a * b * const(7) + Q * Q * Q * Q * b * b * b * const(-1) + const(2)
+    assert sorted((_exponents(m), c) for m, c in x.terms.items()) == [((-3, 2, 1), 7), ((0, 0, 0), 2), ((4, 0, 3), -1)]
+    assert (Q * Qinv).terms == {0: 1} and (Q + Q * const(-1)).is_zero()

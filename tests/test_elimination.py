@@ -12,12 +12,15 @@ the random matrices here reach the column-skipping path of the
 fraction-free elimination.
 """
 
+import random
+import time
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qbrauer import cellular
 from qbrauer.cellular import Cellular, det_rank
-from qbrauer.coefficients import Fp, LaurentPoly, RatFunc, Specialization
+from qbrauer.coefficients import DenominatorVanishes, Fp, LaurentPoly, RatFunc, Specialization
 from qbrauer.qbrauer import QBrAlgebra
 
 sympy = pytest.importorskip("sympy")
@@ -293,3 +296,26 @@ def test_cleared_takes_one_gcd_per_further_denominator(monkeypatch, version, N):
     assert len(calls) == len({x.den for row in g for x in row}) - 1
     dm = sympy.Matrix([[to_sympy(x) for x in row] for row in g])
     assert sympy.cancel(to_sympy(d) - dm.det()) == 0
+
+
+@pytest.mark.parametrize("lam", [(3,), (1, 1, 1)])
+def test_n5_level1_generic_dets_in_bound_and_specialise(lam):
+    # the two_param entries are polynomials in q^2 and r^2 after the shift,
+    # so the elimination runs on halved exponents; the generic determinant
+    # specialises to the F_p one at random admissible points
+    cell = Cellular(QBrAlgebra(5, version="two_param"))
+    start = time.process_time()
+    d = cell.gram_det(1, lam)
+    assert time.process_time() - start < 1
+    rng = random.Random(str(lam))
+    checked = 0
+    while checked < 3:
+        p, q, r = 1009, rng.randrange(2, 1009), rng.randrange(2, 1009)
+        spec = Specialization.prime_field(p, q, r)
+        try:
+            want = Cellular(QBrAlgebra(5, version="two_param", spec=spec)).gram_det(1, lam)
+            got = spec(d)
+        except DenominatorVanishes:
+            continue
+        assert got == want, (p, q, r)
+        checked += 1

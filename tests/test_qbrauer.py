@@ -10,8 +10,8 @@ import pytest
 
 from qbrauer import brauerdiag as bd
 from qbrauer import symgrp as sg
-from qbrauer.cellular import Cellular
-from qbrauer.coefficients import Fp, RatFunc, Specialization
+from qbrauer.cellular import Cellular, _universal_blocks
+from qbrauer.coefficients import Fp, ParamPoly, RatFunc, Specialization
 from qbrauer.hecke import _acc
 from qbrauer.qbrauer import (
     InternalInconsistency,
@@ -470,12 +470,51 @@ def test_gram_rewrite_steps_n5_fp(attempt_raising_cell, expect):
     assert all(cell.gram(k, lam) == mat for (k, lam), mat in mats.items())
 
 
-@pytest.mark.parametrize("attempt_raising_cell, expect", [(True, 176), (False, 73)])
-def test_gram_block_rewrite_steps_n5_fp(attempt_raising_cell, expect):
-    # Cellular.gram makes one product per v in B_{k,n} and level, and one
-    # straightening per pair v <= u; the steps of both are counted
-    steps, _ = gram_steps(Cellular.gram, attempt_raising_cell)
-    assert steps == expect
+@pytest.mark.parametrize("attempt_raising_cell, expect", [(True, 183), (False, 72)])
+def test_gram_block_rewrite_steps_n5_fp(monkeypatch, attempt_raising_cell, expect):
+    # the blocks of each level k >= 1 are built once per process, each on a
+    # parameter-ring algebra of its own: one product per v in B_{k,n} and
+    # one straightening per pair v <= u, their steps counted; level 2
+    # raises at its second product.  The F_101 algebras make only level 0's
+    # product 1 . 1 and its straightening, one step
+    counts = Counter()
+
+    def counted(method):
+        def call(alg, *args):
+            try:
+                return method(alg, *args)
+            finally:
+                ring = "params" if alg.field is ParamPoly else "fp"
+                counts[ring, method.__name__] += 1
+                counts[ring, "steps"] += alg._steps
+
+        return call
+
+    monkeypatch.setattr(QBrAlgebra, "mul", counted(QBrAlgebra.mul))
+    monkeypatch.setattr(QBrAlgebra, "straighten", counted(QBrAlgebra.straighten))
+    _universal_blocks.cache_clear()
+    for spec in (FP101, Specialization.prime_field(103, 17, 44)):
+        cell = Cellular(QBrAlgebra(5, spec=spec))
+        for k, lam in cell.labels():
+            if (k, lam) == (2, (1,)) and not attempt_raising_cell:
+                continue
+            try:
+                cell.gram(k, lam)
+            except InternalInconsistency:
+                assert (k, lam) == (2, (1,))
+    products = 10 + (2 if attempt_raising_cell else 0)
+    assert counts == {
+        ("params", "mul"): products, ("params", "straighten"): 55, ("params", "steps"): expect,
+        ("fp", "mul"): 2, ("fp", "straighten"): 2, ("fp", "steps"): 2,
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_emul_at_level_zero_is_the_e_atom(n):
+    # e_(0) = 1, so e_(0) g_w e is the state the E atom makes of (0, 0, w)
+    alg = QBrAlgebra(n, spec=FP101)
+    for w in range(len(alg._T.perms)):
+        assert alg._emul(0, w) == alg._apply_atom({(0, 0, w): alg._one}, ("E",)) == {(w, 1, 0): 1}
 
 
 def left_gen_states(alg, i, states, inverse):
