@@ -46,11 +46,11 @@ defined over the generic ring and specialise by base change
 (Graham-Lehrer), the engine reaches the blocks by + and x on those four
 constants alone, and evaluation is a ring homomorphism.  The engine's only
 branches on values drop zero coefficients, which changes no value, or
-raise InternalInconsistency: at a term off level k, kept with its
-coefficient and raised where that evaluates to nonzero, or at a rewriting
-cycle, raised for every algebra.  Where the field kills Q - 1 or a, the
-engine run over the field itself skips terms and may meet another cycle
-first, so that message can name another key.  A Gram entry is then
+raise InternalInconsistency, at a term off level k or at a rewriting
+cycle; the build raises either, and its message is raised for every
+algebra.  Where the field kills Q - 1 or a, the engine run over the field
+itself skips terms and may meet another cycle first, so that message can
+name another key.  A Gram entry is then
 psi_lam(g_{d(t)} H_{v,u} g_{d(s)^{-1}}) with the window functional
 psi_lam(h) = phi_lam(c_lam h c_lam), phi_lam the Murphy coordinate at
 (lam, t^lam, t^lam).  No Murphy transition is needed for it: with
@@ -246,7 +246,7 @@ def _pull(alg, move, des, f, i):
     return out
 
 
-def _level_blocks(alg, k, stray):
+def _level_blocks(alg, k):
     """(lefts, pairs) of level k (module docstring), in the internal
     coefficients of ``alg``.  ``pairs`` lists (v, u, {(pi, v'): c}) for
     v <= u in B_{k,n}, the straightening of g_v g_{u^{-1}}
@@ -254,8 +254,8 @@ def _level_blocks(alg, k, stray):
     (``_summed``); ``lefts`` maps each (pi, v') met to g_pi N_v' =
     (N_v'* g_{pi^-1})* as {code: coeff}, N_v being the level-k part of
     e_(k) g_v e_(k), one product per v.  A term of that product below level
-    k, or at level k with u or v not the identity, is appended to ``stray``
-    as (message, coeff)."""
+    k, or at level k with u or v not the identity, raises
+    InternalInconsistency."""
     H = alg.hecke
     code, inv, inner = alg._T.code, alg._T.inv, alg.field.inner
     ident, one, Bk = alg.id, alg.field.one(), alg.Bkn[k]
@@ -265,7 +265,7 @@ def _level_blocks(alg, k, stray):
         h = {}
         for (k2, u2, pi, v2), c in alg.mul({(k, ident, ident, v): one}, ek).items():
             if k2 < k or (k2 == k and (u2, v2) != (ident, ident)):
-                stray.append((f"term {(k2, u2, pi, v2)} in e_({k}) g_{v} e_({k})", inner(c)))
+                raise InternalInconsistency(f"term {(k2, u2, pi, v2)} in e_({k}) g_{v} e_({k})")
             elif k2 == k:
                 h[code[pi]] = inner(c)
         stars[code[v]] = H.star(h)
@@ -297,23 +297,18 @@ def _summed(lefts, pairs, acc):
 def _universal_blocks(n, k):
     """``_level_blocks`` of level k over the parameter ring, once per process
     for each (n, k), on an algebra of its own so that no other level decides
-    its steps or its messages: (monomials, stray, blocks) with ``monomials``
-    the pairs (key, (i, j, l)) of the monomial keys the ParamPoly
-    coefficients use, and ``blocks`` the (lefts, pairs), or a rewriting
-    cycle's message where the build met one.  RewriteBudgetExceeded is not
-    cached."""
-    stray = []
+    its steps or its messages: (monomials, (lefts, pairs)) with
+    ``monomials`` the pairs (key, (i, j, l)) of the monomial keys the
+    ParamPoly coefficients use, or the message of the InternalInconsistency
+    the build raised, a term off level k or a rewriting cycle.
+    RewriteBudgetExceeded is not cached."""
     try:
-        blocks = _level_blocks(QBrAlgebra.over_parameters(n), k, stray)
+        lefts, pairs = _level_blocks(QBrAlgebra.over_parameters(n), k)
     except InternalInconsistency as exc:
-        blocks = str(exc)
-    coeffs = [c for _, c in stray]
-    if not isinstance(blocks, str):
-        lefts, pairs = blocks
-        coeffs += [c for x in lefts.values() for c in x.values()]
-        coeffs += [c for _, _, terms in pairs for c in terms.values()]
-    keys = set().union(*(c.terms for c in coeffs))
-    return tuple((m, _exponents(m)) for m in keys), tuple(stray), blocks
+        return str(exc)
+    dicts = [*lefts.values(), *(terms for _, _, terms in pairs)]
+    keys = {m for x in dicts for c in x.values() for m in c.terms}
+    return tuple((m, _exponents(m)) for m in keys), (lefts, pairs)
 
 
 class Cellular:
@@ -327,7 +322,6 @@ class Cellular:
         self._gram = {}
         self._det_rank = {}  # (k, lam) -> (det, rank or None if not known)
         self._block_memo = {}  # k -> {(v, u): H_{v,u}}
-        self._monomials = {}  # ParamPoly monomial key -> its value here
         self._labels = frozenset(self.labels())
 
     def window(self, k):
@@ -462,43 +456,40 @@ class Cellular:
         computed once per level: H_{v,u} for v <= u, and H_{u,v} = H_{v,u}*.
 
         Level k >= 1 evaluates ``_universal_blocks`` (module docstring): each
-        monomial Q^i a^j b^l once per algebra, on residues over F_p and in
-        field values otherwise, then each coefficient of the straightenings
-        and of the window products g_pi N_v' as the sum of its terms
-        c Q^i a^j b^l, and sums the blocks from those (``_summed``).  A term
-        off level k raises where it evaluates to nonzero, and a level whose
-        build met a rewriting cycle raises its message.  Level 0 runs
-        ``_level_blocks`` here: e_(0) = 1, and its one block, 1, comes from
-        a product 1 . 1 with no rewriting step.
+        monomial Q^i a^j b^l once, on residues over F_p and in field values
+        otherwise, then each coefficient of the straightenings and of the
+        window products g_pi N_v' as the sum of its terms c Q^i a^j b^l,
+        and sums the blocks from those (``_summed``).  A level whose build
+        raised, at a term off level k or at a rewriting cycle, raises its
+        message.  Level 0 runs ``_level_blocks`` here: e_(0) = 1, and its
+        one block, 1, comes from a product 1 . 1 with no rewriting step.
         """
         hit = self._block_memo.get(k)
         if hit is None:
-            alg, f, m = self.alg, self.field, self._monomials
+            alg, f = self.alg, self.field
             if k == 0:
-                pairs = _summed(*_level_blocks(alg, 0, []), alg._acc)
+                pairs = _summed(*_level_blocks(alg, 0), alg._acc)
             else:
-                monomials, stray, blocks = _universal_blocks(self.n, k)
+                built = _universal_blocks(self.n, k)
+                if isinstance(built, str):
+                    raise InternalInconsistency(built)
+                monomials, (lefts, pairs) = built
                 p = f.field[1] if f.field[0] == "fp" else None
-                for key, (i, j, l) in monomials:
-                    if key not in m:
-                        m[key] = (
-                            pow(alg._Q, i, p) * pow(alg._a, j, p) * pow(alg._b, l, p) % p if p
-                            else f.inner(alg.Q ** i * alg.a ** j * alg.b ** l)
-                        )
+                m = {
+                    key: pow(alg._Q, i, p) * pow(alg._a, j, p) * pow(alg._b, l, p) % p if p
+                    else f.inner(alg.Q ** i * alg.a ** j * alg.b ** l)
+                    for key, (i, j, l) in monomials
+                }
                 zero, acc = f.inner(f.zero()), alg._acc
 
-                def evaluated(items):
+                def evaluated(x):
                     out = {}
-                    for x, c in items:
-                        acc(out, x, sum([m[key] * y for key, y in c.terms.items()], zero))
+                    for y, c in x.items():
+                        acc(out, y, sum([m[key] * d for key, d in c.terms.items()], zero))
                     return out
 
-                for message in evaluated(stray):
-                    raise InternalInconsistency(message)
-                if isinstance(blocks, str):
-                    raise InternalInconsistency(blocks)
-                lefts = {key: evaluated(x.items()) for key, x in blocks[0].items()}
-                pairs = _summed(lefts, [(v, u, evaluated(t.items())) for v, u, t in blocks[1]], acc)
+                lefts = {key: evaluated(x) for key, x in lefts.items()}
+                pairs = _summed(lefts, [(v, u, evaluated(t)) for v, u, t in pairs], acc)
             hit = {}
             for v, u, h in pairs:
                 hit[v, u] = h

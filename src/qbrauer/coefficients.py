@@ -1037,8 +1037,8 @@ class ParamPoly:
     add as the exponents do.  The class is also the internal form (see
     :class:`Specialization`) of ``QBrAlgebra.over_parameters``, whose Q,
     Q^{-1}, a and b are ``Q``, ``Qinv``, ``a`` and ``b``.  Only ring
-    operations are defined, so its values specialise to any algebra by
-    evaluating those four, a ring homomorphism."""
+    operations and equality are defined, so its values specialise to any
+    algebra by evaluating those four, a ring homomorphism."""
 
     __slots__ = ("terms",)
 
@@ -1047,6 +1047,14 @@ class ParamPoly:
 
     def is_zero(self):
         return not self.terms
+
+    def __eq__(self, other):
+        return isinstance(other, ParamPoly) and self.terms == other.terms
+
+    def __pow__(self, e):
+        if e < 0:
+            raise ValueError("ParamPoly powers must be non-negative")
+        return _power(self, e, ParamPoly.one())
 
     def __add__(self, other):
         out = self.terms.copy()

@@ -652,3 +652,12 @@ def test_param_poly_monomials_decode_each_sign():
     x = Qinv * Qinv * Qinv * a * a * b * const(7) + Q * Q * Q * Q * b * b * b * const(-1) + const(2)
     assert sorted((_exponents(m), c) for m, c in x.terms.items()) == [((-3, 2, 1), 7), ((0, 0, 0), 2), ((4, 0, 3), -1)]
     assert (Q * Qinv).terms == {0: 1} and (Q + Q * const(-1)).is_zero()
+
+
+def test_param_poly_equality_and_powers():
+    Q, Qinv, a, b = ParamPoly.Q, ParamPoly.Qinv, ParamPoly.a, ParamPoly.b
+    x = Q * a + b * const(3)
+    assert x == b * const(3) + a * Q and x != Q * a and x != 3 and Q * Qinv == const(1)
+    assert x**0 == const(1) and x**1 == x and x**3 == x * x * x and Qinv**2 == Qinv * Qinv
+    with pytest.raises(ValueError):
+        Q**-1

@@ -123,6 +123,16 @@ def test_identities(n):
     assert alg.verify_identities() == []
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_parameter_ring_algebra_passes_both_suites(n):
+    # the generic check of the ring the level blocks are built over: Q,
+    # Q^{-1}, a and b are indeterminates, so a relation holds there only if
+    # the engine keeps it with no relation among the parameters
+    alg = QBrAlgebra.over_parameters(n)
+    assert alg.verify_relations() == []
+    assert alg.verify_identities() == []
+
+
 def test_dimension():
     assert [QBrAlgebra(n).dim() for n in (2, 3, 4)] == [3, 15, 105]
 
