@@ -57,54 +57,35 @@ def compose(d1, d2):
     n = sum(len(e) for e in d1) // 2
     # adjacency over three rows: top(0..n-1), middle(n..2n-1), bottom(2n..3n-1)
     adj = {}
+    for shift, d in ((0, d1), (n, d2)):
+        for e in d:
+            a, b = (x + shift for x in e)
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
 
-    def link(a, b):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-
-    for e in d1:
-        a, b = tuple(e)
-        link(a, b)
-    for e in d2:
-        a, b = tuple(e)
-        link(a + n, b + n)
+    def walk(cur):
+        """The far end of the path from a boundary vertex, or cur itself
+        round a closed loop of the middle row.  Each edge passed is used up,
+        so the vertices with edges left are those no walk has reached."""
+        start = cur
+        while True:
+            if not adj[cur]:
+                raise AssertionError("broken matching")
+            nxt = adj[cur].pop()
+            adj[nxt].remove(cur)
+            cur = nxt
+            if cur == start or not n <= cur < 2 * n:
+                return cur
 
     edges = set()
+    for start in [*range(n), *range(2 * n, 3 * n)]:
+        if adj[start]:
+            edges.add(frozenset(v if v < n else v - n for v in (start, walk(start))))
     loops = 0
-    seen = set()
-    endpoints = [v for v in range(3 * n) if v < n or v >= 2 * n]
-    for start in endpoints:
-        if start in seen:
-            continue
-        # walk the path from this boundary vertex
-        prev, cur = None, start
-        seen.add(cur)
-        while True:
-            nxts = [x for x in adj[cur] if x != prev]
-            if not nxts and prev is not None:
-                raise AssertionError("broken matching")
-            nxt = nxts[0] if nxts else adj[cur][0]
-            prev, cur = cur, nxt
-            seen.add(cur)
-            if cur < n or cur >= 2 * n:
-                break
-        a = start if start < n else start - n
-        b = cur if cur < n else cur - n
-        edges.add(frozenset((a, b)))
     for v in range(n, 2 * n):
-        if v in seen:
-            continue
-        # trace a closed loop in the middle row
-        loops += 1
-        prev, cur = None, v
-        seen.add(cur)
-        while True:
-            nxts = [x for x in adj[cur] if x != prev]
-            nxt = nxts[0] if nxts else adj[cur][0]
-            prev, cur = cur, nxt
-            if cur == v:
-                break
-            seen.add(cur)
+        if adj[v]:
+            walk(v)
+            loops += 1
     return frozenset(edges), loops
 
 

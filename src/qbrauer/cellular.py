@@ -382,20 +382,11 @@ class Cellular:
         """Coordinates of an element in the cellular basis.
 
         Raises ValueError unless every key of x is a normal basis index
-        (k, u, pi, v): u, v in B_{k,n} and pi fixing the letters 1..2k.
+        (``QBrAlgebra.check_index``).
         """
-        code, Bkn, ident = self.alg._T.code, self.alg.Bkn, self.alg.id
-        out = {}
-        blocks = {}
+        code, out, blocks = self.alg._T.code, {}, {}
         for idx, c in x.items():
-            try:
-                k, u, pi, v = idx
-                Bk = Bkn[k] if k in range(len(Bkn)) else ()
-                ok = u in Bk and v in Bk and pi in code and pi[:2 * k] == ident[:2 * k]
-            except (TypeError, ValueError):
-                ok = False
-            if not ok:
-                raise ValueError(f"{idx!r} is not a normal basis index for n = {self.n}")
+            k, u, pi, v = self.alg.check_index(idx)
             blocks.setdefault((k, u, v), {})[code[pi]] = c
         for (k, u, v), helt in blocks.items():
             for (lam, s, t), c in self.window(k).to_murphy(helt).items():

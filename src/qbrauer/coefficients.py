@@ -567,21 +567,13 @@ class RatFunc:
 def _rat_canonical(num, den):
     if num.is_zero():
         return LaurentPoly(), LaurentPoly.const(1)
-    # pull all monomial units out of den into num
+    # pull all monomial units out of den into num, then divide out the gcd,
+    # which carries the gcd of the contents (Gauss's lemma)
     dq, dr = den.min_exps()
     den = den.shifted(-dq, -dr)
     num = num.shifted(-dq, -dr)
-    if not den.is_one():
-        nq, nr = num.min_exps()
-        npoly = num.shifted(-nq, -nr).terms
-        g = _biv_gcd(npoly, den.terms)
-        if g != {(0, 0): 1}:
-            npoly = _biv_divexact(npoly, g)
-            den = LaurentPoly(_biv_divexact(den.terms, g))
-        # q, r divide neither den nor npoly, so neither quotient needs a
-        # shift; g carries the gcd of the contents, so by Gauss's lemma the
-        # quotients' contents are coprime, as are those of an undivided pair
-        num = LaurentPoly(npoly).shifted(nq, nr)
+    g = _gcd_with(num, den)
+    num, den = _divexact(num, g), _divexact(den, g)
     # fix sign via den's graded-lex leading coefficient
     if den.terms[_lead(den.terms)] < 0:
         den, num = -den, -num
@@ -589,7 +581,8 @@ def _rat_canonical(num, den):
 
 
 def _gcd_with(x, d):
-    """gcd in Z[q, r] of a nonzero LaurentPoly x and a canonical denominator d.
+    """gcd in Z[q, r] of a nonzero LaurentPoly x and a polynomial d with no
+    monomial factor, such as a canonical denominator.
 
     d has no monomial factor, so neither has the gcd, and the gcd of a
     monomial c q^i r^j with d is the integer gcd(c, content of d)."""
@@ -672,7 +665,7 @@ class Fp:
             other = self._lift(other)
         if other.v == 0:
             raise NotInvertible(f"division by zero in F_{self.p}")
-        return Fp(self.p, self.v * pow(other.v, self.p - 2, self.p))
+        return Fp(self.p, self.v * pow(other.v, -1, self.p))
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
@@ -969,7 +962,7 @@ class Specialization:
 
     @classmethod
     def prime_field(cls, p, q_img, r_img):
-        # Fp divides by Fermat inverses, which are wrong unless p is prime
+        # F_p is a field, and its nonzero values invertible, only for prime p
         if not _is_prime(p):
             raise ValueError(f"{p} is not a prime")
         return cls(("fp", p), Fp(p, q_img), Fp(p, r_img))

@@ -79,12 +79,12 @@ are built once per process.  Two rewriting routines do the work:
   k >= 2 the recursion e_(k) = e g_2 ... g_{2k-1} g_1^{-1} ... g_{2k-2}^{-1}
   e_(k-1) shifts the level down.
 
-The amount of rewriting per product call, over all of y's words, per
-``star`` call and per ``straighten`` call is capped; the limit is read
-from the environment variable QBR_MAX_REWRITE_STEPS (default 10^6) and
-exceeding it raises RewriteBudgetExceeded.  A reduction reaching a state
-no rule applies to raises InternalInconsistency; this is checked, never
-assumed.
+The amount of rewriting per product call, over all of y's words, and per
+``straighten`` call is capped (``star`` relabels indices and does none);
+the limit is read from the environment variable QBR_MAX_REWRITE_STEPS
+(default 10^6), and exceeding it raises RewriteBudgetExceeded.  A
+reduction reaching a state no rule applies to raises
+InternalInconsistency; this is checked, never assumed.
 """
 
 from __future__ import annotations
@@ -317,18 +317,28 @@ class QBrAlgebra:
             return {}
         return {idx: v * c for idx, v in x.items()}
 
+    def check_index(self, idx):
+        """idx as (k, u, pi, v); ValueError unless it is a normal basis
+        index: u, v in B_{k,n} and pi a permutation fixing the letters 1..2k."""
+        try:
+            k, u, pi, v = idx
+            Bk = self.Bkn[k] if k in range(len(self.Bkn)) else ()
+            ok = u in Bk and v in Bk and pi in self._T.code and pi[:2 * k] == self.id[:2 * k]
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError(f"{idx!r} is not a normal basis index for n = {self.n}")
+        return k, u, pi, v
+
     def star(self, x):
-        """The involution fixing e and every g_i, reversing products; budgeted per call."""
-        self._steps = 0
-        T, f = self._T, self.field
-        code, inv, acc = T.code, T.inv, self._acc
-        out = {}
-        for (k, u, pi, v), c in x.items():
-            # star sends g_{u^{-1}} e_(k) g_pi g_v to
-            # g_{v^{-1}} e_(k) g_{pi^{-1}} g_u
-            for y, cy in self.hecke.rmul_perm({inv[code[pi]]: f.inner(c)}, code[u]).items():
-                for idx, cn in self._normalize(inv[code[v]], k, y).items():
-                    acc(out, idx, cy * cn)
+        """The involution fixing e and every g_i, reversing products: as
+        g_{pi^{-1}} g_u = g_{pi^{-1} u} (lengths add, ``_cosets``), it is the
+        relabelling (k, u, pi, v) -> (k, v, pi^{-1}, u) of the normal indices
+        that ``check_index`` accepts, with no rewriting."""
+        f, out = self.field, {}
+        for idx, c in x.items():
+            k, u, pi, v = self.check_index(idx)
+            self._acc(out, (k, v, sg.inv(pi), u), f.inner(c))
         return {idx: f.outer(c) for idx, c in out.items()}
 
     def mul(self, x, y):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from qbrauer import brauerdiag as bd
 from qbrauer import symgrp as sg
 
@@ -25,6 +27,16 @@ def test_e_squared_makes_loop():
     e = bd.e_k_diagram(2, 1)
     d, loops = bd.compose(e, e)
     assert loops == 1 and d == e
+    # e_(2) e_(2) closes two loops, each two middle vertices joined twice
+    e2 = bd.e_k_diagram(4, 2)
+    assert bd.compose(e2, e2) == (e2, 2)
+
+
+def test_compose_rejects_a_broken_matching():
+    # the lower factor leaves a middle vertex unmatched
+    ident = bd.perm_diagram((0, 1))
+    with pytest.raises(AssertionError, match="broken matching"):
+        bd.compose(ident, frozenset({frozenset((0, 2))}))
 
 
 def test_star_involution():

@@ -3,6 +3,7 @@ Gram matrices and determinants, and semisimplicity decisions."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -709,10 +710,14 @@ def test_cell_labels_are_normalised_and_checked():
                 method(k, lam)
 
 
-def test_to_cellular_rejects_non_normal_indices():
+@pytest.mark.parametrize("method", ["to_cellular", "star"])
+def test_rejects_non_normal_indices(method):
     # a normal index (k, u, pi, v) has u, v in B_{k,n} and pi fixing the
-    # letters 1..2k; B_{1,3} = {(0,1,2), (0,2,1), (1,2,0)}
+    # letters 1..2k; B_{1,3} = {(0,1,2), (0,2,1), (1,2,0)}.  Both methods
+    # check keys through QBrAlgebra.check_index: star relabels a key, which
+    # would be silently wrong for any other
     cell = generic(3)
+    call = cell.to_cellular if method == "to_cellular" else cell.alg.star
     one, ident = cell.field.one(), cell.alg.id
     bad = [
         (1, (2, 1, 0), ident, ident),  # u not in B_{1,3}
@@ -720,11 +725,15 @@ def test_to_cellular_rejects_non_normal_indices():
         (1, ident, ident, (2, 1, 0)),  # v not in B_{1,3}
         (0, (1, 0, 2), ident, ident),  # B_{0,3} is the identity alone
         (2, ident, ident, ident),  # no level 2 at n = 3
+        (-1, ident, ident, ident),  # nor a level -1
         (1, ident, (0, 1), ident),  # pi not a permutation of 3 letters
         (1, ident, ident),  # not an index at all
     ]
     for idx in bad:
-        with pytest.raises(ValueError, match="not a normal basis index"):
-            cell.to_cellular({idx: one})
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(idx))} is not a normal basis index for n = 3$"):
+            call({idx: one})
     good = (1, (0, 2, 1), ident, (1, 2, 0))
-    assert set(cell.to_cellular({good: one})) <= set(cell.cellular_labels())
+    if method == "star":
+        assert call({good: one}) == {(1, (1, 2, 0), ident, (0, 2, 1)): one}
+    else:
+        assert set(call({good: one})) <= set(cell.cellular_labels())

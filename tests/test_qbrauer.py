@@ -469,11 +469,12 @@ def gram_steps(build, attempt_raising_cell):
     return sum(steps), mats
 
 
-@pytest.mark.parametrize("attempt_raising_cell, expect", [(True, 48086), (False, 48001)])
+@pytest.mark.parametrize("attempt_raising_cell, expect", [(True, 48106), (False, 48016)])
 def test_gram_rewrite_steps_n5_fp(attempt_raising_cell, expect):
     # the engine step guard: one product per Gram entry i <= j, as Gram
     # matrices were once built; a generator atom must tick once per state,
-    # as the per-state loop did
+    # as the per-state loop did.  star does no rewriting, so the products
+    # fill every memo entry they use themselves
     steps, mats = gram_steps(reference_gram, attempt_raising_cell)
     assert steps == expect
     cell = Cellular(QBrAlgebra(5, spec=FP101))
@@ -624,16 +625,28 @@ def test_lmul_e_matches_star_of_emul(n):
     assert shifted == {4: 3, 5: 15, 6: 103}[n]
 
 
-def test_star_budget_is_per_call(monkeypatch):
-    # star counts its own steps, as mul does: 2 here, after a product that
-    # used all 60 of the budget
+def test_star_takes_no_rewriting_step(monkeypatch):
+    # star relabels normal indices: after a product that used all 60 of the
+    # budget it neither resets the count nor adds to it
     monkeypatch.setenv("QBR_MAX_REWRITE_STEPS", "60")
     alg = QBrAlgebra(4, spec=FP101)
     one, ident, s2, v = FP101.one(), alg.id, sg.gen(4, 2), (1, 2, 0, 3)
     alg.mul({(0, ident, (2, 0, 3, 1), ident): one}, {(2, v, ident, v): one})
     assert alg._steps == 60
     assert alg.star({(1, ident, ident, s2): one}) == {(1, s2, ident, ident): one}
-    assert alg._steps == 2
+    assert alg._steps == 60
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_star_flips_brauer_diagrams_at_q1(n):
+    # an independent oracle: at q = 1 the involution flips a Brauer diagram
+    # top to bottom, so the diagram of star's index is the flipped diagram
+    # of the index itself
+    alg = QBrAlgebra(n, spec=FP101)
+    one = FP101.one()
+    for idx in alg.basis_indices():
+        (key,) = alg.star({idx: one})
+        assert bd.normal_index_diagram(n, key) == bd.star(bd.normal_index_diagram(n, idx), n)
 
 
 def test_fp_algebra_rejects_values_of_another_prime():
