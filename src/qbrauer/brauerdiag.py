@@ -14,14 +14,29 @@ factor of the loop parameter x.  With the permutation conventions of
 :mod:`qbrauer.symgrp` (products read left to right), the map
 w -> perm_diagram(w) is multiplicative.
 
-The length of a diagram w1 e_(k) w2 is the least l(w1) + l(w2) over all
-ways to write it; the table of lengths is built by breadth-first search
-from e_(k) under the left and right generator actions.
+The length of d = w1 e_(k) w2 is the least l(w1) + l(w2) over all ways
+to write it, so its distance from e_(k) under the swaps of two adjacent
+vertices of one row (s_i stacked above or below, closing no loop).
+``diagram_length`` counts it in closed form as a sum over pairs of
+strands: two through strands weigh 1 if they cross; two arcs of a row
+weigh 0, 1 or 2 if apart, crossing or nested; a through end and an arc
+of its row weigh 0, 1 or 2 if it lies right of, inside or left of the
+arc.  The sum is 0 at e_(k).  A swap moves only the weight of the pair
+of strands at its two vertices, and that by one at most.  Every other
+diagram has a swap that lowers the sum by one: in a row, a through end
+T just left of an arc's left end L (T.L) or just inside an arc's right
+end R (T.R); the L.R of crossing arcs; the L.L or R.R of nested arcs;
+the T.T of crossing strands.  For with none of these in a row, all
+vertices right of a through end are through ends; the arc with the
+least right end is adjacent (else the vertex inside it is the L of a
+crossing L.R) and leftmost (else the L of a nested L.L); so by
+induction the row is e_(k)'s, and with no crossing T.T the throughs are
+in order.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import itertools
 
 __all__ = [
     "perm_diagram",
@@ -97,72 +112,41 @@ def star(d, n):
     return frozenset(out)
 
 
-def _through_map(d, n):
-    """The partial map top -> bottom given by the through strands."""
-    out = {}
-    for e in d:
-        a, b = sorted(e)
-        if a < n <= b:
-            out[a + 1] = b - n + 1
-    return out
+def _throughs(d, n):
+    """The through strands as (top, bottom) row positions, by top."""
+    return sorted((a, b - n) for a, b in map(sorted, d) if a < n <= b)
 
 
 def order_preserving_throughs(d, n):
-    th = _through_map(d, n)
-    tops = sorted(th)
-    bots = [th[t] for t in tops]
+    bots = [b for _, b in _throughs(d, n)]
     return bots == sorted(bots)
 
 
-@lru_cache(maxsize=None)
-def _length_table(n, k):
-    """Map each diagram omega1 e_(k) omega2 to its minimal word length.
-
-    Breadth-first search from e_(k).  Stacking s_i above a diagram swaps
-    its top vertices i-1 and i; stacking it below swaps its bottom
-    vertices n+i-1 and n+i.  Neither closes a loop, so a path of m steps
-    reaches w1 e_(k) w2 with l(w1) + l(w2) <= m, and reduced words for w1
-    and w2 give a path of exactly l(w1) + l(w2) steps.  The first visit
-    to a diagram is therefore at min l(w1) + l(w2).
-    """
-    swaps = [(i - 1, i) for i in range(1, n)]
-    swaps += [(n + i - 1, n + i) for i in range(1, n)]
-    start = e_k_diagram(n, k)
-    table = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for d in frontier:
-            l = table[d] + 1
-            for a, b in swaps:
-                t = {a: b, b: a}
-                d2 = frozenset(frozenset(t.get(x, x) for x in e) for e in d)
-                if d2 not in table:
-                    table[d2] = l
-                    nxt.append(d2)
-        frontier = nxt
-    return table
-
-
 def diagram_length(n, k, d):
-    """min { l(w1) + l(w2) : w1 e_(k) w2 = d } over the symmetric group."""
-    table = _length_table(n, k)
-    if d not in table:
+    """min { l(w1) + l(w2) : w1 e_(k) w2 = d } over the symmetric group,
+    as the sum of pair weights of the module docstring."""
+    edges = [tuple(sorted(e)) for e in d]
+    if {len(e) for e in edges} != {2} or sorted(x for e in edges for x in e) != list(range(2 * n)):
+        raise ValueError("diagram is not a perfect matching of 0..2n-1")
+    rows = ([e for e in edges if e[1] < n], [(a - n, b - n) for a, b in edges if a >= n])
+    if len(rows[0]) != k:
         raise ValueError("diagram is not of the form w1 e_(k) w2")
-    return table[d]
+    th = _throughs(d, n)
+    out = sum(x > y for i, (_, x) in enumerate(th) for _, y in th[i + 1:])
+    for arcs, ends in zip(rows, ([a for a, _ in th], [b for _, b in th])):
+        for a, b in arcs:
+            out += sum(a < x < b or 2 * (x < a) for x in ends)
+            out += sum(a < c < b < f or 2 * (a < c and f < b) for c, f in arcs)
+    return out
 
 
 def enumerate_Dkn(n, k):
-    """All diagrams with top row equal to e_(k)'s and ordered throughs."""
-    table = _length_table(n, k)
-    e_top = {frozenset((2 * i, 2 * i + 1)) for i in range(k)}
-    out = []
-    for d in table:
-        top = {e for e in d if max(e) < n}
-        if top == e_top and order_preserving_throughs(d, n):
-            out.append(d)
-    out.sort(key=lambda d: (table[d], sorted(tuple(sorted(e)) for e in d)))
-    return out
+    """All diagrams with top row equal to e_(k)'s and ordered throughs:
+    e_(k) stacked on every permutation diagram, by (length, edges)."""
+    e_k = e_k_diagram(n, k)
+    out = {compose(e_k, perm_diagram(w))[0] for w in itertools.permutations(range(n))}
+    out = [d for d in out if order_preserving_throughs(d, n)]
+    return sorted(out, key=lambda d: (diagram_length(n, k, d), sorted(tuple(sorted(e)) for e in d)))
 
 
 def normal_index_diagram(n, idx):

@@ -453,7 +453,8 @@ class Cellular:
         and sums the blocks from those (``_summed``).  A level whose build
         raised, at a term off level k or at a rewriting cycle, raises its
         message.  Level 0 runs ``_level_blocks`` here: e_(0) = 1, and its
-        one block, 1, comes from a product 1 . 1 with no rewriting step.
+        one block, 1, comes from a product 1 . 1 and a straightening, one
+        rewriting step between them.
         """
         hit = self._block_memo.get(k)
         if hit is None:

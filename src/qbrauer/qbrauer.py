@@ -432,17 +432,14 @@ class QBrAlgebra:
             )
 
     def _apply_atom(self, states, atom):
-        """The states times one atom of a word, one rewrite step per state."""
+        """The states times one atom of a word, one rewrite step per state;
+        the E atom is g_A (e_(k) g_w e) through ``_emul`` at every level."""
         if atom[0] != "E":
             self._tick(len(states))
             return self._rmul_gen_states(states, atom[1], atom[0] == "gi")
         out, acc = {}, self._acc
         for (A, k, w), c in states.items():
             self._tick()
-            if k == 0:
-                for y, cy in self.hecke.rmul_perm({A: c}, w).items():
-                    acc(out, (y, 1, 0), cy)
-                continue
             for (B, k3, w3), ce in self._emul(k, w).items():
                 for C, cc in self.hecke.rmul_perm({A: ce}, B).items():
                     acc(out, (C, k3, w3), c * cc)
@@ -490,7 +487,8 @@ class QBrAlgebra:
 
     def _emul(self, k, w):
         """e_(k) g_w e as states (A, k3, w3) standing for g_A e_(k3) g_w3; at
-        k = 0, (w, 1, 0), as the E atom of ``_apply_atom`` makes it."""
+        k = 0, where e_(0) = 1, the one state (w, 1, 0).  The E atom of
+        ``_apply_atom`` takes it at every level, level 0 included."""
         return self._memoised(
             self._emul_memo, self._emul_stack, self._emul_compute,
             "rewriting cycle at e_({}) g_{} e", k, w,
@@ -634,25 +632,18 @@ class QBrAlgebra:
         hit = self._norm_memo.get(key)
         if hit is not None:
             return hit
-        T, acc = self._T, self._acc
-        perms, one = T.perms, self._one
-        if k == 0:
-            out = {
-                (0, self.id, perms[y], self.id): c
-                for y, c in self.hecke.rmul_perm({A: one}, w).items()
-            }
-        else:
-            minrep = self._minrep[k]
-            out = {}
-            for r1, c1 in self._red(k, T.inv[A]).items():
-                # applying the involution: g_A e_(k) picks up
-                # c1 g_{v1^{-1}} e_(k) g_{pi1^{-1}}
-                pi1, v1 = minrep[r1]
-                u = perms[v1]
-                for y, c3 in self.hecke.rmul_perm({T.inv[pi1]: c1}, w).items():
-                    for r2, c4 in self._red(k, y).items():
-                        pi2, v2 = minrep[r2]
-                        acc(out, (k, u, perms[pi2], perms[v2]), c3 * c4)
+        T, acc, perms = self._T, self._acc, self._T.perms
+        minrep = self._minrep[k]
+        out = {}
+        for r1, c1 in self._red(k, T.inv[A]).items():
+            # applying the involution: g_A e_(k) picks up
+            # c1 g_{v1^{-1}} e_(k) g_{pi1^{-1}}
+            pi1, v1 = minrep[r1]
+            u = perms[v1]
+            for y, c3 in self.hecke.rmul_perm({T.inv[pi1]: c1}, w).items():
+                for r2, c4 in self._red(k, y).items():
+                    pi2, v2 = minrep[r2]
+                    acc(out, (k, u, perms[pi2], perms[v2]), c3 * c4)
         self._norm_memo[key] = out
         return out
 

@@ -2,6 +2,7 @@
 involution and diagram lengths."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -101,7 +102,8 @@ def test_diagram_length_of_basis_words():
 
 
 def test_length_table_matches_brute_force():
-    # the breadth-first table against every product w1 e_(k) w2
+    # the closed-form length against every product w1 e_(k) w2: each
+    # diagram with k arcs is one, and its length is the least l(w1) + l(w2)
     for n in range(2, 6):
         perms = list(itertools.permutations(range(n)))
         for k in range(n // 2 + 1):
@@ -115,4 +117,85 @@ def test_length_table_matches_brute_force():
                     assert loops == 0
                     l = sg.length(w1) + sg.length(w2)
                     expect[d] = min(l, expect.get(d, l))
-            assert bd._length_table(n, k) == expect
+            arcs = math.comb(n, 2 * k) * bd.diagram_count(k)
+            assert len(expect) == arcs**2 * math.factorial(n - 2 * k)
+            assert {d: bd.diagram_length(n, k, d) for d in expect} == expect
+
+
+def test_diagram_length_rejects_other_diagrams():
+    e = bd.e_k_diagram(4, 1)
+    with pytest.raises(ValueError, match="not of the form w1 e_\\(k\\) w2"):
+        bd.diagram_length(4, 2, e)
+    pairs = [
+        e - {frozenset((2, 6))},  # vertices 2 and 6 unmatched
+        e | {frozenset((2, 7))},  # vertex 2 matched twice
+        e - {frozenset((2, 6))} | {frozenset((2, 9))},  # a vertex off 0..7
+        # every vertex once, but in a singleton and a triple
+        e - {frozenset((2, 6)), frozenset((3, 7))} | {frozenset((2,)), frozenset((3, 6, 7))},
+    ]
+    for d in pairs:
+        with pytest.raises(ValueError, match="not a perfect matching"):
+            bd.diagram_length(4, 1, d)
+
+
+def _all_diagrams(n):
+    """Every perfect matching of 0..2n-1."""
+
+    def matchings(free):
+        if not free:
+            yield []
+            return
+        a = free[0]
+        for i in range(1, len(free)):
+            for rest in matchings(free[1:i] + free[i + 1:]):
+                yield [frozenset((a, free[i]))] + rest
+
+    return [frozenset(m) for m in matchings(list(range(2 * n)))]
+
+
+def _swap(d, p):
+    """d with the adjacent vertices p and p + 1 of one row exchanged."""
+    t = {p: p + 1, p + 1: p}
+    return frozenset(frozenset(t.get(x, x) for x in e) for e in d)
+
+
+def _lowering_swaps(n, d):
+    """The vertices p whose swap with p + 1 the module docstring lists as
+    lowering: T.L, T.R, the L.R of two arcs, and the L.L, R.R or T.T of
+    two strands whose other ends are in the opposite order."""
+    mate = {x: y for e in d for x, y in (tuple(e), tuple(e)[::-1])}
+    out = []
+    for lo in (0, n):
+        kind = {
+            x: "T" if not lo <= mate[x] < lo + n else "L" if mate[x] > x else "R"
+            for x in range(lo, lo + n)
+        }
+        for p in range(lo, lo + n - 1):
+            pair = kind[p] + kind[p + 1]
+            if (
+                pair in ("TL", "TR")
+                or (pair == "LR" and mate[p] != p + 1)
+                or (pair in ("LL", "RR", "TT") and mate[p] > mate[p + 1])
+            ):
+                out.append(p)
+    return out
+
+
+def test_length_proof_lemmas_n6():
+    # the two lemmas of the module docstring on every diagram of n = 6: a
+    # swap of adjacent vertices of one row moves the length by at most one,
+    # and every diagram but e_(k) has a swap of the listed kinds, each of
+    # which lowers it by one
+    n = 6
+    rows = [p for lo in (0, n) for p in range(lo, lo + n - 1)]
+    diagrams = _all_diagrams(n)
+    assert len(diagrams) == bd.diagram_count(n)
+    arcs = {d: sum(max(e) < n for e in d) for d in diagrams}
+    length = {d: bd.diagram_length(n, k, d) for d, k in arcs.items()}
+    for d, l in length.items():
+        for p in rows:
+            assert abs(length[_swap(d, p)] - l) <= 1
+        lowering = _lowering_swaps(n, d)
+        assert bool(lowering) == (d != bd.e_k_diagram(n, arcs[d]))
+        for p in lowering:
+            assert length[_swap(d, p)] == l - 1

@@ -166,6 +166,22 @@ def test_Bkn_matches_descending_run_construction():
             assert sg.enumerate_Bkn(n, k) == _descending_run_Bkn(n, k)
 
 
+def test_Bkn_matches_the_brauer_oracle_n7_to_9():
+    # every v in B_{k,n} up to MAX_N gives the diagram e_(k) v with no loop
+    # and ordered throughs, of diagram length l(v), and the diagrams are
+    # the C(n, 2k) (2k-1)!! ways to place the bottom arcs
+    for n in (7, 8, 9):
+        for k in range(n // 2 + 1):
+            e_k = bd.e_k_diagram(n, k)
+            seen = set()
+            for v in sg.enumerate_Bkn(n, k):
+                d, loops = bd.compose(e_k, bd.perm_diagram(v))
+                assert loops == 0 and bd.order_preserving_throughs(d, n)
+                assert sg.length(v) == bd.diagram_length(n, k, d)
+                seen.add(d)
+            assert len(seen) == math.comb(n, 2 * k) * bd.diagram_count(k)
+
+
 def test_B13_ordering():
     # the three coset representatives for n = 3, k = 1: 1, s_2, s_2 s_1
     assert sg.enumerate_Bkn(3, 1) == [
