@@ -494,7 +494,8 @@ class Cellular:
         phi being the Murphy coordinate at (lam, t^lam, t^lam).
 
         For one row, c_lam g_w = Q^{l(w)} c_lam and c_lam^2 = P(Q) c_lam
-        with P the Poincare polynomial of the window, so psi(g_w) is
+        with P the Poincare polynomial of the window of m = n - 2k letters,
+        the product of 1 + Q + ... + Q^{i-1} over i = 1..m, so psi(g_w) is
         Q^{l(w)} P(Q).  Otherwise psi(h) = f(c_lam h c_lam) with
         f(x) = [g_w](x g_w y_lam') as in the module docstring: the unit
         functional at w = d(t_lam) is pulled back through y_lam' on the
@@ -510,20 +511,17 @@ class Cellular:
             H, f = self.window(k), self._column_functional(k, lam)
             f = H.coset_sums(f, lam, partial(_pull, self.alg, T.lmul, T.ldes))
             return H.coset_sums(f, lam, partial(_pull, self.alg, T.rmul, T.rdes))
-        codes = T.window(2 * k + 1)
-        count = [0] * (max(T.length[w] for w in codes) + 1)
-        for w in codes:
-            count[T.length[w]] += 1
+        m = self.n - 2 * k
         powers = [field.one()]
-        for _ in count[1:]:
+        for _ in range(m * (m - 1) // 2):
             powers.append(powers[-1] * Q)
-        P = field.zero()
-        for c, x in zip(count, powers):
-            P = P + c * x
+        P = field.one()
+        for i in range(2, m + 1):
+            P = P * sum(powers[1:i], powers[0])
         if P.is_zero():
             return {}
         psi = [field.inner(x * P) for x in powers]
-        return {w: psi[T.length[w]] for w in codes}
+        return {w: psi[T.length[w]] for w in T.window(2 * k + 1)}
 
     def _column_functional(self, k, lam):
         """f(x) = [g_w](x g_w y_lam') as {code: coeff}, w = d(t_lam): the

@@ -16,7 +16,9 @@ Each arithmetic job is written once.  One gcd, :func:`_biv_gcd`, serves
 Z[q, r]: the heuristic gcd of Char, Geddes and Gonnet, from integer gcds
 of evaluations, checked by exact division.  One univariate toolkit on
 exponent dicts (the ``_uni_*`` helpers) serves that gcd's images in Z[r],
-the cyclotomic polynomials Phi_m and the arithmetic of Q(zeta_m); one
+the cyclotomic polynomials Phi_m, the arithmetic of Q(zeta_m) and the sums
+and products of the parameter ring, whose packed monomial keys
+(:class:`ParamPoly`) are int exponents too; one
 routine, :func:`_power`, takes every power by repeated squaring; and
 :func:`_lead` is the one graded-lex leading-term rule of Z[q, r].
 
@@ -91,11 +93,17 @@ def _uni_deg(p):
 
 
 def _uni_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
+    # the larger operand runs inside, and the first term of the other seeds out
+    if len(a) < len(b):
+        a, b = b, a
+    rest = iter(b.items())
+    eb, cb = next(rest, (0, 0))
+    out = {ea + eb: ca * cb for ea, ca in a.items()}
+    get = out.get
+    for eb, cb in rest:
+        for ea, ca in a.items():
             e = ea + eb
-            out[e] = out.get(e, 0) + ca * cb
+            out[e] = get(e, 0) + ca * cb
     return _uni_trim(out)
 
 
@@ -1050,29 +1058,13 @@ class ParamPoly:
         return _power(self, e, ParamPoly.one())
 
     def __add__(self, other):
-        out = self.terms.copy()
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return ParamPoly({m: c for m, c in out.items() if c})
+        return ParamPoly(_uni_add(self.terms, other.terms))
 
     def __sub__(self, c):  # only ints are subtracted
         return self + ParamPoly({0: -c})
 
     def __mul__(self, other):
-        x, y = (self, other) if len(self.terms) >= len(other.terms) else (other, self)
-        a, b = x.terms, y.terms
-        if len(b) == 1:
-            ((m2, c2),) = b.items()
-            return x if m2 == 0 and c2 == 1 else ParamPoly({m + m2: c * c2 for m, c in a.items()})
-        rest = iter(b.items())
-        m2, c2 = next(rest, (0, 0))
-        out = {m + m2: c * c2 for m, c in a.items()}
-        get = out.get
-        for m2, c2 in rest:
-            for m, c in a.items():
-                m += m2
-                out[m] = get(m, 0) + c * c2
-        return ParamPoly({m: c for m, c in out.items() if c})
+        return ParamPoly(_uni_mul(self.terms, other.terms))
 
     inner = outer = staticmethod(_same)
     acc, scale = staticmethod(_acc), staticmethod(_scale)

@@ -12,7 +12,9 @@ Tableaux live on a window {lo, ..., n} of letters (lo = 2k+1 when k pairs
 have been used up by the diagram part), with shape a partition of
 n - lo + 1.
 
-B_{k,n} and the tables of :class:`PermTable` are built in closed form;
+B_{k,n}, the tables of :class:`PermTable` and the standard tableaux are
+built in closed form, the tableaux by removing the corner that holds the
+largest entry, and d(t) is read off the reading word of t;
 :mod:`qbrauer.brauerdiag`, the q = 1 oracle that checks B_{k,n}, is not
 on this construction path.
 """
@@ -178,24 +180,21 @@ def perm_table(n):
 
 
 # ---------------------------------------------------------------------------
-# partitions, dominance, hooks
+# partitions and dominance
 # ---------------------------------------------------------------------------
 
 
 class Partition(tuple):
-    """A partition as a weakly decreasing tuple of positive parts."""
+    """A partition as a weakly decreasing tuple of positive parts; trailing
+    zero parts are dropped, and an interior one is not weakly decreasing."""
 
     def __new__(cls, parts):
-        parts = tuple(int(p) for p in parts if p)
+        parts = tuple(int(p) for p in parts)
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"not weakly decreasing: {parts}")
         if any(p < 0 for p in parts):
             raise ValueError(f"negative part: {parts}")
-        return super().__new__(cls, parts)
-
-    @property
-    def size(self):
-        return sum(self)
+        return super().__new__(cls, tuple(p for p in parts if p))
 
     def conjugate(self):
         if not self:
@@ -203,9 +202,6 @@ class Partition(tuple):
         return Partition(
             tuple(sum(1 for p in self if p > i) for i in range(self[0]))
         )
-
-    def cells(self):
-        return [(i, j) for i, p in enumerate(self) for j in range(p)]
 
 
 @lru_cache(maxsize=None)
@@ -247,44 +243,26 @@ def dominates(lam, mu):
 def standard_tableaux(lam, lo=1):
     """All standard tableaux of shape lam with entries lo, lo+1, ...
 
-    A tableau is a tuple of row tuples.  The tuple starts with the
-    row-reading superstandard tableau t^lam.  Built once per process for
-    each (lam, lo).
+    A tableau is a tuple of row tuples.  The tuple is sorted by reading
+    word (the rows concatenated), so it starts with the row-reading
+    superstandard tableau t^lam, whose word is the least.  Built by corner
+    removal, once per process for each (lam, lo).
     """
     return _standard_tableaux(Partition(lam), lo)
 
 
 @lru_cache(maxsize=None)
 def _standard_tableaux(lam, lo):
-    m = lam.size
-    if m == 0:
+    # the largest entry ends a row i longer than row i+1, a corner; the
+    # other entries fill lam with that corner removed
+    if not lam:
         return ((),)
-    cells = lam.cells()
-    out = []
-
-    def rec(filled, next_entry):
-        if next_entry == lo + m:
-            rows = []
-            for i, p in enumerate(lam):
-                rows.append(tuple(filled[(i, j)] for j in range(p)))
-            out.append(tuple(rows))
-            return
-        for (i, j) in cells:
-            if (i, j) in filled:
-                continue
-            if j > 0 and (i, j - 1) not in filled:
-                continue
-            if i > 0 and (i - 1, j) not in filled:
-                continue
-            filled[(i, j)] = next_entry
-            rec(filled, next_entry + 1)
-            del filled[(i, j)]
-
-    rec({}, lo)
-    out.sort(key=lambda t: tuple(itertools.chain(*t)))
-    sup = superstandard(lam, lo)
-    out.remove(sup)
-    return (sup, *out)
+    top, out = lo + sum(lam) - 1, []
+    for i, p in enumerate(lam):
+        if i + 1 == len(lam) or p > lam[i + 1]:
+            for t in _standard_tableaux(lam[:i] + (p - 1,) * (p > 1) + lam[i + 1:], lo):
+                out.append(t[:i] + ((t[i] if p > 1 else ()) + (top,),) + t[i + 1:])
+    return tuple(sorted(out, key=lambda t: tuple(itertools.chain(*t))))
 
 
 def superstandard(lam, lo=1):
@@ -302,15 +280,13 @@ def tableau_perm(n, t, lo=1):
     """The permutation d(t) defined by d(t)(t^lam(c)) = t(c) for all cells c.
 
     So t^lam . d(t) = t, and d(t) is the minimal-length coset representative
-    attached to t.  Returned as a permutation of {1..n} fixing letters
-    outside the window.
+    attached to t.  As t^lam numbers the cells lo, lo+1, ... in reading
+    order, d(t) sends lo+i to the i-th entry of t in that order.  Returned
+    as a permutation of {1..n} fixing letters outside the window.
     """
-    lam = Partition(tuple(len(row) for row in t))
-    sup = superstandard(lam, lo)
     img = list(range(n))
-    for rs, rt in zip(sup, t):
-        for a, b in zip(rs, rt):
-            img[a - 1] = b - 1
+    for a, b in enumerate(itertools.chain(*t), lo - 1):
+        img[a] = b - 1
     return tuple(img)
 
 

@@ -704,7 +704,9 @@ def test_cell_labels_are_normalised_and_checked():
     assert cell.gram_det(0, [2, 1]) == cell.gram_det(0, sg.Partition((2, 1)))
     assert cell.radical_dim(1, (1, 0)) == 0
     assert cell.module_index(1, (1,)) == cell.module_index(1, sg.Partition((1,)))
-    for k, lam in [(0, (2, 2)), (2, ()), (1, (2,)), (-1, (5,)), (0, (1, 2)), (0, (-3,)), (0, "x"), (0, None)]:
+    # an interior zero part is not weakly decreasing: (2, 0, 1) is not (2, 1)
+    bad = [(0, (2, 2)), (2, ()), (1, (2,)), (-1, (5,)), (0, (1, 2)), (0, (2, 0, 1)), (0, (-3,)), (0, "x"), (0, None)]
+    for k, lam in bad:
         for method in (cell.gram, cell.gram_det, cell.radical_dim, cell.module_index):
             with pytest.raises(ValueError, match="no cell"):
                 method(k, lam)

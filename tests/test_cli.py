@@ -362,6 +362,21 @@ def test_semisimple_grid_n4_f13_csv_is_unchanged(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GRID_N4_F13_SHA256
 
 
+# sha256 of the index lines of ``qbrauer basis --n 5 --kind cellular``,
+# joined by newlines
+BASIS_N5_CELLULAR_SHA256 = "ac386d45389bd983377ca3aae57cb962d6ae2271ad9d986250b5173c33aa53a2"
+
+
+def test_basis_n5_cellular_order_is_unchanged(capsys):
+    # the 945 cellular labels (k, lam, (s, u), (t, v)) in their listed order:
+    # cells most dominant first, tableaux by reading word, B_{k,n} by length
+    code, out, _ = run(capsys, "basis", "--n", "5", "--kind", "cellular")
+    assert code == 0
+    lines = json.loads(out)["result"]["indices"]
+    assert len(lines) == 945
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BASIS_N5_CELLULAR_SHA256
+
+
 def test_semisimple_cyclotomic_point(capsys):
     code, out, _ = run(
         capsys,

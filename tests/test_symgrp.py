@@ -79,8 +79,9 @@ def hook_product(lam):
     lam = sg.Partition(lam)
     conj = lam.conjugate()
     out = 1
-    for i, j in lam.cells():
-        out *= lam[i] - j + conj[j] - i - 1
+    for i, p in enumerate(lam):
+        for j in range(p):
+            out *= p - j + conj[j] - i - 1
     return out
 
 
@@ -97,14 +98,54 @@ def test_superstandard_first():
     assert sg.superstandard(lam, 3) == ((3, 4), (5,))
 
 
+def _brute_standard_tableaux(lam):
+    """Standard tableaux by brute force: every filling of lam by 0, 1, ...
+    whose rows and columns increase, sorted by reading word."""
+    m, out = sum(lam), []
+    for word in itertools.permutations(range(m)):
+        it = iter(word)
+        t = tuple(tuple(next(it) for _ in range(p)) for p in lam)
+        rows = all(row[j] < row[j + 1] for row in t for j in range(len(row) - 1))
+        cols = all(t[i][j] < t[i + 1][j] for i in range(len(t) - 1) for j in range(len(t[i + 1])))
+        if rows and cols:
+            out.append(t)
+    assert len(out) * hook_product(lam) == math.factorial(m)
+    return sorted(out, key=lambda t: tuple(itertools.chain(*t)))
+
+
+@pytest.mark.parametrize("m", range(0, 8))
+def test_standard_tableaux_match_brute_force(m):
+    # same tableaux in the same order: by reading word, t^lam first; the
+    # oracle's entries 0, 1, ... are shifted to the window lo, lo+1, ...
+    for lam in sg.partitions(m):
+        brute = _brute_standard_tableaux(lam)
+        for lo in (1, 2, 4):
+            tabs = sg.standard_tableaux(lam, lo)
+            assert list(tabs) == [tuple(tuple(x + lo for x in row) for row in t) for t in brute]
+            assert tabs[0] == sg.superstandard(lam, lo)
+
+
 def test_tableau_perm_definition():
-    # t^lam . d(t) = t: relabelling the superstandard entries by d gives t
-    lam = sg.Partition((3, 1))
-    sup = sg.superstandard(lam)
-    for t in sg.standard_tableaux(lam):
-        d = sg.tableau_perm(4, t, 1)
-        moved = tuple(tuple(d[x - 1] + 1 for x in row) for row in sup)
-        assert moved == t
+    # t^lam . d(t) = t: relabelling the superstandard entries by d gives t,
+    # and d fixes the letters below and above the window lo..lo+m-1
+    for m in range(0, 7):
+        for lam in sg.partitions(m):
+            for lo in (1, 3):
+                n, sup = lo + m, sg.superstandard(lam, lo)
+                for t in sg.standard_tableaux(lam, lo):
+                    d = sg.tableau_perm(n, t, lo)
+                    moved = tuple(tuple(d[x - 1] + 1 for x in row) for row in sup)
+                    assert moved == t
+                    outside = [*range(lo - 1), *range(lo - 1 + m, n)]
+                    assert all(d[x] == x for x in outside)
+
+
+def test_partition_drops_only_trailing_zeros():
+    assert sg.Partition((3, 0)) == (3,) and sg.Partition((2, 1, 0, 0)) == (2, 1)
+    assert sg.Partition(()) == () and sg.Partition((0,)) == ()
+    for parts in [(2, 0, 1), (0, 3), (1, 2), (3, -1)]:
+        with pytest.raises(ValueError):
+            sg.Partition(parts)
 
 
 def test_window_perms():
