@@ -60,8 +60,7 @@ f(x) = [g_w](x g_w y_lam') kills H^{>lam}, because x_mu H y_lam' = 0 for
 mu strictly dominating lam (Dipper-James, Proc. London Math. Soc. 52,
 1986), and f(c_lam) = 1, because g_w occurs once in c_lam g_w y_lam'; so
 f = phi_lam on c_lam h c_lam, which lies in R c_lam + H^{>lam}.  psi_lam
-is f pulled back through c_lam on both sides, once per cell, or a closed
-form when lam has one row.
+is f summed over double cosets and scaled (``Cellular._functional``).
 The form is symmetric, as for every cellular algebra: the anti-involution
 star fixes m_lam and swaps the two factors.  Gram matrices are therefore
 filled from the entries with i <= j.
@@ -78,7 +77,9 @@ against the Gram determinants.
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import accumulate, groupby, pairwise, permutations
 import math
+from operator import mul
 
 from . import symgrp as sg
 from .coefficients import LaurentPoly, RatFunc, _acc, _biv_divexact, _biv_gcd, _exponents, quantum_char
@@ -229,13 +230,11 @@ def _field_step(top, below, col, prev):
                 row[c] = row[c] - f * top[c]
 
 
-def _pull(alg, move, des, f, i):
-    """The functional h -> f(g_i h) (move, des = lmul, ldes) or
-    h -> f(h g_i) (rmul, rdes), for f = {code: coeff} standing for
+def _pull(alg, f, i):
+    """The functional h -> f(h g_i), for f = {code: coeff} standing for
     h -> sum of f[w] h[w], in the internal coefficients of the algebra
     ``alg``."""
-    acc, Q, Qm1 = alg._acc, alg._Q, alg._Qm1
-    move, bit = move[i], 1 << i
+    acc, Q, Qm1, move, des, bit = alg._acc, alg._Q, alg._Qm1, alg._T.rmul[i], alg._T.rdes, 1 << i
     out = {}
     for w, c in f.items():
         if des[w] & bit:
@@ -309,6 +308,37 @@ def _universal_blocks(n, k):
     dicts = [*lefts.values(), *(terms for _, _, terms in pairs)]
     keys = {m for x in dicts for c in x.values() for m in c.terms}
     return tuple((m, _exponents(m)) for m in keys), (lefts, pairs)
+
+
+@lru_cache(maxsize=None)
+def _double_cosets(n, k, lam):
+    """The combinatorics of psi_lam at level k, once per process for each
+    (n, k, lam): (classes, where, top, cols, w, word).  The double coset
+    S_lam x S_lam of a window code x, S_lam the row stabiliser of t^lam, is
+    named by the matrix m_ij = |row i of t^lam meet x(row j)|; ``where[x]``
+    is its index in ``classes``.  A class is (blocks, groups): its m_ij > 1,
+    and its codes as (shift, codes) by ascending shift l(x) - l(d), d its
+    least element; ``top`` is the largest shift.  t_lam is the transpose of
+    t^{lam'}, whose rows are ``cols``; w = d(t_lam) has reduced word ``word``."""
+    T, lo, lam = sg.perm_table(n), 2 * k + 1, sg.Partition(lam)
+    # the window codes follow the permutations of the letters lo..n in
+    # itertools order: words[x] lists the rows of x(lo), x(lo + 1), ...
+    words = list(permutations([i for i, p in enumerate(lam) for _ in range(p)]))
+    spans, index = list(pairwise(accumulate(lam, initial=0))), {}
+    named = {x: tuple(tuple(sorted(x[a:b])) for a, b in spans) for x in dict.fromkeys(words)}
+    named = {x: index.setdefault(key, len(index)) for x, key in named.items()}
+    where, members, length = tuple(map(named.__getitem__, words)), [[] for _ in index], T.length.__getitem__
+    for x in sorted(range(len(words)), key=length):
+        members[where[x]].append(x)
+    classes = tuple(
+        (tuple(b for r in key for b in map(r.count, set(r)) if b > 1),
+         tuple((s - length(xs[0]), tuple(g)) for s, g in groupby(xs, key=length)))
+        for key, xs in zip(index, members)
+    )
+    cols = sg.superstandard(lam.conjugate(), lo)
+    t_lam = tuple(tuple(c[i] for c in cols if len(c) > i) for i in range(len(lam)))
+    w = T.code[sg.tableau_perm(n, t_lam, lo)]
+    return classes, where, max(groups[-1][0] for _, groups in classes), cols, w, T.word(w)
 
 
 class Cellular:
@@ -493,49 +523,45 @@ class Cellular:
         """psi(h) = phi(c_lam h c_lam) as {code: coeff} over the window,
         phi being the Murphy coordinate at (lam, t^lam, t^lam).
 
-        For one row, c_lam g_w = Q^{l(w)} c_lam and c_lam^2 = P(Q) c_lam
-        with P the Poincare polynomial of the window of m = n - 2k letters,
-        the product of 1 + Q + ... + Q^{i-1} over i = 1..m, so psi(g_w) is
-        Q^{l(w)} P(Q).  Otherwise psi(h) = f(c_lam h c_lam) with
-        f(x) = [g_w](x g_w y_lam') as in the module docstring: the unit
-        functional at w = d(t_lam) is pulled back through y_lam' on the
-        right, then through g_w one generator at a time, last letter first,
-        then through c_lam on the left and on the right, each the
-        ``HeckeWindow.coset_sums`` of the adjoint pass ``_pull``; as c* = c,
-        the right one takes the same coset sums starred, in the same order.
-        The coefficients are internal; the one-row closed form is taken in
-        field values, once per length, and converted.
+        A window code x is a d b with a, b in S_lam, d the least element of
+        S_lam x S_lam and l(x) = l(a) + l(d) + l(b).  As c_lam g_a =
+        Q^{l(a)} c_lam = g_a c_lam, and c_lam g_d c_lam = P_nu(Q) sum of g_w
+        over S_lam x S_lam, P_nu(Q) the product of the [m_ij]_Q! over the
+        blocks of nu = S_lam meet d S_lam d^-1 (Dipper-James, Proc. London
+        Math. Soc. 52, 1986), psi(g_x) = Q^{l(x) - l(d)} P_nu(Q) sum of
+        f(g_w) over S_lam x S_lam, f being ``_column_functional``.
         """
-        T, Q, field = self.alg._T, self.alg.Q, self.field
-        if len(lam) > 1:
-            H, f = self.window(k), self._column_functional(k, lam)
-            f = H.coset_sums(f, lam, partial(_pull, self.alg, T.lmul, T.ldes))
-            return H.coset_sums(f, lam, partial(_pull, self.alg, T.rmul, T.rdes))
-        m = self.n - 2 * k
-        powers = [field.one()]
-        for _ in range(m * (m - 1) // 2):
-            powers.append(powers[-1] * Q)
-        P = field.one()
-        for i in range(2, m + 1):
-            P = P * sum(powers[1:i], powers[0])
-        if P.is_zero():
-            return {}
-        psi = [field.inner(x * P) for x in powers]
-        return {w: psi[T.length[w]] for w in T.window(2 * k + 1)}
+        alg, field = self.alg, self.field
+        classes, where, top, *_ = _double_cosets(self.n, k, lam)
+        f, sums, psi = self._column_functional(k, lam), {}, {}
+        if not top:  # S_lam = 1: every class is one code, of shift 0
+            return f
+        for w, c in f.items():
+            alg._acc(sums, where[w], c)
+        powers = list(accumulate([alg.Q] * top, mul, initial=field.one()))
+        facts = [None, *accumulate(accumulate(powers[:lam[0]]), mul)]  # [j]_Q!, j <= lam[0] <= top + 1
+        powers = {s: field.inner(x) for s, x in enumerate(powers)}
+        for c, total in sums.items():
+            blocks, groups = classes[c]
+            total = math.prod((facts[b] for b in blocks), start=field.outer(total))
+            if not total.is_zero():
+                scaled = alg._scale(powers, field.inner(total))
+                for s, codes in groups:
+                    v = scaled[s]
+                    for x in codes:
+                        psi[x] = v
+        return psi
 
     def _column_functional(self, k, lam):
-        """f(x) = [g_w](x g_w y_lam') as {code: coeff}, w = d(t_lam): the
-        functional of the module docstring, before the c_lam pull-backs;
-        y_lam' weights g_b by (-Q)^{-l(b)}, so each pass is scaled by -Q^-1."""
-        alg, T = self.alg, self.alg._T
-        lo = 2 * k + 1
-        cols = lam.conjugate()
-        sup = sg.superstandard(cols, lo)  # t_lam is its transpose
-        t_lam = tuple(tuple(c[i] for c in sup if len(c) > i) for i in range(len(lam)))
-        w = T.code[sg.tableau_perm(self.n, t_lam, lo)]
-        pull, weight = partial(_pull, alg, T.rmul, T.rdes), self.field.inner(-alg.Qinv)
+        """f(x) = [g_w](x g_w y_lam') as {code: coeff}, w = d(t_lam), the
+        functional of the module docstring: pulled back through y_lam', whose
+        weights (-Q)^{-l(b)} scale each coset sum step by -Q^-1, then through
+        g_w one generator at a time, last letter first."""
+        alg = self.alg
+        *_, cols, w, word = _double_cosets(self.n, k, lam)
+        pull, weight = partial(_pull, alg), self.field.inner(-alg.Qinv)
         f = self.window(k).coset_sums({w: alg._one}, cols, lambda x, i: alg._scale(pull(x, i), weight))
-        for i in reversed(T.word(w)):
+        for i in reversed(word):
             f = pull(f, i)
         return f
 

@@ -951,7 +951,8 @@ class Specialization:
         for name, img in (("q", q_img), ("r", r_img)):
             if img.is_zero():
                 raise DenominatorVanishes(f"image of {name} must be invertible")
-        if self.one().is_zero():  # pragma: no cover - sanity
+        self._one, self._zero = q_img / q_img, q_img - q_img
+        if self._one.is_zero():  # pragma: no cover - sanity
             raise ValueError("degenerate target field")
         self._identity = self.field == ("generic",) and (q_img, r_img) == (RatFunc.q(), RatFunc.r())
         if self.field[0] == "fp":
@@ -984,10 +985,10 @@ class Specialization:
         return cls(("cyclo", m), q_img, r_img)
 
     def one(self):
-        return self.q_img / self.q_img
+        return self._one
 
     def zero(self):
-        return self.q_img - self.q_img
+        return self._zero
 
     def from_int(self, c):
         return self.one() * c

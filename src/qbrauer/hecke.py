@@ -24,7 +24,7 @@ c_lam = sum of g_sigma over the row stabiliser of t^lam is provided along
 with the change of basis to and from {g_w}, and the e-restrictedness test
 of the classification of simple modules.  c_lam is a product of coset
 sums (``coset_sums``), which with other generator steps also pull the
-Gram functional back through c_lam and y_lam'.  Specht module Gram
+Gram functional back through y_lam'.  Specht module Gram
 matrices are the k = 0 cell forms of :class:`qbrauer.cellular.Cellular`.
 
 The transition matrix from the Murphy basis to {g_w} is sparse (1,715 of
@@ -115,15 +115,15 @@ class HeckeWindow:
 
     # -- Murphy basis -----------------------------------------------------------
 
-    def coset_sums(self, x, lam, step):
+    def coset_sums(self, x, rows, step):
         """x c_lam, with ``step(x, i)`` the action of g_i and c_lam the row
-        stabiliser sum of t^lam.  The sum over a row a..b is the product,
-        j = a+1..b in turn, of the coset sums 1 + g_{j-1} + ... + g_{j-1}
-        ... g_a of S_{a..j-1} in S_{a..j} (Dipper-James, Proc. London Math.
-        Soc. 52, 1986).  Each term is a reduced word lengthening every
-        g_sigma before it, so ``c_lambda`` has every coefficient 1."""
+        stabiliser sum of the tableau with rows ``rows``.  The sum over a row
+        a..b is the product, j = a+1..b in turn, of the coset sums 1 + g_{j-1}
+        + ... + g_{j-1} ... g_a of S_{a..j-1} in S_{a..j} (Dipper-James, Proc.
+        London Math. Soc. 52, 1986).  Each term is a reduced word lengthening
+        every g_sigma before it, so ``c_lambda`` has every coefficient 1."""
         acc = self._acc
-        for row in sg.superstandard(lam, self.lo):
+        for row in rows:
             for j in row[1:]:
                 run, total = x, dict(x)
                 for i in range(j - 1, row[0] - 1, -1):
@@ -135,7 +135,8 @@ class HeckeWindow:
 
     def c_lambda(self, lam):
         """Sum of g_sigma over the row stabiliser of t^lam."""
-        return self.coset_sums({0: self.field.inner(self.field.one())}, lam, self.rmul_gen)
+        one = {0: self.field.inner(self.field.one())}
+        return self.coset_sums(one, sg.superstandard(lam, self.lo), self.rmul_gen)
 
     def murphy_labels(self):
         """All (lam, s, t) in a dominance-compatible order (dominant first)."""

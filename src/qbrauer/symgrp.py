@@ -189,6 +189,8 @@ class Partition(tuple):
     zero parts are dropped, and an interior one is not weakly decreasing."""
 
     def __new__(cls, parts):
+        if isinstance(parts, Partition):  # checked when it was made
+            return parts
         parts = tuple(int(p) for p in parts)
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"not weakly decreasing: {parts}")
@@ -197,11 +199,9 @@ class Partition(tuple):
         return super().__new__(cls, tuple(p for p in parts if p))
 
     def conjugate(self):
-        if not self:
-            return Partition(())
-        return Partition(
-            tuple(sum(1 for p in self if p > i) for i in range(self[0]))
-        )
+        # the column lengths of a partition form one: built unchecked
+        cols = (sum(1 for p in self if p > i) for i in range(self[0] if self else 0))
+        return tuple.__new__(Partition, cols)
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@
 Gram matrices and determinants, and semisimplicity decisions."""
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -9,7 +10,16 @@ from fractions import Fraction
 import pytest
 
 from qbrauer import symgrp as sg
-from qbrauer.cellular import Cellular, _level_blocks, _summed, _universal_blocks, closed_form_criterion, det, rank
+from qbrauer.cellular import (
+    Cellular,
+    _double_cosets,
+    _level_blocks,
+    _summed,
+    _universal_blocks,
+    closed_form_criterion,
+    det,
+    rank,
+)
 from qbrauer.coefficients import (
     Cyclo,
     DenominatorVanishes,
@@ -587,11 +597,11 @@ def phi_of_c_h_c(H, lam, clam, w):
 
 
 def check_functionals(one_row):
-    """Check psi(g_w) = phi(c_lam g_w c_lam) for the one-row shapes (the
-    closed form) or for the others; return the number of (lam, w) checked.
-    On every window permutation w of the generic n <= 4 algebras and of the
-    k = 1, 2 windows at n = 5 over F_101, and on a sample of w in the k = 0
-    window there."""
+    """Check psi(g_w) = phi(c_lam g_w c_lam) for the one-row shapes (one
+    double coset) or for the others; return the number of (lam, w) checked.
+    On every window permutation w of the generic n <= 4 algebras, of the
+    k = 1, 2 windows at n = 5 and of the k = 1 window at n = 6 over F_101,
+    and on a sample of w in the k = 0 window at n = 5."""
     rng = random.Random(13)
     cases = []
     for n in (2, 3, 4):
@@ -599,7 +609,7 @@ def check_functionals(one_row):
             cell = Cellular(QBrAlgebra(n, version=version, N=N))
             cases += [(cell, k, None) for k in range(n // 2 + 1)]
     cell = Cellular(QBrAlgebra(5, spec=FP101))
-    cases += [(cell, 2, None), (cell, 1, None), (cell, 0, 6)]
+    cases += [(cell, 2, None), (cell, 1, None), (cell, 0, 6), (Cellular(QBrAlgebra(6, spec=FP101)), 1, None)]
     checked = 0
     for cell, k, sample in cases:
         T, H = cell.alg._T, cell.window(k)
@@ -620,18 +630,136 @@ def check_functionals(one_row):
 
 
 def test_one_row_functional_matches_pull_back():
-    # for one row, psi(g_w) = Q^{l(w)} P(Q) in closed form; it must equal
-    # phi pulled back through c_lam on both sides.  Per version 3 + 7 + 27
-    # (n = 2, 3, 4); at n = 5, one shape on S_1, S_3 and 6 sampled
-    # permutations of S_5
-    assert check_functionals(one_row=True) == 4 * (3 + 7 + 27) + 1 + 6 + 6
+    # for one row, S_lam is the whole window, one double coset, so
+    # psi(g_w) = Q^{l(w)} [m]_Q!; it must equal phi(c_lam g_w c_lam).  Per
+    # version 3 + 7 + 27 (n = 2, 3, 4); at n = 5, one shape on S_1, S_3 and
+    # 6 sampled permutations of S_5; at n = 6, one shape on S_4
+    assert check_functionals(one_row=True) == 4 * (3 + 7 + 27) + 1 + 6 + 6 + 24
 
 
 def test_pulled_back_functional_is_phi_of_c_h_c():
     # the same for every shape of two or more rows.  Per version 2 + 12 + 98
     # (n = 2, 3, 4); at n = 5, 2 shapes on S_3 and 6 shapes on 6 sampled
-    # permutations of S_5
-    assert check_functionals(one_row=False) == 4 * (2 + 12 + 98) + 2 * 6 + 6 * 6
+    # permutations of S_5; at n = 6, 4 shapes on S_4
+    assert check_functionals(one_row=False) == 4 * (2 + 12 + 98) + 2 * 6 + 6 * 6 + 4 * 24
+
+
+def double_cosets_by_orbits(T, rows, lo):
+    """The double cosets S_lam x S_lam of the window codes, S_lam the row
+    stabiliser of the tableau with rows ``rows``: the orbits under left and
+    right multiplication by its generators."""
+    gens = [i for row in rows for i in row[:-1]]
+    seen, orbits = set(), []
+    for x in T.window(lo):
+        if x not in seen:
+            orbit, todo = {x}, [x]
+            while todo:
+                y = todo.pop()
+                for z in [T.lmul[i][y] for i in gens] + [T.rmul[i][y] for i in gens]:
+                    if z not in orbit:
+                        orbit.add(z)
+                        todo.append(z)
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
+
+
+def coset_matrix(T, rows, x):
+    """m_ij = |row i meet x(row j)|, by definition."""
+    img = T.perms[x]
+    return [[len(set(ri) & {img[a - 1] + 1 for a in rj}) for rj in rows] for ri in rows]
+
+
+def q_factorial(b, Q, one):
+    """[b]_Q! = prod over j = 1..b of 1 + Q + ... + Q^{j-1}."""
+    out = one
+    for j in range(2, b + 1):
+        out = out * sum((Q ** i for i in range(1, j)), one)
+    return out
+
+
+def test_double_coset_table_matches_brute_force():
+    # _double_cosets against the orbits {a x b : a, b in S_lam}: the same
+    # classes, the shifts l(x) - least l over the orbit, the blocks the
+    # orbit's matrix (whose sizes also give |orbit| = |S_lam|^2 / |nu|),
+    # and t_lam, d(t_lam) and its word from the column-reading tableau
+    counts = {}
+    for lo in (1, 3):
+        for m in range(7):
+            n, T = m + lo - 1, sg.perm_table(m + lo - 1)
+            for lam in sg.partitions(m):
+                classes, where, top, cols, w, word = _double_cosets(n, (lo - 1) // 2, lam)
+                rows = sg.superstandard(lam, lo)
+                orbits = double_cosets_by_orbits(T, rows, lo)
+                assert len(classes) == len(orbits) and len(where) == math.factorial(m)
+                stab = math.prod(math.factorial(p) for p in lam)
+                shifts = []
+                for orbit in orbits:
+                    c = where[min(orbit)]
+                    assert {where[x] for x in orbit} == {c}
+                    blocks, groups = classes[c]
+                    least = min(T.length[x] for x in orbit)
+                    assert {x: s for s, xs in groups for x in xs} == {x: T.length[x] - least for x in orbit}
+                    assert [s for s, _ in groups] == sorted({T.length[x] - least for x in orbit})
+                    mat = coset_matrix(T, rows, min(orbit))
+                    assert all(coset_matrix(T, rows, x) == mat for x in orbit)
+                    assert sorted(blocks) == sorted(b for row in mat for b in row if b > 1)
+                    assert len(orbit) * math.prod(math.factorial(b) for b in blocks) == stab**2
+                    shifts.append(groups[-1][0])
+                assert top == max(shifts)
+                conj = lam.conjugate()
+                t_lam = tuple(tuple(lo + sum(conj[:j]) + i for j in range(p)) for i, p in enumerate(lam))
+                assert cols == sg.superstandard(conj, lo)
+                assert w == T.code[sg.tableau_perm(n, t_lam, lo)] and word == T.word(w)
+                counts[lo, m] = counts.get((lo, m), 0) + len(orbits)
+    # the double cosets S_lam \ S_m / S_lam summed over lam |- m
+    want = {0: 1, 1: 1, 2: 3, 3: 9, 4: 37, 5: 177, 6: 1054}
+    assert counts == {(lo, m): c for lo in (1, 3) for m, c in want.items()}
+
+
+def identity_windows():
+    """(name, HeckeWindow of S_m, m) for the fields of the double coset
+    identity: generic two_param and one_param (m <= 4), F_101, F_5 at
+    q = 2, r = 3 (Q = -1, where [2]_Q = 0) and classical F_7 (Q = 1)."""
+    for m in (2, 3, 4, 5):
+        points = [
+            ("F_101", dict(spec=FP101)),
+            ("F_5", dict(spec=Specialization.prime_field(5, 2, 3))),
+            ("classical F_7", dict(version="classical", spec=Specialization.prime_field(7, 3, 5))),
+        ]
+        if m <= 4:
+            points += [("two_param", {}), ("one_param", dict(version="one_param"))]
+        for name, kw in points:
+            alg = QBrAlgebra(m, **kw)
+            yield name, HeckeWindow(m, 1, alg.field, alg.Q), m
+
+
+def test_double_coset_identity():
+    # c_lam g_d c_lam = P_nu(Q) sum of g_w over S_lam d S_lam for the least
+    # d of every double coset, pushed through c_lambda and rmul_perm
+    checked, vanished = {}, 0
+    for name, H, m in identity_windows():
+        field, T = H.field, H._T
+        one = field.one()
+        for lam in sg.partitions(m):
+            rows = sg.superstandard(lam, 1)
+            clam = H.c_lambda(lam)
+            for orbit in double_cosets_by_orbits(T, rows, 1):
+                d = min(orbit, key=lambda x: T.length[x])
+                left, got = H.rmul_perm(clam, d), {}
+                for y, c in clam.items():
+                    for z, cz in H.rmul_perm(left, y).items():
+                        H._acc(got, z, cz * c)
+                blocks = [b for row in coset_matrix(T, rows, d) for b in row]
+                P = math.prod((q_factorial(b, H.Q, one) for b in blocks), start=one)
+                vanished += P.is_zero()
+                want = {} if P.is_zero() else {x: P for x in orbit}
+                assert {x: field.outer(c) for x, c in got.items()} == want, (name, lam, d)
+                checked[name] = checked.get(name, 0) + 1
+    # 3 + 9 + 37 double cosets for m = 2..4, and 177 more at m = 5
+    assert checked == {"F_101": 226, "F_5": 226, "classical F_7": 226, "two_param": 49, "one_param": 49}
+    assert vanished > 0
+
 
 
 def lemma_algebras():

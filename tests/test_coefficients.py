@@ -161,6 +161,23 @@ def test_specialization_skips_only_the_identity_substitution():
         Specialization(("generic",), q, -q)(x)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Specialization.generic(),
+        Specialization.prime_field(13, 3, 5),
+        Specialization.cyclotomic(12, Cyclo.zeta(12), Cyclo.zeta(12, 5)),
+    ],
+    ids=["generic", "fp", "cyclo"],
+)
+def test_specialization_one_and_zero_are_made_once(spec):
+    # one() and zero() return the values made in __init__: no division per call
+    assert spec.one() is spec.one() and spec.zero() is spec.zero()
+    assert spec.one() == spec.q_img / spec.q_img and spec.one().is_one()
+    assert spec.zero() == spec.q_img - spec.q_img and spec.zero().is_zero()
+    assert spec.from_int(3) == spec.one() + spec.one() + spec.one()
+
+
 def test_specialization_prime_field():
     spec = Specialization.prime_field(5, 2, 3)
     assert spec(q * r) == Fp(5, 1)

@@ -148,6 +148,21 @@ def test_partition_drops_only_trailing_zeros():
             sg.Partition(parts)
 
 
+def test_partition_of_a_partition_is_itself():
+    # a Partition is not checked again; lists and tuples still are, and the
+    # unchecked conjugate is the checked one
+    for m in range(7):
+        for p in sg.partitions(m):
+            assert sg.Partition(p) is p
+            assert sg.Partition(list(p)) == p and sg.Partition(list(p)) is not p
+            cols = tuple(sum(1 for x in p if x > i) for i in range(p[0] if p else 0))
+            assert p.conjugate() == sg.Partition(cols) and type(p.conjugate()) is sg.Partition
+            assert p.conjugate().conjugate() == p
+    for parts in [(2, 0, 1), (0, 3), [2, 0, 1], [0, 3], [1, 2], [3, -1]]:
+        with pytest.raises(ValueError):
+            sg.Partition(parts)
+
+
 def test_window_perms():
     # the permutations of the letters lo..n are the first (n - lo + 1)!
     # codes, in the order of itertools.permutations of those letters
