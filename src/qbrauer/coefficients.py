@@ -32,11 +32,12 @@ the full canonicalisation, :func:`_rat_canonical`.
 The algebra code keeps its coefficients in an internal form that the
 :class:`Specialization` of its field owns: ``inner`` converts a field value
 in, ``outer`` converts back, ``acc`` adds into a dict entry and drops a zero,
-and ``scale`` multiplies every value of a dict.  Over F_p an internal
-coefficient is an int in [0, p): ``acc`` and ``scale`` reduce mod p, so an
-unreduced product of internal values can go straight in, and no ``Fp``
-object is made per operation.  Over the generic field, Q and Q(zeta_m) the
-internal value is the field value itself.  The rewrite engine, the Hecke
+``scale`` multiplies every value of a dict and ``dot`` sums the products of
+two sequences in step.  Over F_p an internal coefficient is an int in
+[0, p): ``acc`` and ``scale`` reduce mod p, so an unreduced product of
+internal values can go straight in, ``dot`` returns its sum unreduced, and
+no ``Fp`` object is made per operation.  Over the generic field, Q and
+Q(zeta_m) the internal value is the field value itself.  The rewrite engine, the Hecke
 actions and the Gram assembly work on internal values; their public
 methods convert at entry and exit.
 """
@@ -44,9 +45,10 @@ methods convert at entry and exit.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 import heapq
 import math
+from operator import mul
 
 __all__ = [
     "LaurentPoly",
@@ -865,11 +867,16 @@ def _scale(x, c):
     return {key: v * c for key, v in x.items()}
 
 
+def _dot(zero, xs, ys):
+    return sum(map(mul, xs, ys), zero)
+
+
 def _fp_form(p):
-    """(inner, outer, acc, scale) of F_p, whose internal values are the ints
-    in [0, p).  ``inner`` takes what ``Fp`` arithmetic takes, an int or an
-    Fp of the same prime, and raises TypeError on anything else; ``acc``
-    and ``scale`` reduce mod p, so they take unreduced products."""
+    """(inner, outer, acc, scale, dot) of F_p, whose internal values are
+    the ints in [0, p).  ``inner`` takes what ``Fp`` arithmetic takes, an
+    int or an Fp of the same prime, and raises TypeError on anything else;
+    ``acc`` and ``scale`` reduce mod p, so they take unreduced products,
+    and ``dot`` leaves its sum unreduced."""
     zero = Fp(p, 0)
 
     def inner(x):
@@ -890,7 +897,7 @@ def _fp_form(p):
     def scale(x, c):
         return {key: v * c % p for key, v in x.items()}
 
-    return inner, outer, acc, scale
+    return inner, outer, acc, scale, partial(_dot, 0)
 
 
 # the first 13 primes, and psi_13: the least composite that is a strong
@@ -938,10 +945,12 @@ class Specialization:
     raises :class:`DenominatorVanishes`.  On the generic field with images
     q and r the map is the identity and returns a RatFunc unchanged.
 
-    The internal form of F (see the module docstring) is given by four
+    The internal form of F (see the module docstring) is given by five
     functions: ``inner(x)`` and ``outer(c)`` convert a field value in and
     out, ``acc(out, key, c)`` adds c to out[key] and drops the key if the
-    sum is zero, and ``scale(x, c)`` is {key: v c} for a nonzero c.
+    sum is zero, ``scale(x, c)`` is {key: v c} for a nonzero c, and
+    ``dot(xs, ys)`` is the sum of the products x y of the values the two
+    iterables give in step.
     """
 
     def __init__(self, field, q_img, r_img):
@@ -956,10 +965,10 @@ class Specialization:
             raise ValueError("degenerate target field")
         self._identity = self.field == ("generic",) and (q_img, r_img) == (RatFunc.q(), RatFunc.r())
         if self.field[0] == "fp":
-            self.inner, self.outer, self.acc, self.scale = _fp_form(self.field[1])
+            self.inner, self.outer, self.acc, self.scale, self.dot = _fp_form(self.field[1])
         else:
             self.inner = self.outer = _same
-            self.acc, self.scale = _acc, _scale
+            self.acc, self.scale, self.dot = _acc, _scale, partial(_dot, self._zero)
 
     @classmethod
     def generic(cls):
@@ -1039,8 +1048,9 @@ class ParamPoly:
     add as the exponents do.  The class is also the internal form (see
     :class:`Specialization`) of ``QBrAlgebra.over_parameters``, whose Q,
     Q^{-1}, a and b are ``Q``, ``Qinv``, ``a`` and ``b``.  Only ring
-    operations and equality are defined, so its values specialise to any
-    algebra by evaluating those four, a ring homomorphism."""
+    operations (negation and subtraction included), ``dot`` and equality
+    are defined, so its values specialise to any algebra by evaluating
+    those four, a ring homomorphism."""
 
     __slots__ = ("terms",)
 
@@ -1061,11 +1071,27 @@ class ParamPoly:
     def __add__(self, other):
         return ParamPoly(_uni_add(self.terms, other.terms))
 
-    def __sub__(self, c):  # only ints are subtracted
-        return self + ParamPoly({0: -c})
+    def __neg__(self):
+        return ParamPoly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):  # another ParamPoly or an int
+        return self + -(other if isinstance(other, ParamPoly) else ParamPoly({0: other}))
 
     def __mul__(self, other):
         return ParamPoly(_uni_mul(self.terms, other.terms))
+
+    @staticmethod
+    def dot(xs, ys):
+        """The sum of the products x y of xs and ys in step, in one monomial
+        dict."""
+        out = {}
+        get = out.get
+        for x, y in zip(xs, ys):
+            for ea, ca in x.terms.items():
+                for eb, cb in y.terms.items():
+                    e = ea + eb
+                    out[e] = get(e, 0) + ca * cb
+        return ParamPoly(_uni_trim(out))
 
     inner = outer = staticmethod(_same)
     acc, scale = staticmethod(_acc), staticmethod(_scale)

@@ -12,9 +12,9 @@ import pytest
 from qbrauer import symgrp as sg
 from qbrauer.cellular import (
     Cellular,
+    _block_matrix,
     _double_cosets,
     _level_blocks,
-    _summed,
     _universal_blocks,
     closed_form_criterion,
     det,
@@ -359,28 +359,51 @@ def block_algebras():
     yield QBrAlgebra(5, spec=FP101), range(2)
 
 
+def level_grams(gram, alg, k):
+    """{lam: gram(alg, k, lam)} over every lam of level k."""
+    return {lam: gram(alg, k, lam) for lam in sg.partitions(alg.n - 2 * k)}
+
+
+def ring_gram(alg, k, lam):
+    """Cellular.gram: level k >= 1 evaluated from the parameter ring."""
+    return Cellular(alg).gram(k, lam)
+
+
+def windowed_gram(alg, k, lam):
+    """The Gram matrix of C(k, lam) from one product x_{(t,v)} x*_{(s,u)} per
+    entry i <= j, read at the Murphy label (lam, t^lam, t^lam) of its
+    level-k part.  Every term of the product lies at level k or above, and
+    at level k in the window, both cosets the identity: the sandwich
+    identity the level blocks rest on."""
+    cell, T, ident = Cellular(alg), alg._T, alg.id
+    H, sup = cell.window(k), sg.superstandard(lam, 2 * k + 1)
+    vecs = [cell.cell_basis_element(k, lam, (sup, ident), tv) for tv in cell.module_index(k, lam)]
+    mat = [[None] * len(vecs) for _ in vecs]
+    for i, x in enumerate(vecs):
+        for j in range(i, len(vecs)):
+            p = alg.mul(x, alg.star(vecs[j]))
+            assert all(k2 >= k for k2, _, _, _ in p)
+            level = {idx: c for idx, c in p.items() if idx[0] == k}
+            assert all(u == v == ident for _, u, _, v in level)
+            helt = {T.code[pi]: c for (_, _, pi, _), c in level.items()}
+            mat[i][j] = mat[j][i] = H.to_murphy(helt).get((lam, sup, sup), alg.field.zero())
+    return mat
+
+
 def test_level_blocks_lie_in_the_window():
-    # every term of e_(k) g_v g_{u^{-1}} e_(k) below level k+1 is at level k
-    # with both cosets the identity, so the product is e_(k) H_{v,u} modulo
-    # the levels above k; _blocks keeps H_{v,u} and mirrors it by star
+    # every product behind a Gram entry has its terms below level k+1 at
+    # level k in the window, so the Gram matrix reads e_(k) H_{v,u} modulo
+    # the levels above k; the Gram matrices evaluated from the parameter
+    # ring are the ones read off one product per entry
     for alg, levels in block_algebras():
-        cell = Cellular(alg)
-        T, one, ident = alg._T, alg.field.one(), alg.id
         for k in levels:
-            blocks = cell._blocks(k)
-            for v in alg.Bkn[k]:
-                for u in alg.Bkn[k]:
-                    p = alg.mul({(k, ident, ident, v): one}, {(k, u, ident, ident): one})
-                    assert all(k2 >= k for k2, _, _, _ in p)
-                    level = {i: c for i, c in p.items() if i[0] == k}
-                    assert all(u2 == v2 == ident for _, u2, _, v2 in level)
-                    assert blocks[v, u] == {T.code[pi]: c for (_, _, pi, _), c in level.items()}
+            assert level_grams(ring_gram, alg, k) == level_grams(windowed_gram, alg, k), (alg.n, alg.version, k)
 
 
 def pairwise_blocks(alg, k):
     """The level blocks from one product e_(k) g_v . g_{u^{-1}} e_(k) per
-    pair v <= u, with the same guard: the reference for the sandwich blocks
-    of ``Cellular._blocks``."""
+    pair v <= u, with the same guard as the sandwich products of
+    ``_level_blocks``; H_{u,v} = H_{v,u}*."""
     T, f, ident, Bk = alg._T, alg.field, alg.id, alg.Bkn[k]
     out = {}
     for a, v in enumerate(Bk):
@@ -397,16 +420,36 @@ def pairwise_blocks(alg, k):
     return out
 
 
-def block_outcome(blocks, alg, k):
+def pairwise_gram(alg, k, lam):
+    """The Gram matrix of C(k, lam) from ``pairwise_blocks``, entry by entry
+    as psi(g_{d(t)} H_{v,u} g_{d(s)^{-1}}), the blocks multiplied by the
+    tableau permutations and psi applied to each product."""
+    cell, T, H, f = Cellular(alg), alg._T, alg.hecke, alg.field
+    blocks, psi, lo = pairwise_blocks(alg, k), cell._functional(k, lam), 2 * k + 1
+    index = [(T.code[sg.tableau_perm(alg.n, t, lo)], v) for t, v in cell.module_index(k, lam)]
+    mat = [[None] * len(index) for _ in index]
+    for i, (dt, v) in enumerate(index):
+        for j in range(i, len(index)):
+            ds, u = index[j]
+            x = H.rmul_perm(H.star(H.rmul_perm(blocks[u, v], T.inv[dt])), T.inv[ds])
+            c = f.inner(f.zero())
+            for w, cw in x.items():
+                c = c + psi.get(w, f.inner(f.zero())) * cw
+            mat[i][j] = mat[j][i] = f.outer(c)
+    return mat
+
+
+def outcome(build, *args):
     try:
-        return blocks(alg, k)
+        return build(*args)
     except InternalInconsistency as exc:
         return str(exc)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_sandwich_blocks_match_pairwise_products(n):
-    # one product per v and Hecke arithmetic per pair give the blocks of one
+    # one product per v, Hecke arithmetic per pair and the Gram matrices
+    # built once over the parameter ring give the Gram matrices of one
     # product per pair, and raise where those raise, with the same message
     raised = set()
     for version, N in ALL_VERSIONS:
@@ -415,39 +458,40 @@ def test_sandwich_blocks_match_pairwise_products(n):
             for k in range(n // 2 + 1):
                 # fresh algebras each: a product that raises leaves memo
                 # entries behind
-                got = block_outcome(
-                    lambda alg, k: Cellular(alg)._blocks(k),
-                    QBrAlgebra(n, version=version, N=N, spec=spec), k,
-                )
-                want = block_outcome(pairwise_blocks, QBrAlgebra(n, version=version, N=N, spec=spec), k)
+                got = outcome(level_grams, ring_gram, QBrAlgebra(n, version=version, N=N, spec=spec), k)
+                want = outcome(level_grams, pairwise_gram, QBrAlgebra(n, version=version, N=N, spec=spec), k)
                 assert got == want, (version, point, k)
                 if isinstance(got, str):
                     raised.add((k, got))
     assert raised == ({(2, "rewriting cycle at e_(2) g_(2, 3, 0, 4, 1) e")} if n == 5 else set())
 
 
-# every field kind the blocks are evaluated in: generic, F_p down to p = 5
-# and up to 2^61 - 1, and two cyclotomic fields
+# every field kind the Gram matrices are evaluated in: generic, F_p down to
+# p = 5 (at q = 2, r = 3 some P_nu(Q) vanish) and up to 2^61 - 1, classical
+# F_7, and two cyclotomic fields
 BLOCK_FIELDS = {
     "generic": None,
     "F_5": Specialization.prime_field(5, 2, 3),
     "F_7": Specialization.prime_field(7, 3, 5),
     "F_101": FP101,
+    "F_103": Specialization.prime_field(103, 17, 44),
     "F_2^61-1": Specialization.prime_field(2**61 - 1, 3, 5),
     "Q(zeta_8)": Specialization.cyclotomic(8, Cyclo.zeta(8, 3), Cyclo.zeta(8, -3)),
     "Q(zeta_12)": Specialization.cyclotomic(12, Cyclo.zeta(12), Cyclo.zeta(12, 5)),
 }
 
 
-def direct_blocks(alg, k):
-    """``_level_blocks`` run on the algebra itself, summed and mirrored by
-    star; it raises where the build does, at the first term off level k or
+def algebra_gram(alg, k, lam):
+    """The Gram matrix assembled on the algebra itself, as level 0 is: the
+    level blocks built by its own engine, then ``Cellular._rows``; it raises
+    where the parameter-ring build does, at the first term off level k or
     at a rewriting cycle."""
-    out = {}
-    for v, u, h in _summed(*_level_blocks(alg, k), alg._acc):
-        out[v, u] = h
-        out[u, v] = alg.hecke.star(h)
-    return out
+    rows = Cellular(alg)._rows(k, lam, _block_matrix(alg, k, *_level_blocks(alg, k)))
+    mat = [[None] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row, i):
+            mat[i][j] = mat[j][i] = alg.field.outer(x)
+    return mat
 
 
 def cycle(n):
@@ -456,26 +500,26 @@ def cycle(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_evaluated_blocks_match_blocks_built_on_the_algebra(n):
-    # the parameter-ring blocks, evaluated, are the blocks the engine builds
-    # over the field itself, or raise with the same message; at n = 6, 7 two
-    # prime fields and the levels k >= 1.  Classical k = 3 raises on both
-    # sides, but the run over the field, where Q - 1 = 0, meets another
-    # cycle first (module docstring of cellular)
+    # the Gram matrices of the parameter ring, evaluated, are the Gram
+    # matrices assembled from the blocks the engine builds over the field
+    # itself, or raise with the same message; at n = 6, 7 two prime fields
+    # and the levels k >= 1.  Classical
+    # k = 3 raises on both sides, but the run over the field, where Q - 1 =
+    # 0, meets another cycle first (module docstring of cellular)
     fields = BLOCK_FIELDS if n <= 5 else {"F_101": FP101, "F_5": BLOCK_FIELDS["F_5"]}
     raised = set()
     for version, N in ALL_VERSIONS:
         for name, spec in fields.items():
             for k in range(0 if n <= 5 else 1, n // 2 + 1):
-                got = block_outcome(
-                    lambda alg, k: Cellular(alg)._blocks(k), QBrAlgebra(n, version=version, N=N, spec=spec), k
-                )
-                want = block_outcome(direct_blocks, QBrAlgebra(n, version=version, N=N, spec=spec), k)
-                if (version, k) == ("classical", 3):
-                    assert isinstance(got, str) and isinstance(want, str), name
-                else:
-                    assert got == want, (version, name, k)
-                if isinstance(got, str):
-                    raised.add((k, got))
+                for lam in sg.partitions(n - 2 * k):
+                    got = outcome(ring_gram, QBrAlgebra(n, version=version, N=N, spec=spec), k, lam)
+                    want = outcome(algebra_gram, QBrAlgebra(n, version=version, N=N, spec=spec), k, lam)
+                    if (version, k) == ("classical", 3):
+                        assert isinstance(got, str) and isinstance(want, str), name
+                    else:
+                        assert got == want, (version, name, k, lam)
+                    if isinstance(got, str):
+                        raised.add((k, got))
     assert raised == {(k, cycle(n)) for k in range(2, n // 2 + 1) if n >= 5}
 
 
@@ -496,8 +540,8 @@ def test_every_level_builds_or_raises_a_rewriting_cycle():
 
 def test_term_off_level_raises_for_every_algebra_from_one_build(monkeypatch):
     # a level-0 term in the parameter-ring product raises during the build,
-    # and the cached message is raised for an algebra over another field
-    # with no second build
+    # and the cached message is raised for every lam of the level and for
+    # an algebra over another field, with no second build
     mul, products = QBrAlgebra.mul, []
 
     def with_level_zero_term(alg, x, y):
@@ -511,8 +555,10 @@ def test_term_off_level_raises_for_every_algebra_from_one_build(monkeypatch):
     _universal_blocks.cache_clear()
     try:
         for spec in (FP101, BLOCK_FIELDS["Q(zeta_8)"]):
-            with pytest.raises(InternalInconsistency, match=r"^term \(0, .*\) in e_\(1\) g_\(.*\) e_\(1\)$"):
-                Cellular(QBrAlgebra(4, spec=spec))._blocks(1)
+            cell = Cellular(QBrAlgebra(4, spec=spec))
+            for lam in ((2,), (1, 1)):
+                with pytest.raises(InternalInconsistency, match=r"^term \(0, .*\) in e_\(1\) g_\(.*\) e_\(1\)$"):
+                    cell.gram(1, lam)
         assert len(products) == 1
     finally:
         _universal_blocks.cache_clear()
@@ -522,7 +568,7 @@ def test_raising_level_keeps_its_message_in_any_order():
     # the cycle of level 2 at n = 5 is kept per (n, k), so the message is
     # the same asked first, asked again, or asked after the other levels
     def ask(cell):
-        return block_outcome(lambda alg, k: cell._blocks(k), cell.alg, 2)
+        return outcome(cell.gram, 2, (1,))
 
     _universal_blocks.cache_clear()
     cell = Cellular(QBrAlgebra(5, spec=FP101))
@@ -531,28 +577,29 @@ def test_raising_level_keeps_its_message_in_any_order():
     elsewhere = ask(other)
     _universal_blocks.cache_clear()
     cell = Cellular(QBrAlgebra(5, spec=FP101))
-    cell._blocks(0), cell._blocks(1)
+    for k, lam in cell.labels()[1:]:
+        cell.gram(k, lam)
     after = ask(cell)
     assert first == again == elsewhere == after == "rewriting cycle at e_(2) g_(2, 3, 0, 4, 1) e"
 
 
 def test_budget_failure_of_the_block_build_is_not_kept(monkeypatch):
     # a build that runs out of rewrite steps raises and leaves nothing
-    # behind, so the next request builds the level again
+    # behind, so the next request builds the level and its Gram matrix again
     _universal_blocks.cache_clear()
     monkeypatch.setenv("QBR_MAX_REWRITE_STEPS", "1")
     with pytest.raises(RewriteBudgetExceeded):
-        Cellular(QBrAlgebra(4, spec=FP101))._blocks(1)
+        Cellular(QBrAlgebra(4, spec=FP101)).gram(1, (2,))
+    assert _universal_blocks.cache_info().currsize == 0
     monkeypatch.delenv("QBR_MAX_REWRITE_STEPS")
-    alg = QBrAlgebra(4, spec=FP101)
-    assert Cellular(alg)._blocks(1) == direct_blocks(alg, 1)
+    assert ring_gram(QBrAlgebra(4, spec=FP101), 1, (2,)) == algebra_gram(QBrAlgebra(4, spec=FP101), 1, (2,))
 
 
 def test_blocks_take_one_product_per_coset_representative(monkeypatch):
     # level k >= 1 is built once per process, over the parameter ring, with
-    # one product per v in B_{k,n}; _blocks on every algebra then makes no
-    # product and no straightening of its own, except level 0's product
-    # 1 . 1 and its straightening
+    # one product per v in B_{k,n}; the Gram matrices of every algebra then
+    # make no product and no straightening of their own, except level 0's
+    # product 1 . 1 and its straightening, once per algebra
     calls = []
 
     def counted(method):
@@ -569,17 +616,18 @@ def test_blocks_take_one_product_per_coset_representative(monkeypatch):
     for alg, levels in block_algebras():
         cell = Cellular(alg)
         for k in levels:
-            calls.clear()
-            cell._blocks(k)
-            if k == 0:
-                assert calls == [("mul", alg), ("straighten", alg)]
-            elif (alg.n, k) in built:
-                assert calls == []
-            else:
-                products = [c for c in calls if c[0] == "mul"]
-                assert products == [("mul", "params")] * len(alg.Bkn[k])
-                assert all(owner == "params" for _, owner in calls)
-                built.add((alg.n, k))
+            for a, lam in enumerate(sg.partitions(alg.n - 2 * k)):
+                calls.clear()
+                cell.gram(k, lam)
+                if k == 0 and a == 0:
+                    assert calls == [("mul", alg), ("straighten", alg)]
+                elif k == 0 or (alg.n, k) in built:
+                    assert calls == []
+                else:
+                    products = [c for c in calls if c[0] == "mul"]
+                    assert products == [("mul", "params")] * len(alg.Bkn[k])
+                    assert all(owner == "params" for _, owner in calls)
+                    built.add((alg.n, k))
 
 
 def phi_of_c_h_c(H, lam, clam, w):

@@ -643,7 +643,7 @@ def param_polys():
 @settings(max_examples=200, deadline=None)
 def test_param_poly_evaluation_is_a_ring_homomorphism(x, y, p, data):
     # evaluating Q^i a^j b^l at Q, a, b in F_p term by term commutes with
-    # +, * and the subtraction of ints, and acc drops exactly the zero sums
+    # +, *, negation, subtraction and dot, and acc drops exactly the zero sums
     Q, a, b = (Fp(p, data.draw(st.integers(1, p - 1))) for _ in range(3))
 
     def value(z):
@@ -653,15 +653,39 @@ def test_param_poly_evaluation_is_a_ring_homomorphism(x, y, p, data):
             total = total + Q**i * a**j * b**l * c
         return total
 
-    assert all(all(z.terms.values()) for z in (x, y, x + y, x * y, x - 3))
+    assert all(all(z.terms.values()) for z in (x, y, x + y, x * y, x - 3, -x, x - y, ParamPoly.dot([x, y], [y, x])))
     assert value(x + y) == value(x) + value(y)
     assert value(x - 3) == value(x) - 3
+    assert value(-x) == -value(x) and value(x - y) == value(x) - value(y) and (x - x).is_zero()
+    assert value(ParamPoly.dot([x, y, x], [y, x, x])) == value(x) * value(y) * 2 + value(x) * value(x)
     assert value(x * y) == value(x) * value(y)
     assert (x * y).is_zero() == (x.is_zero() or y.is_zero())
     out = {}
     ParamPoly.acc(out, "k", x)
     ParamPoly.acc(out, "k", x * const(-1))
     assert out == {}
+
+
+def test_param_poly_negation_and_ring_subtraction():
+    # psi over the ring scales by -Q^{-1}; Q - a at an F_p point is Q - a
+    Q, Qinv, a, b = ParamPoly.Q, ParamPoly.Qinv, ParamPoly.a, ParamPoly.b
+    assert (-Q).terms == {1: -1} and -(-Q) == Q and -ParamPoly.zero() == ParamPoly.zero()
+    assert Q - a == Q + a * const(-1) and Q - Q == ParamPoly.zero() and Qinv - 1 == Qinv + const(-1)
+    p = 101  # Q, a, b -> 3, 7, 11
+
+    def value(x):
+        return Fp(p, sum(c * pow(3, i, p) * 7**j * 11**l for (i, j, l), c in ((_exponents(m), c) for m, c in x.terms.items())))
+
+    for x, want in ((-Qinv, -pow(3, -1, p)), (Q - a, 3 - 7), (b - Q * a, 11 - 21), (-(Q - b), 11 - 3)):
+        assert value(x) == Fp(p, want), x.terms
+
+
+def test_dot_sums_products_in_every_internal_form():
+    # dot(xs, ys) over F_p returns the unreduced int sum, elsewhere the field value
+    fp, gen = Specialization.prime_field(7, 3, 5), Specialization.generic()
+    assert fp.dot([5, 6], [6, 6]) == 66 and fp.dot([], []) == 0
+    q, r = RatFunc.q(), RatFunc.r()
+    assert gen.dot([q, r], [r, q]) == q * r * 2 and gen.dot([], []).is_zero()
 
 
 def test_param_poly_monomials_decode_each_sign():
