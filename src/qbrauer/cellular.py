@@ -54,14 +54,29 @@ a term off level k or at a rewriting cycle; and evaluation is a ring
 homomorphism.  The build raises either, and its message is raised for
 every lam of the level and every algebra.  Where the field kills Q - 1
 or a, the engine run over the field itself skips terms and may meet
-another cycle first, so that message can name another key.  Level 0
-stays on the algebra: its one block, 1, comes from a product 1 . 1 and a
-straightening made once per algebra, and each entry is psi of one Hecke
-product, as before; with one block there is nothing to share, and the
-pairings of ``Cellular._rows`` would only add work.  Built over the ring
-the level-0 Gram matrices would leave an algebra no engine product at
-all, and the benchmark's traced runs check that a second run in the same
-process still makes one.
+another cycle first, so that message can name another key.
+
+Level 0 is the window Hecke algebra H_n(Q) itself, and C(0, lam) its
+Specht module (Murphy), so its form depends on an algebra only through
+the field and Q.  Each algebra still makes its one block, 1, from a
+product 1 . 1 and a straightening; the Gram matrix of C(0, lam) is then
+computed once per process for each key (n, lam, field, Q in internal
+form, block) and kept in ``_LEVEL0``, with its determinant and rank once
+they are known, and every later algebra with that key takes them.  This
+is exact: every input of the entries is a function of the key, namely
+HeckeWindow(n, 1, field, Q), psi_lam (built from Q, Q^{-1} and the
+field's internal form, which over F_p depends on p alone), the tableaux
+and the block, each entry being psi_lam of one Hecke product.
+So two_param and n_version, which share H_n(q^2) over the generic field,
+share their level-0 cells, and classical shares them with any point where
+Q = 1.  The memo holds one entry per (n, lam, field, Q) that a process
+meets, each the size of the Gram matrix that a ``Cellular`` already
+holds, and each algebra gets a list copy of its own.  The block stays
+per algebra and is made before the lookup, because the rows are computed
+from it; with one block the pairings of ``Cellular._rows`` would only add
+work.  Built over the ring, level 0 would leave an algebra no engine
+product at all, and the benchmark's traced runs check that a second run
+in the same process still makes one.
 
 A Gram entry is psi_lam(g_{d(t)} H_{v,u} g_{d(s)^{-1}}) with the window
 functional psi_lam(h) = phi_lam(c_lam h c_lam), phi_lam the Murphy
@@ -351,6 +366,20 @@ def _universal_gram(n, k, lam):
     return grams[lam]
 
 
+# The level-0 cells met so far (module docstring): (n, lam, field, Q in
+# internal form, block) -> [Gram matrix as a tuple of tuples, (det, rank or
+# None if not known) or None].  Clearing it is the one reset.
+_LEVEL0 = {}
+
+
+def _mirrored(rows):
+    """The symmetric matrix whose row i holds ``rows[i]`` from column i on."""
+    mat = []
+    for i, row in enumerate(rows):
+        mat.append([mat[j][i] for j in range(i)] + row)
+    return mat
+
+
 @lru_cache(maxsize=None)
 def _double_cosets(n, k, lam):
     """The combinatorics of psi_lam at level k, once per process for each
@@ -360,8 +389,15 @@ def _double_cosets(n, k, lam):
     is its index in ``classes``.  A class is (blocks, groups): its m_ij > 1,
     and its codes as (shift, codes) by ascending shift l(x) - l(d), d its
     least element; ``top`` is the largest shift.  t_lam is the transpose of
-    t^{lam'}, whose rows are ``cols``; w = d(t_lam) has reduced word ``word``."""
+    t^{lam'}, whose rows are ``cols``; w = d(t_lam) has reduced word ``word``.
+    For one column, S_lam = 1: every code is its own class, of shift 0."""
     T, lo, lam = sg.perm_table(n), 2 * k + 1, sg.Partition(lam)
+    cols = sg.superstandard(lam.conjugate(), lo)
+    t_lam = tuple(tuple(c[i] for c in cols if len(c) > i) for i in range(len(lam)))
+    w = T.code[sg.tableau_perm(n, t_lam, lo)]
+    if all(p == 1 for p in lam):
+        codes = range(math.factorial(len(lam)))
+        return tuple(((), ((0, (x,)),)) for x in codes), tuple(codes), 0, cols, w, T.word(w)
     # the window codes follow the permutations of the letters lo..n in
     # itertools order: words[x] lists the rows of x(lo), x(lo + 1), ...
     words = list(permutations([i for i, p in enumerate(lam) for _ in range(p)]))
@@ -376,9 +412,6 @@ def _double_cosets(n, k, lam):
          tuple((s - length(xs[0]), tuple(g)) for s, g in groupby(xs, key=length)))
         for key, xs in zip(index, members)
     )
-    cols = sg.superstandard(lam.conjugate(), lo)
-    t_lam = tuple(tuple(c[i] for c in cols if len(c) > i) for i in range(len(lam)))
-    w = T.code[sg.tableau_perm(n, t_lam, lo)]
     return classes, where, max(groups[-1][0] for _, groups in classes), cols, w, T.word(w)
 
 
@@ -390,8 +423,8 @@ class Cellular:
         self.n = alg.n
         self.field = alg.field
         self._windows = {}
-        self._gram = {}
-        self._det_rank = {}  # (k, lam) -> (det, rank or None if not known)
+        self._gram = {}  # (k, lam) -> Gram matrix, lists of this algebra's own
+        self._forms = {}  # (k, lam) -> ``_form``
         self._level0 = None  # the one level-0 block H_{1,1}
         self._monomials = {}  # monomial key -> Q^i a^j b^l, internal
         self._labels = frozenset(self.labels())
@@ -481,11 +514,13 @@ class Cellular:
         once, on residues over F_p and in field values otherwise, then each
         entry i <= j as the sum of its terms c Q^i a^j b^l, mirrored.  A
         level whose build raised, at a term off level k or at a rewriting
-        cycle, raises its message.  Level 0 is computed here (module
-        docstring): e_(0) = 1, and its one block H_{1,1}, 1, comes from a
-        product 1 . 1 and a straightening, one rewriting step between them,
-        made once per algebra; entry (t, s) is psi(g_{d(t)} H_{1,1}
+        cycle, raises its message.  Level 0 (module docstring): e_(0) = 1,
+        and its one block H_{1,1}, 1, comes from a product 1 . 1 and a
+        straightening, one rewriting step between them, made once per
+        algebra; the Gram matrix is then taken from ``_LEVEL0`` or computed
+        and stored there, entry (t, s) being psi(g_{d(t)} H_{1,1}
         g_{d(s)^{-1}}), one row of g_{d(t)} H_{1,1} times each g_{d(s)^{-1}}.
+        Either way the algebra gets a list copy of its own.
         """
         key = self._label(k, lam)
         if key not in self._gram:
@@ -494,12 +529,17 @@ class Cellular:
             if k == 0:
                 if self._level0 is None:
                     self._level0 = _block_matrix(alg, 0, *_level_blocks(alg, 0))[0][0]
-                T, H, psi = alg._T, alg.hecke, self._functional(0, lam)
-                invs = [T.inv[T.code[sg.tableau_perm(self.n, t, 1)]] for t in sg.standard_tableaux(lam, 1)]
-                rows = []
-                for i, d in enumerate(invs):
-                    x = H.star(H.rmul_perm(self._level0, d))  # g_{d(t)} H_{1,1}
-                    rows.append([f.outer(_paired(H.rmul_perm(x, e), psi, f.dot)) for e in invs[i:]])
+                memo = (self.n, lam, f.field, alg._Q, tuple(self._level0.items()))
+                if memo not in _LEVEL0:
+                    T, H, psi = alg._T, alg.hecke, self._functional(0, lam)
+                    invs = [T.inv[T.code[sg.tableau_perm(self.n, t, 1)]] for t in sg.standard_tableaux(lam, 1)]
+                    rows = []
+                    for i, d in enumerate(invs):
+                        x = H.star(H.rmul_perm(self._level0, d))  # g_{d(t)} H_{1,1}
+                        rows.append([f.outer(_paired(H.rmul_perm(x, e), psi, f.dot)) for e in invs[i:]])
+                    _LEVEL0[memo] = [tuple(map(tuple, _mirrored(rows))), None]
+                self._forms[key] = form = _LEVEL0[memo]
+                self._gram[key] = [list(row) for row in form[0]]
             else:
                 built = _universal_gram(self.n, k, lam)
                 if isinstance(built, str):
@@ -515,11 +555,17 @@ class Cellular:
                         )
                 get, dot, outer = m.__getitem__, f.dot, f.outer
                 rows = [[outer(dot(map(get, keys), coeffs)) for keys, coeffs in row] for row in rows]
-            mat = []
-            for i, row in enumerate(rows):
-                mat.append([mat[j][i] for j in range(i)] + row)
-            self._gram[key] = mat
+                self._gram[key] = mat = _mirrored(rows)
+                self._forms[key] = [mat, None]
         return self._gram[key]
+
+    def _form(self, k, lam):
+        """[Gram matrix, (det, rank or None) or None] of C(k, lam): at level
+        0 the shared entry of ``_LEVEL0``, above it the algebra's own."""
+        key = self._label(k, lam)
+        if key not in self._forms:
+            self.gram(*key)
+        return self._forms[key]
 
     def _rows(self, k, lam, blocks):
         """The Gram matrix of C(k, lam) from the block matrix of
@@ -599,25 +645,25 @@ class Cellular:
         return f
 
     def gram_det(self, k, lam):
-        """Determinant of the Gram matrix of C(k, lam), computed once."""
-        key = self._label(k, lam)
-        if key not in self._det_rank:
-            g = self.gram(*key)
+        """Determinant of the Gram matrix of C(k, lam), computed once (at
+        level 0, once per key of ``_LEVEL0``)."""
+        form = self._form(k, lam)
+        if form[1] is None:
+            g = form[0]
             d = det(g, self.field)
             # a nonzero determinant fixes the rank; a zero one leaves it open
-            self._det_rank[key] = (d, None if d.is_zero() else len(g))
-        return self._det_rank[key][0]
+            form[1] = (d, None if d.is_zero() else len(g))
+        return form[1][0]
 
     def radical_dim(self, k, lam):
         """Dimension of the radical of the form on C(k, lam).
 
         Eliminates the Gram matrix only if its rank is not known yet: a
         cell whose determinant came out nonzero has full rank."""
-        key = self._label(k, lam)
-        g = self.gram(*key)
-        if self._det_rank.get(key, (None, None))[1] is None:
-            self._det_rank[key] = det_rank(g, self.field)
-        return len(g) - self._det_rank[key][1]
+        form = self._form(k, lam)
+        if form[1] is None or form[1][1] is None:
+            form[1] = det_rank(form[0], self.field)
+        return len(form[0]) - form[1][1]
 
     def quantum_characteristic(self):
         """e(Q) for the Hecke parameter Q of this algebra."""

@@ -181,7 +181,8 @@ def _version_scalars(version, N):
 
 @lru_cache(maxsize=None)
 def _cosets(n):
-    """B_{k,n} for every level k, and the minimal H_k-coset representatives.
+    """B_{k,n} for every level k, the minimal H_k-coset representatives,
+    and the code of z_2 = s_2 s_1 s_3 s_2 (None for n < 4).
 
     The second item maps, per level k, the code of each representative
     pi * v to the codes (pi, v), for pi a permutation of the letters
@@ -205,7 +206,8 @@ def _cosets(n):
         assert len(table) == expect, "wrong number of coset representatives"
         bkn.append(bk)
         minrep.append(table)
-    return tuple(bkn), tuple(minrep)
+    z2 = code[sg.from_word(n, (2, 1, 3, 2))] if n >= 4 else None
+    return tuple(bkn), tuple(minrep), z2
 
 
 class QBrAlgebra:
@@ -255,9 +257,8 @@ class QBrAlgebra:
         self._steps = 0
 
         # the engine works on permutation codes (code 0 is the identity)
-        self._T = T = sg.perm_table(n)
-        self.Bkn, self._minrep = _cosets(n)
-        self._z2 = T.code[sg.from_word(n, (2, 1, 3, 2))] if n >= 4 else None
+        self._T = sg.perm_table(n)
+        self.Bkn, self._minrep, self._z2 = _cosets(n)
 
         self._red_memo = {}
         self._red_stack = set()

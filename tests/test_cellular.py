@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from qbrauer import symgrp as sg
+from qbrauer import cellular, symgrp as sg
 from qbrauer.cellular import (
+    _LEVEL0,
     Cellular,
     _block_matrix,
     _double_cosets,
@@ -915,3 +916,60 @@ def test_rejects_non_normal_indices(method):
         assert call({good: one}) == {(1, (1, 2, 0), ident, (0, 2, 1)): one}
     else:
         assert set(call({good: one})) <= set(cell.cellular_labels())
+
+
+LEVEL0_ALGEBRAS = {
+    "F_101": {"spec": FP101},
+    "F_5": {"spec": BLOCK_FIELDS["F_5"]},  # e(Q) = 2: some forms are singular
+    **{f"generic {version}": {"version": version, "N": N} for version, N in ALL_VERSIONS},
+    "Q(zeta_8)": {"spec": BLOCK_FIELDS["Q(zeta_8)"]},
+}
+
+
+def level0_forms(n, kwargs):
+    """(Gram matrix, det, rank) of every level-0 cell of a new algebra."""
+    cell = Cellular(QBrAlgebra(n, **kwargs))
+    out = []
+    for lam in sg.partitions(n):
+        g = cell.gram(0, lam)
+        out.append((g, cell.gram_det(0, lam), len(g) - cell.radical_dim(0, lam)))
+    return out
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_level0_forms_from_the_memo_match_forms_computed_afresh(n, monkeypatch):
+    # the algebras fill _LEVEL0 one after another, so a key that confused
+    # two fields, two Hecke parameters or two shapes would serve one of
+    # them the other's form; a second algebra of each is served entirely
+    # from the memo and eliminates nothing
+    _LEVEL0.clear()
+    first = {name: level0_forms(n, kwargs) for name, kwargs in LEVEL0_ALGEBRAS.items()}
+    entries = len(_LEVEL0)
+    eliminations = []
+    original = cellular.det_rank
+    monkeypatch.setattr(cellular, "det_rank", lambda *args: eliminations.append(1) or original(*args))
+    served = {name: level0_forms(n, kwargs) for name, kwargs in LEVEL0_ALGEBRAS.items()}
+    assert (len(_LEVEL0), eliminations) == (entries, [])
+    monkeypatch.undo()
+    # two_param and n_version share H_n(q^2) over the generic field
+    assert entries == (len(LEVEL0_ALGEBRAS) - 1) * len(sg.partitions(n))
+    for name, kwargs in LEVEL0_ALGEBRAS.items():
+        _LEVEL0.clear()
+        assert served[name] == first[name] == level0_forms(n, kwargs), name
+
+
+def test_mutating_a_level0_gram_matrix_leaks_into_no_other_algebra():
+    _LEVEL0.clear()
+    first, second = (Cellular(QBrAlgebra(4, spec=FP101)) for _ in range(2))
+    g = first.gram(0, (3, 1))
+    expect = [list(row) for row in g]
+    stored = {key: entry[0] for key, entry in _LEVEL0.items()}
+    g[0][0] += FP101.one()
+    g[1].append(FP101.one())
+    g.append(list(g[0]))
+    assert second.gram(0, (3, 1)) == expect
+    assert {key: entry[0] for key, entry in _LEVEL0.items()} == stored
+    # the form's determinant and rank are the stored matrix's, not the copy's
+    assert first.gram_det(0, (3, 1)) == second.gram_det(0, (3, 1)) == det(expect, FP101)
+    assert first.radical_dim(0, (3, 1)) == len(expect) - rank(expect, FP101)
+    assert Cellular(QBrAlgebra(4, spec=FP101)).gram(0, (3, 1)) == expect

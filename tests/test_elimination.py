@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qbrauer import cellular
-from qbrauer.cellular import Cellular, det_rank
+from qbrauer.cellular import _LEVEL0, Cellular, det_rank
 from qbrauer.coefficients import DenominatorVanishes, Fp, LaurentPoly, RatFunc, Specialization
 from qbrauer.qbrauer import QBrAlgebra
 
@@ -246,20 +246,29 @@ def count_det_rank(monkeypatch):
 
 
 def test_each_generic_gram_matrix_is_eliminated_once(monkeypatch):
+    # as in a fresh process, where no level-0 form is known yet; a level-0
+    # form is eliminated from its shared matrix, not the algebra's copy
+    _LEVEL0.clear()
     calls = count_det_rank(monkeypatch)
     cell = Cellular(QBrAlgebra(3))
     for k, lam in cell.labels():
         assert not cell.gram_det(k, lam).is_zero()
         assert cell.radical_dim(k, lam) == 0
     assert cell.is_semisimple() == (True, None)
-    grams = [id(cell.gram(k, lam)) for k, lam in cell.labels()]
+    grams = [id(cell._form(k, lam)[0]) for k, lam in cell.labels()]
     assert sorted(calls) == sorted(grams)
+    assert [list(map(list, cell._form(k, lam)[0])) for k, lam in cell.labels()] == [
+        cell.gram(k, lam) for k, lam in cell.labels()
+    ]
 
 
 def test_singular_gram_matrices_take_a_second_pass_only_for_det_then_rank(monkeypatch):
     # e(q^2) = 2 over F_5: some forms are singular, and a zero determinant
     # (which runs through det alone) does not fix the rank; asking for the
-    # rank first answers both in one pass
+    # rank first answers both in one pass; level-0 forms are shared by
+    # every algebra at the point, so the second algebra starts from a fresh
+    # process's memo, and a third one eliminates only above level 0
+    _LEVEL0.clear()
     calls = count_det_rank(monkeypatch)
     spec = Specialization.prime_field(5, 2, 2)
     cell = Cellular(QBrAlgebra(3, spec=spec))
@@ -272,11 +281,41 @@ def test_singular_gram_matrices_take_a_second_pass_only_for_det_then_rank(monkey
     assert len(calls) == len(labels)
 
     calls.clear()
+    _LEVEL0.clear()
     cell = Cellular(QBrAlgebra(3, spec=spec))
     assert [cell.gram_det(k, lam) for k, lam in labels] == dets
     assert [cell.radical_dim(k, lam) for k, lam in labels] == rads
     cell.is_semisimple()
     assert len(calls) == len(labels) + singular
+
+    calls.clear()
+    cell = Cellular(QBrAlgebra(3, spec=spec))
+    assert [cell.gram_det(k, lam) for k, lam in labels] == dets
+    assert [cell.radical_dim(k, lam) for k, lam in labels] == rads
+    cell.is_semisimple()
+    upper = [(k, lam) for k, lam in labels if k >= 1]
+    assert upper and len(calls) == len(upper) + sum(rad > 0 for (k, _), rad in zip(labels, rads) if k >= 1)
+    assert not set(calls) & {id(cell._form(0, lam)[0]) for k, lam in labels if k == 0}
+
+
+def test_level0_forms_are_shared_by_field_and_hecke_parameter(monkeypatch):
+    # over F_13, q = 2 and q = 11 give one Q = q^2 = 4, and r does not enter
+    # level 0: the two algebras share each level-0 form and its elimination;
+    # another Q over F_13, or Q = 4 over F_17, has forms of its own
+    _LEVEL0.clear()
+    calls = count_det_rank(monkeypatch)
+
+    def radicals(p, q, r):
+        cell = Cellular(QBrAlgebra(4, spec=Specialization.prime_field(p, q, r)))
+        return [cell.radical_dim(0, lam) for lam in ((3, 1), (2, 2))]
+
+    first = radicals(13, 2, 3)
+    assert len(calls) == 2
+    assert radicals(13, 11, 5) == first and len(calls) == 2
+    radicals(13, 3, 3)
+    assert len(calls) == 4
+    radicals(17, 2, 3)
+    assert len(calls) == len(_LEVEL0) == 6
 
 
 @pytest.mark.parametrize("version,N", (("n_version", 3), ("two_param", None)))
