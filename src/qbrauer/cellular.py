@@ -58,11 +58,12 @@ another cycle first, so that message can name another key.
 
 Level 0 is the window Hecke algebra H_n(Q) itself, and C(0, lam) its
 Specht module (Murphy), so its form depends on an algebra only through
-the field and Q.  Each algebra still makes its one block, 1, from a
-product 1 . 1 and a straightening; the Gram matrix of C(0, lam) is then
-computed once per process for each key (n, lam, field, Q in internal
-form, block) and kept in ``_LEVEL0``, with its determinant and rank once
-they are known, and every later algebra with that key takes them.  This
+the field and Q.  Each algebra still makes its one block H_{1,1} = 1,
+the level-0 part of one product 1 . 1, with no straightening; the Gram
+matrix of C(0, lam) is then computed once per process for each key (n,
+lam, field, Q in internal form, block) and kept in ``_LEVEL0``, with its
+determinant and rank once they are known, and every later algebra with
+that key takes them.  This
 is exact: every input of the entries is a function of the key, namely
 HeckeWindow(n, 1, field, Q), psi_lam (built from Q, Q^{-1} and the
 field's internal form, which over F_p depends on p alone), the tableaux
@@ -70,13 +71,18 @@ and the block, each entry being psi_lam of one Hecke product.
 So two_param and n_version, which share H_n(q^2) over the generic field,
 share their level-0 cells, and classical shares them with any point where
 Q = 1.  The memo holds one entry per (n, lam, field, Q) that a process
-meets, each the size of the Gram matrix that a ``Cellular`` already
-holds, and each algebra gets a list copy of its own.  The block stays
-per algebra and is made before the lookup, because the rows are computed
-from it; with one block the pairings of ``Cellular._rows`` would only add
-work.  Built over the ring, level 0 would leave an algebra no engine
-product at all, and the benchmark's traced runs check that a second run
-in the same process still makes one.
+meets, each the size of one Gram matrix.  The block stays per algebra
+and is made before the lookup, because the rows are computed from it;
+with one block the pairings of ``Cellular._rows`` would only add work.
+Built over the ring, level 0 would leave an algebra no engine product at
+all, and the benchmark's traced runs check that a second run in the same
+process still makes one.
+
+Every form is held in the field's internal form (residues in [0, p) over
+F_p, the field values themselves otherwise) from evaluation through
+elimination: ``det_rank`` eliminates those residues directly, and
+``Cellular.gram`` is the one place that converts to field values,
+handing each caller new lists, so nothing outside writes to a form.
 
 A Gram entry is psi_lam(g_{d(t)} H_{v,u} g_{d(s)^{-1}}) with the window
 functional psi_lam(h) = phi_lam(c_lam h c_lam), phi_lam the Murphy
@@ -136,8 +142,11 @@ def det_rank(mat, field):
     entry of the fraction-free elimination (Bareiss, Math. Comp. 22, 1968) is
     a minor, so it runs over Z with exact zero tests, every division is exact
     by Sylvester's identity (``_bareiss_step`` checks), and the last pivot
-    decodes to the cleared determinant.  F_p: Gaussian elimination on
-    residues in [0, p).  Q and Q(zeta_m): Gaussian elimination on field values.
+    decodes to the cleared determinant.  F_p: the entries are Fp values or
+    ints, such as the internal residues of ``Cellular``'s forms, taken mod p
+    (``inner``); Gaussian elimination runs on residues in [0, p), and the
+    determinant is the product of the pivots mod p, made an Fp once.  Q and
+    Q(zeta_m): Gaussian elimination on field values.
     """
     kind = field.field[0]
     if kind == "generic":
@@ -149,7 +158,8 @@ def det_rank(mat, field):
         m = [[sum(c << B * (i * D + j) for (i, j), c in x.items()) for x in row] for row in m]
         step, nonzero = _bareiss_step, bool
     elif kind == "fp":
-        m = [[field.inner(x) for x in row] for row in mat]
+        inner = field.inner
+        m = [list(map(inner, row)) for row in mat]
         step, nonzero = partial(_residue_step, field.field[1]), bool
     else:
         m = [list(row) for row in mat]
@@ -177,6 +187,8 @@ def det_rank(mat, field):
         num = _unpacked(sign * (pivots[-1] if pivots else 1), B, D)
         num = LaurentPoly({(i * g[0], j * g[1]): c for (i, j), c in num.items()})
         return RatFunc(num.shifted(rows * shift[0], rows * shift[1]), den ** rows), rk
+    if kind == "fp":
+        return field.outer(sign * math.prod(pivots)), rk
     d = math.prod(pivots, start=field.one())
     return (d if sign > 0 else -d), rk
 
@@ -367,7 +379,7 @@ def _universal_gram(n, k, lam):
 
 
 # The level-0 cells met so far (module docstring): (n, lam, field, Q in
-# internal form, block) -> [Gram matrix as a tuple of tuples, (det, rank or
+# internal form, block) -> [Gram matrix in internal values, (det, rank or
 # None if not known) or None].  Clearing it is the one reset.
 _LEVEL0 = {}
 
@@ -378,6 +390,14 @@ def _mirrored(rows):
     for i, row in enumerate(rows):
         mat.append([mat[j][i] for j in range(i)] + row)
     return mat
+
+
+@lru_cache(maxsize=None)
+def _labels(n):
+    """The cell labels (k, lam) of n, most dominant first, and their set,
+    once per process for each n."""
+    out = tuple((k, lam) for k in range(n // 2, -1, -1) for lam in sg.partitions(n - 2 * k))
+    return out, frozenset(out)
 
 
 @lru_cache(maxsize=None)
@@ -423,11 +443,9 @@ class Cellular:
         self.n = alg.n
         self.field = alg.field
         self._windows = {}
-        self._gram = {}  # (k, lam) -> Gram matrix, lists of this algebra's own
         self._forms = {}  # (k, lam) -> ``_form``
         self._level0 = None  # the one level-0 block H_{1,1}
         self._monomials = {}  # monomial key -> Q^i a^j b^l, internal
-        self._labels = frozenset(self.labels())
 
     def window(self, k):
         """The Hecke algebra of the letters 2k+1, ..., n."""
@@ -437,11 +455,7 @@ class Cellular:
 
     def labels(self):
         """All (k, lam), most dominant first."""
-        out = []
-        for k in range(self.n // 2, -1, -1):
-            for lam in sg.partitions(self.n - 2 * k):
-                out.append((k, lam))
-        return out
+        return list(_labels(self.n)[0])
 
     def _label(self, k, lam):
         """(k, lam) with lam as a Partition; ValueError unless it is one of
@@ -450,7 +464,7 @@ class Cellular:
             key = (k, sg.Partition(lam))
         except (TypeError, ValueError):
             key = None
-        if key not in self._labels:
+        if key not in _labels(self.n)[1]:
             raise ValueError(f"no cell ({k!r}, {lam!r}) for n = {self.n}")
         return key
 
@@ -507,65 +521,65 @@ class Cellular:
 
     def gram(self, k, lam):
         """Gram matrix of C(k, lam) in the (t, v) basis order of
-        ``module_index``.
+        ``module_index``, as field values.
 
-        Level k >= 1 evaluates the Gram matrix of ``_universal_gram``, built
-        once per process over the parameter ring: each monomial Q^i a^j b^l
-        once, on residues over F_p and in field values otherwise, then each
-        entry i <= j as the sum of its terms c Q^i a^j b^l, mirrored.  A
-        level whose build raised, at a term off level k or at a rewriting
-        cycle, raises its message.  Level 0 (module docstring): e_(0) = 1,
-        and its one block H_{1,1}, 1, comes from a product 1 . 1 and a
-        straightening, one rewriting step between them, made once per
-        algebra; the Gram matrix is then taken from ``_LEVEL0`` or computed
-        and stored there, entry (t, s) being psi(g_{d(t)} H_{1,1}
-        g_{d(s)^{-1}}), one row of g_{d(t)} H_{1,1} times each g_{d(s)^{-1}}.
-        Either way the algebra gets a list copy of its own.
+        The form is held in the field's internal form (``_form``), and this
+        is the one place that converts it: each call hands out new lists, so
+        a caller's edit reaches neither the form nor its determinant and
+        rank.  A level whose parameter-ring build raised, at a term off
+        level k or at a rewriting cycle, raises its message.
         """
-        key = self._label(k, lam)
-        if key not in self._gram:
-            k, lam = key
-            alg, f = self.alg, self.field
-            if k == 0:
-                if self._level0 is None:
-                    self._level0 = _block_matrix(alg, 0, *_level_blocks(alg, 0))[0][0]
-                memo = (self.n, lam, f.field, alg._Q, tuple(self._level0.items()))
-                if memo not in _LEVEL0:
-                    T, H, psi = alg._T, alg.hecke, self._functional(0, lam)
-                    invs = [T.inv[T.code[sg.tableau_perm(self.n, t, 1)]] for t in sg.standard_tableaux(lam, 1)]
-                    rows = []
-                    for i, d in enumerate(invs):
-                        x = H.star(H.rmul_perm(self._level0, d))  # g_{d(t)} H_{1,1}
-                        rows.append([f.outer(_paired(H.rmul_perm(x, e), psi, f.dot)) for e in invs[i:]])
-                    _LEVEL0[memo] = [tuple(map(tuple, _mirrored(rows))), None]
-                self._forms[key] = form = _LEVEL0[memo]
-                self._gram[key] = [list(row) for row in form[0]]
-            else:
-                built = _universal_gram(self.n, k, lam)
-                if isinstance(built, str):
-                    raise InternalInconsistency(built)
-                monomials, rows = built
-                p = f.field[1] if f.field[0] == "fp" else None
-                m = self._monomials
-                for mono, (i, j, l) in monomials:
-                    if mono not in m:
-                        m[mono] = (
-                            pow(alg._Q, i, p) * pow(alg._a, j, p) * pow(alg._b, l, p) % p if p
-                            else f.inner(alg.Q ** i * alg.a ** j * alg.b ** l)
-                        )
-                get, dot, outer = m.__getitem__, f.dot, f.outer
-                rows = [[outer(dot(map(get, keys), coeffs)) for keys, coeffs in row] for row in rows]
-                self._gram[key] = mat = _mirrored(rows)
-                self._forms[key] = [mat, None]
-        return self._gram[key]
+        outer = self.field.outer
+        return [list(map(outer, row)) for row in self._form(k, lam)[0]]
 
     def _form(self, k, lam):
-        """[Gram matrix, (det, rank or None) or None] of C(k, lam): at level
-        0 the shared entry of ``_LEVEL0``, above it the algebra's own."""
+        """[Gram matrix, (det, rank or None) or None] of C(k, lam), the
+        matrix in the field's internal form, made on first use.
+
+        Level k >= 1 evaluates the Gram matrix of ``_universal_gram``: each
+        monomial Q^i a^j b^l once, on residues over F_p and in field values
+        otherwise, then each entry i <= j, mirrored.  Level 0 (module
+        docstring) takes its block H_{1,1} = 1 from one product 1 . 1 per
+        algebra, then the shared entry of ``_LEVEL0``, computed first if
+        needed: entry (t, s) is psi(g_{d(t)} H_{1,1} g_{d(s)^{-1}}), one row
+        of g_{d(t)} H_{1,1} times each g_{d(s)^{-1}}.
+        """
         key = self._label(k, lam)
-        if key not in self._forms:
-            self.gram(*key)
-        return self._forms[key]
+        if key in self._forms:
+            return self._forms[key]
+        k, lam = key
+        alg, f = self.alg, self.field
+        if k == 0:
+            if self._level0 is None:
+                code, one = alg._T.code, alg.one()
+                self._level0 = {code[pi]: f.inner(c) for (k2, _, pi, _), c in alg.mul(one, one).items() if k2 == 0}
+            memo = (self.n, lam, f.field, alg._Q, tuple(self._level0.items()))
+            if memo not in _LEVEL0:
+                T, H, psi = alg._T, alg.hecke, self._functional(0, lam)
+                invs = [T.inv[T.code[sg.tableau_perm(self.n, t, 1)]] for t in sg.standard_tableaux(lam, 1)]
+                rows = []
+                for i, d in enumerate(invs):
+                    x = H.star(H.rmul_perm(self._level0, d))  # g_{d(t)} H_{1,1}
+                    rows.append([f.inner(_paired(H.rmul_perm(x, e), psi, f.dot)) for e in invs[i:]])
+                _LEVEL0[memo] = [_mirrored(rows), None]
+            self._forms[key] = form = _LEVEL0[memo]
+            return form
+        built = _universal_gram(self.n, k, lam)
+        if isinstance(built, str):
+            raise InternalInconsistency(built)
+        monomials, rows = built
+        p = f.field[1] if f.field[0] == "fp" else None
+        m = self._monomials
+        for mono, (i, j, l) in monomials:
+            if mono not in m:
+                m[mono] = (
+                    pow(alg._Q, i, p) * pow(alg._a, j, p) * pow(alg._b, l, p) % p if p
+                    else f.inner(alg.Q ** i * alg.a ** j * alg.b ** l)
+                )
+        get, dot, inner = m.__getitem__, f.dot, f.inner
+        rows = [[inner(dot(map(get, keys), coeffs)) for keys, coeffs in row] for row in rows]
+        self._forms[key] = form = [_mirrored(rows), None]
+        return form
 
     def _rows(self, k, lam, blocks):
         """The Gram matrix of C(k, lam) from the block matrix of

@@ -874,12 +874,14 @@ def _dot(zero, xs, ys):
 def _fp_form(p):
     """(inner, outer, acc, scale, dot) of F_p, whose internal values are
     the ints in [0, p).  ``inner`` takes what ``Fp`` arithmetic takes, an
-    int or an Fp of the same prime, and raises TypeError on anything else;
-    ``acc`` and ``scale`` reduce mod p, so they take unreduced products,
-    and ``dot`` leaves its sum unreduced."""
+    int, reduced mod p with no Fp made, or an Fp of the same prime, and
+    raises TypeError on anything else; ``acc`` and ``scale`` reduce mod p,
+    so they take unreduced products, and ``dot`` leaves its sum unreduced."""
     zero = Fp(p, 0)
 
     def inner(x):
+        if x.__class__ is int:
+            return x % p
         if x.__class__ is not Fp or x.p != p:
             x = zero._lift(x)
         return x.v

@@ -91,7 +91,7 @@ from __future__ import annotations
 
 import math
 import os
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import symgrp as sg
 from .coefficients import ParamPoly, RatFunc, Specialization, _acc
@@ -222,7 +222,6 @@ class QBrAlgebra:
         sc = _version_scalars(version, N)
         Q = self.spec(sc["Q"])
         self._setup(n, self.spec, Q, self.spec.one() / Q, self.spec(sc["a"]), self.spec(sc["b"]))
-        self.bprime = self.spec(sc["bprime"])
 
     @classmethod
     def over_parameters(cls, n):
@@ -233,8 +232,13 @@ class QBrAlgebra:
         alg.version = alg.N = alg.spec = None
         R = ParamPoly
         alg._setup(n, R, R.Q, R.Qinv, R.a, R.b)
-        alg.bprime = R.Qinv * R.b + (R.Qinv - 1) * R.a
         return alg
+
+    @cached_property
+    def bprime(self):
+        """b' = Q^{-1} b + (Q^{-1} - 1) a, evaluated on first use: only
+        ``verify_relations`` reads it."""
+        return self.Qinv * self.b + (self.Qinv - 1) * self.a
 
     def _setup(self, n, field, Q, Qinv, a, b):
         """The field and its scalars Q, Q^{-1}, a and b, the engine's

@@ -483,8 +483,8 @@ BLOCK_FIELDS = {
 
 
 def algebra_gram(alg, k, lam):
-    """The Gram matrix assembled on the algebra itself, as level 0 is: the
-    level blocks built by its own engine, then ``Cellular._rows``; it raises
+    """The Gram matrix assembled on the algebra itself: the level blocks
+    built by its own engine, then ``Cellular._rows``; it raises
     where the parameter-ring build does, at the first term off level k or
     at a rewriting cycle."""
     rows = Cellular(alg)._rows(k, lam, _block_matrix(alg, k, *_level_blocks(alg, k)))
@@ -600,7 +600,7 @@ def test_blocks_take_one_product_per_coset_representative(monkeypatch):
     # level k >= 1 is built once per process, over the parameter ring, with
     # one product per v in B_{k,n}; the Gram matrices of every algebra then
     # make no product and no straightening of their own, except level 0's
-    # product 1 . 1 and its straightening, once per algebra
+    # product 1 . 1, once per algebra and with no straightening
     calls = []
 
     def counted(method):
@@ -621,7 +621,7 @@ def test_blocks_take_one_product_per_coset_representative(monkeypatch):
                 calls.clear()
                 cell.gram(k, lam)
                 if k == 0 and a == 0:
-                    assert calls == [("mul", alg), ("straighten", alg)]
+                    assert calls == [("mul", alg)]
                 elif k == 0 or (alg.n, k) in built:
                     assert calls == []
                 else:
@@ -876,8 +876,10 @@ def test_gram_never_factors_the_murphy_transition(monkeypatch):
 
 def test_cell_labels_are_normalised_and_checked():
     cell = generic(3)
-    # trailing zero parts and plain tuples name the same cell
-    assert cell.gram(0, (3, 0)) is cell.gram(0, sg.Partition((3,)))
+    # trailing zero parts and plain tuples name the same cell, whose form is
+    # held once; gram hands out a new copy on each call
+    assert cell._form(0, (3, 0)) is cell._form(0, sg.Partition((3,)))
+    assert cell.gram(0, (3, 0)) == cell.gram(0, sg.Partition((3,)))
     assert cell.gram_det(0, [2, 1]) == cell.gram_det(0, sg.Partition((2, 1)))
     assert cell.radical_dim(1, (1, 0)) == 0
     assert cell.module_index(1, (1,)) == cell.module_index(1, sg.Partition((1,)))
@@ -956,6 +958,28 @@ def test_level0_forms_from_the_memo_match_forms_computed_afresh(n, monkeypatch):
     for name, kwargs in LEVEL0_ALGEBRAS.items():
         _LEVEL0.clear()
         assert served[name] == first[name] == level0_forms(n, kwargs), name
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kwargs", [{"spec": FP101}, {}], ids=["F_101", "generic"])
+def test_editing_a_gram_matrix_leaves_the_form_unchanged(n, kwargs):
+    # gram hands out a copy of field values: an edit made before the
+    # determinant and rank are known, or after, reaches neither; one algebra
+    # asks for the determinant first, the other for the rank
+    ref, det_first, rank_first = (Cellular(QBrAlgebra(n, **kwargs)) for _ in range(3))
+    one = ref.field.one()
+    for k, lam in ref.labels():
+        if k == 0:
+            continue
+        want = ref.gram_det(k, lam), ref.radical_dim(k, lam)
+        for cell in (det_first, rank_first):
+            cell.gram(k, lam)[0][0] += one
+        assert (det_first.gram_det(k, lam), det_first.radical_dim(k, lam)) == want, (k, lam)
+        assert rank_first.radical_dim(k, lam) == want[1], (k, lam)
+        assert rank_first.gram_det(k, lam) == want[0], (k, lam)
+        for cell in (det_first, rank_first):
+            cell.gram(k, lam)[0][0] += one
+            assert (cell.gram_det(k, lam), cell.radical_dim(k, lam)) == want, (k, lam)
 
 
 def test_mutating_a_level0_gram_matrix_leaks_into_no_other_algebra():

@@ -133,10 +133,20 @@ def gauss_mod_p(mat, cols, p=P):
     return (d % p if rk == rows else 0) if rows == cols else None, rk
 
 
-@given(matrices(fps, FP.zero(), max_dim=5))
+@given(matrices(fps, FP.zero(), max_dim=5), matrices(st.integers(-3 * P, 3 * P), 0, max_dim=5))
 @settings(max_examples=150, deadline=None)
-def test_fp_det_rank_matches_gauss(drawn):
+def test_fp_det_rank_matches_gauss(drawn, drawn_ints):
+    # det_rank also takes ints, as Cellular's forms hold residues: any int,
+    # negative or >= p included, gives the (det, rank) of its Fp value, and
+    # the determinant comes back as an Fp
     check_against_gauss(*drawn, FP)
+    mat, cols = drawn
+    assert det_rank([[x.v for x in row] for row in mat], FP) == det_rank(mat, FP)
+    ints, cols = drawn_ints
+    d, rk = det_rank(ints, FP)
+    assert (d, rk) == det_rank([[Fp(P, x) for x in row] for row in ints], FP)
+    assert d is None or d.__class__ is Fp
+    assert (d if d is None else d.v, rk) == gauss_mod_p(ints, cols)
 
 
 def check_against_gauss(mat, cols, spec):
@@ -246,8 +256,9 @@ def count_det_rank(monkeypatch):
 
 
 def test_each_generic_gram_matrix_is_eliminated_once(monkeypatch):
-    # as in a fresh process, where no level-0 form is known yet; a level-0
-    # form is eliminated from its shared matrix, not the algebra's copy
+    # as in a fresh process, where no level-0 form is known yet; every form
+    # is eliminated from the internal matrix that ``_form`` holds (at level
+    # 0 the shared one), never from a copy that ``gram`` hands out
     _LEVEL0.clear()
     calls = count_det_rank(monkeypatch)
     cell = Cellular(QBrAlgebra(3))
@@ -257,9 +268,7 @@ def test_each_generic_gram_matrix_is_eliminated_once(monkeypatch):
     assert cell.is_semisimple() == (True, None)
     grams = [id(cell._form(k, lam)[0]) for k, lam in cell.labels()]
     assert sorted(calls) == sorted(grams)
-    assert [list(map(list, cell._form(k, lam)[0])) for k, lam in cell.labels()] == [
-        cell.gram(k, lam) for k, lam in cell.labels()
-    ]
+    assert [cell._form(k, lam)[0] for k, lam in cell.labels()] == [cell.gram(k, lam) for k, lam in cell.labels()]
 
 
 def test_singular_gram_matrices_take_a_second_pass_only_for_det_then_rank(monkeypatch):
