@@ -78,11 +78,19 @@ Built over the ring, level 0 would leave an algebra no engine product at
 all, and the benchmark's traced runs check that a second run in the same
 process still makes one.
 
-Every form is held in the field's internal form (residues in [0, p) over
-F_p, the field values themselves otherwise) from evaluation through
-elimination: ``det_rank`` eliminates those residues directly, and
-``Cellular.gram`` is the one place that converts to field values,
-handing each caller new lists, so nothing outside writes to a form.
+Every form is held in the field's internal form from evaluation through
+elimination.  Over F_p a form of level k >= 1 is packed: one int per
+row, its d entries unreduced in slots of w bytes (``_Packed``).  The ring
+Gram matrix is reduced mod p once per process for each (n, k, lam, p)
+into one packed row per row and monomial Q^i a^j b^l (``_fp_table``), so
+an algebra evaluates its m monomials once and each row with one big-int
+dot product, and ``det_rank`` eliminates the packed rows with one
+multiply-add per row and pivot; w holds (m + d)(p - 1)^2, which no slot
+reaches (``det_rank``).  Level-0 forms over F_p are lists of residues in
+[0, p), packed on entry to ``det_rank`` as any list is; off F_p a form
+is a list of field values.  ``Cellular.gram`` is the one place that
+converts to field values, handing each caller new lists, so nothing
+outside writes to a form.
 
 A Gram entry is psi_lam(g_{d(t)} H_{v,u} g_{d(s)^{-1}}) with the window
 functional psi_lam(h) = phi_lam(c_lam h c_lam), phi_lam the Murphy
@@ -142,13 +150,33 @@ def det_rank(mat, field):
     entry of the fraction-free elimination (Bareiss, Math. Comp. 22, 1968) is
     a minor, so it runs over Z with exact zero tests, every division is exact
     by Sylvester's identity (``_bareiss_step`` checks), and the last pivot
-    decodes to the cleared determinant.  F_p: the entries are Fp values or
-    ints, such as the internal residues of ``Cellular``'s forms, taken mod p
-    (``inner``); Gaussian elimination runs on residues in [0, p), and the
-    determinant is the product of the pivots mod p, made an Fp once.  Q and
-    Q(zeta_m): Gaussian elimination on field values.
+    decodes to the cleared determinant.
+
+    F_p: Gaussian elimination on packed rows (``_packed_det_rank``), the
+    matrix a ``_Packed`` one, as ``Cellular``'s forms are, or rows of Fp
+    values or ints, taken mod p (``inner``) and packed on entry.  A pivot
+    is read from one slot (shift, mask, mod p); the pivot row is reduced
+    slot-wise to residues t_j in [0, p) right of the pivot, and each row
+    below takes one multiply-add, row += f t with f = -x / x_piv in [0, p),
+    x its entry in the pivot column.  No carry crosses a slot: every slot
+    starts in [0, m (p - 1)^2], its entry a sum of at most m products of two
+    residues (m = 1 for residues); a step adds f t_j in [0, (p - 1)^2]; and
+    a row takes at most one step per pivot above it, at most d - 1 for d
+    rows.  So every slot stays non-negative and at most
+    (m + d - 1)(p - 1)^2 < 2^(8 w), w the slot width of ``_slot_bytes``:
+    the sum of two packed rows packs the sums of their slots, and a slot
+    read mod p is its entry.  The determinant is the product of the pivots
+    mod p, made an Fp once.  Q and Q(zeta_m): Gaussian elimination on field
+    values.
     """
     kind = field.field[0]
+    if kind == "fp":
+        p = field.field[1]
+        if not isinstance(mat, _Packed):
+            w = _slot_bytes(1, len(mat), p)
+            mat = _Packed([_pack(map(field.inner, row), w) for row in mat], len(mat[0]) if mat else 0, w)
+        d, rk = _packed_det_rank(mat, p)
+        return (None if d is None else field.outer(d)), rk
     if kind == "generic":
         m, shift, den = _cleared(mat)
         g = [math.gcd(*(e[i] for row in m for x in row for e in x)) or 1 for i in (0, 1)]
@@ -157,10 +185,6 @@ def det_rank(mat, field):
         D = 1 + sum(max((j for x in row for _, j in x), default=0) for row in m)
         m = [[sum(c << B * (i * D + j) for (i, j), c in x.items()) for x in row] for row in m]
         step, nonzero = _bareiss_step, bool
-    elif kind == "fp":
-        inner = field.inner
-        m = [list(map(inner, row)) for row in mat]
-        step, nonzero = partial(_residue_step, field.field[1]), bool
     else:
         m = [list(row) for row in mat]
         step, nonzero = _field_step, lambda x: not x.is_zero()
@@ -187,15 +211,14 @@ def det_rank(mat, field):
         num = _unpacked(sign * (pivots[-1] if pivots else 1), B, D)
         num = LaurentPoly({(i * g[0], j * g[1]): c for (i, j), c in num.items()})
         return RatFunc(num.shifted(rows * shift[0], rows * shift[1]), den ** rows), rk
-    if kind == "fp":
-        return field.outer(sign * math.prod(pivots)), rk
     d = math.prod(pivots, start=field.one())
     return (d if sign > 0 else -d), rk
 
 
 def det(mat, field):
     """Exact determinant of a square matrix over a field."""
-    if any(len(row) != len(mat) for row in mat):
+    square = mat.cols == len(mat) if isinstance(mat, _Packed) else all(len(row) == len(mat) for row in mat)
+    if not square:
         raise ValueError("determinant of a non-square matrix")
     return det_rank(mat, field)[0]
 
@@ -203,6 +226,76 @@ def det(mat, field):
 def rank(mat, field):
     """Exact rank over a field."""
     return det_rank(mat, field)[1]
+
+
+class _Packed:
+    """A matrix over F_p as one int per row: entry (i, j) is slot j of
+    ``rows[i]``, its bytes w j .. w (j + 1) - 1 read little-endian, and
+    stands for its residue mod p; w = ``width`` is that of ``_slot_bytes``
+    for the rows' m (``det_rank``)."""
+
+    __slots__ = ("rows", "cols", "width")
+
+    def __init__(self, rows, cols, width):
+        self.rows, self.cols, self.width = rows, cols, width
+
+    def __len__(self):
+        return len(self.rows)
+
+    def residues(self, p):
+        """The entries mod p, as a new list per row."""
+        w, size = self.width, self.width * self.cols
+        out = []
+        for row in self.rows:
+            b = row.to_bytes(size, "little")
+            out.append([int.from_bytes(b[i:i + w], "little") % p for i in range(0, size, w)])
+        return out
+
+
+def _slot_bytes(m, d, p):
+    """The least whole number of bytes that holds (m + d)(p - 1)^2: the
+    slot width of d packed rows whose entries start as sums of at most m
+    products of two residues (``det_rank``)."""
+    return (((m + d) * (p - 1) ** 2).bit_length() + 7) // 8
+
+
+def _pack(row, w):
+    """The int whose w-byte little-endian slots are the ints of ``row``."""
+    return int.from_bytes(b"".join(x.to_bytes(w, "little") for x in row), "little")
+
+
+def _packed_det_rank(mat, p):
+    """(det as a residue, rank) of a ``_Packed`` matrix by the elimination
+    of ``det_rank``, the matrix left as it is; det is None unless it is
+    square.  The rows drop one slot per column, so the column at hand is
+    always slot 0."""
+    rows, cols, W = list(mat.rows), mat.cols, 8 * mat.width
+    n, mask, rk, d = len(rows), (1 << W) - 1, 0, 1
+    for col in range(cols):
+        if rk == n:
+            break
+        for piv in range(rk, n):
+            x = (rows[piv] & mask) % p
+            if x:
+                break
+        else:
+            rows[rk:] = [row >> W for row in rows[rk:]]
+            continue
+        if piv != rk:
+            rows[rk], rows[piv] = rows[piv], rows[rk]
+            d = -d
+        d = d * x % p
+        t = rows[rk]
+        top = sum((t >> s & mask) % p << s - W for s in range(W, W * (cols - col), W))
+        neg = p - pow(x, -1, p)
+        for r in range(rk + 1, n):
+            row = rows[r]
+            f = (row & mask) * neg % p
+            rows[r] = (row >> W) + f * top if f else row >> W
+        rk += 1
+    if n != cols:
+        return None, rk
+    return (d % p if rk == n else 0), rk
 
 
 def _cleared(mat):
@@ -247,16 +340,6 @@ def _bareiss_step(top, below, col, prev):
             row[c], rem = divmod(p * row[c] - a * top[c], prev)
             if rem:
                 raise ArithmeticError("inexact division in a Bareiss step")
-
-
-def _residue_step(p, top, below, col, prev):
-    """One Gaussian step mod p: each row x below the pivot row top becomes
-    x - (x[col] / top[col]) top right of col."""
-    inv = pow(top[col], -1, p)
-    for row in below:
-        if row[col]:
-            f = p - row[col] * inv % p
-            row[col + 1:] = [(x + f * y) % p for x, y in zip(row[col + 1:], top[col + 1:])]
 
 
 def _field_step(top, below, col, prev):
@@ -359,11 +442,11 @@ def _universal_blocks(n, k):
 
 def _universal_gram(n, k, lam):
     """The Gram matrix of C(k, lam), k >= 1, over the parameter ring, once
-    per process for each (n, k, lam) (module docstring): (monomials, rows)
-    with ``rows`` as from ``Cellular._rows``, each entry as its monomial
-    keys and their coefficients, and ``monomials`` the pairs (key, (i, j,
-    l)) of the keys used; or the message of the level's build, for every
-    lam."""
+    per process for each (n, k, lam) (module docstring): (monomials, rows,
+    tables) with ``rows`` as from ``Cellular._rows``, each entry as its
+    monomial keys and their coefficients, ``monomials`` the pairs (key, (i,
+    j, l)) of the keys used and ``tables`` the ``_fp_table`` of each prime
+    met; or the message of the level's build, for every lam."""
     built = _universal_blocks(n, k)
     if isinstance(built, str):
         return built
@@ -374,8 +457,32 @@ def _universal_gram(n, k, lam):
         grams[lam] = (
             tuple((m, _exponents(m)) for m in keys),
             [[(tuple(x.terms), tuple(x.terms.values())) for x in row] for row in rows],
+            {},
         )
     return grams[lam]
+
+
+def _fp_table(gram, p):
+    """The Gram matrix ``gram`` of ``_universal_gram`` mod p, once per
+    process for each (n, k, lam, p): (w, table), table[i][a] the packed row
+    i of the coefficients mod p of monomial a, the lower triangle mirrored.
+    Row i at an algebra is the sum over a of the residue of monomial a times
+    table[i][a], each slot a sum of at most m products of two residues for
+    m monomials, so w is ``_slot_bytes`` for that m."""
+    monomials, rows, tables = gram
+    if p not in tables:
+        index = {m: a for a, (m, _) in enumerate(monomials)}
+        w = _slot_bytes(len(monomials), len(rows), p)
+        W, table = 8 * w, [[0] * len(monomials) for _ in rows]
+        for i, row in enumerate(rows):
+            for j, (keys, coeffs) in enumerate(row, i):
+                for m, c in zip(keys, coeffs):
+                    a, c = index[m], c % p
+                    table[i][a] += c << W * j
+                    if j > i:
+                        table[j][a] += c << W * i
+        tables[p] = w, table
+    return tables[p]
 
 
 # The level-0 cells met so far (module docstring): (n, lam, field, Q in
@@ -445,7 +552,7 @@ class Cellular:
         self._windows = {}
         self._forms = {}  # (k, lam) -> ``_form``
         self._level0 = None  # the one level-0 block H_{1,1}
-        self._monomials = {}  # monomial key -> Q^i a^j b^l, internal
+        self._monomials = {}  # monomial key -> Q^i a^j b^l, off F_p
 
     def window(self, k):
         """The Hecke algebra of the letters 2k+1, ..., n."""
@@ -523,26 +630,32 @@ class Cellular:
         """Gram matrix of C(k, lam) in the (t, v) basis order of
         ``module_index``, as field values.
 
-        The form is held in the field's internal form (``_form``), and this
-        is the one place that converts it: each call hands out new lists, so
+        The form is held in the field's internal form (``_form``), packed
+        over F_p at level k >= 1, and this is the one place that unpacks
+        and converts it: each call hands out new lists, so
         a caller's edit reaches neither the form nor its determinant and
         rank.  A level whose parameter-ring build raised, at a term off
         level k or at a rewriting cycle, raises its message.
         """
-        outer = self.field.outer
-        return [list(map(outer, row)) for row in self._form(k, lam)[0]]
+        mat, f = self._form(k, lam)[0], self.field
+        if isinstance(mat, _Packed):
+            mat = mat.residues(f.field[1])
+        return [list(map(f.outer, row)) for row in mat]
 
     def _form(self, k, lam):
         """[Gram matrix, (det, rank or None) or None] of C(k, lam), the
         matrix in the field's internal form, made on first use.
 
-        Level k >= 1 evaluates the Gram matrix of ``_universal_gram``: each
-        monomial Q^i a^j b^l once, on residues over F_p and in field values
-        otherwise, then each entry i <= j, mirrored.  Level 0 (module
-        docstring) takes its block H_{1,1} = 1 from one product 1 . 1 per
-        algebra, then the shared entry of ``_LEVEL0``, computed first if
-        needed: entry (t, s) is psi(g_{d(t)} H_{1,1} g_{d(s)^{-1}}), one row
-        of g_{d(t)} H_{1,1} times each g_{d(s)^{-1}}.
+        Level k >= 1 evaluates the Gram matrix of ``_universal_gram``.  Over
+        F_p each monomial Q^i a^j b^l is evaluated once as a residue and
+        each row as one dot product of those values with its packed rows of
+        ``_fp_table``, a ``_Packed`` matrix; otherwise each monomial once
+        per algebra in field values, then each entry i <= j, mirrored.
+
+        Level 0 (module docstring) takes its block H_{1,1} = 1 from one
+        product 1 . 1 per algebra, then the shared entry of ``_LEVEL0``,
+        computed first if needed: entry (t, s) is psi(g_{d(t)} H_{1,1}
+        g_{d(s)^{-1}}), one row of g_{d(t)} H_{1,1} times each g_{d(s)^{-1}}.
         """
         key = self._label(k, lam)
         if key in self._forms:
@@ -567,18 +680,21 @@ class Cellular:
         built = _universal_gram(self.n, k, lam)
         if isinstance(built, str):
             raise InternalInconsistency(built)
-        monomials, rows = built
-        p = f.field[1] if f.field[0] == "fp" else None
-        m = self._monomials
-        for mono, (i, j, l) in monomials:
-            if mono not in m:
-                m[mono] = (
-                    pow(alg._Q, i, p) * pow(alg._a, j, p) * pow(alg._b, l, p) % p if p
-                    else f.inner(alg.Q ** i * alg.a ** j * alg.b ** l)
-                )
-        get, dot, inner = m.__getitem__, f.dot, f.inner
-        rows = [[inner(dot(map(get, keys), coeffs)) for keys, coeffs in row] for row in rows]
-        self._forms[key] = form = [_mirrored(rows), None]
+        monomials, rows, _ = built
+        if f.field[0] == "fp":
+            p = f.field[1]
+            w, table = _fp_table(built, p)
+            Q, a, b = alg._Q, alg._a, alg._b
+            values = [pow(Q, i, p) * pow(a, j, p) * pow(b, l, p) % p for _, (i, j, l) in monomials]
+            mat = _Packed([sum(map(mul, values, row)) for row in table], len(table), w)
+        else:
+            m = self._monomials
+            for mono, (i, j, l) in monomials:
+                if mono not in m:
+                    m[mono] = alg.Q ** i * alg.a ** j * alg.b ** l
+            get, dot = m.__getitem__, f.dot
+            mat = _mirrored([[dot(map(get, keys), coeffs) for keys, coeffs in row] for row in rows])
+        self._forms[key] = form = [mat, None]
         return form
 
     def _rows(self, k, lam, blocks):

@@ -871,11 +871,12 @@ def _dot(zero, xs, ys):
     return sum(map(mul, xs, ys), zero)
 
 
+@lru_cache(maxsize=None)
 def _fp_form(p):
-    """(inner, outer, acc, scale, dot) of F_p, whose internal values are
-    the ints in [0, p).  ``inner`` takes what ``Fp`` arithmetic takes, an
-    int, reduced mod p with no Fp made, or an Fp of the same prime, and
-    raises TypeError on anything else; ``acc`` and ``scale`` reduce mod p,
+    """(inner, outer, acc, scale, dot) of F_p, once per process for each
+    prime p; its internal values are the ints in [0, p).  ``inner`` takes
+    what ``Fp`` arithmetic takes, an int, reduced mod p with no Fp made, or
+    an Fp of the same prime, and raises TypeError on anything else; ``acc`` and ``scale`` reduce mod p,
     so they take unreduced products, and ``dot`` leaves its sum unreduced."""
     zero = Fp(p, 0)
 
@@ -962,13 +963,17 @@ class Specialization:
         for name, img in (("q", q_img), ("r", r_img)):
             if img.is_zero():
                 raise DenominatorVanishes(f"image of {name} must be invertible")
-        self._one, self._zero = q_img / q_img, q_img - q_img
-        if self._one.is_zero():  # pragma: no cover - sanity
-            raise ValueError("degenerate target field")
         self._identity = self.field == ("generic",) and (q_img, r_img) == (RatFunc.q(), RatFunc.r())
         if self.field[0] == "fp":
-            self.inner, self.outer, self.acc, self.scale, self.dot = _fp_form(self.field[1])
+            p = self.field[1]
+            self._one, self._zero = Fp(p, 1), Fp(p, 0)
+            self.inner, self.outer, self.acc, self.scale, self.dot = _fp_form(p)
+            # the images of q, r, q^-1 and r^-1 as residues, for ``residue``
+            self._images = (q_img.v, r_img.v, pow(q_img.v, -1, p), pow(r_img.v, -1, p))
         else:
+            self._one, self._zero = q_img / q_img, q_img - q_img
+            if self._one.is_zero():  # pragma: no cover - sanity
+                raise ValueError("degenerate target field")
             self.inner = self.outer = _same
             self.acc, self.scale, self.dot = _acc, _scale, partial(_dot, self._zero)
 
@@ -1010,13 +1015,7 @@ class Specialization:
         if not isinstance(x, RatFunc) or self._identity:
             return x
         if self.field[0] == "fp":
-            # on residues: sum of c q^dq r^dr mod p, negative powers
-            # being modular inverses
-            p = self.field[1]
-            den = self._residue(x.den, p)
-            if not den:
-                raise DenominatorVanishes(f"denominator {x.den!r} vanishes")
-            return Fp(p, self._residue(x.num, p) * pow(den, -1, p))
+            return Fp(self.field[1], self.residue(x))
         one = self.one()
         den = x.den.evaluate(self.q_img, self.r_img, one)
         if den.is_zero():
@@ -1026,10 +1025,23 @@ class Specialization:
         num = x.num.evaluate(self.q_img, self.r_img, one)
         return num / den
 
+    def residue(self, x):
+        """The value of a RatFunc x over F_p as its residue in [0, p), on
+        residues throughout: the sums of c q^dq r^dr mod p, negative powers
+        being powers of the inverses."""
+        p = self.field[1]
+        den = self._residue(x.den, p)
+        if not den:
+            raise DenominatorVanishes(f"denominator {x.den!r} vanishes")
+        return self._residue(x.num, p) * pow(den, -1, p) % p
+
     def _residue(self, poly, p):
         """The residue in [0, p) of a LaurentPoly at the F_p images."""
-        q, r = self.q_img.v, self.r_img.v
-        return sum(c * pow(q, dq, p) * pow(r, dr, p) for (dq, dr), c in poly.terms.items()) % p
+        q, r, qinv, rinv = self._images
+        s = 0
+        for (dq, dr), c in poly.terms.items():
+            s += c * (pow(q, dq, p) if dq >= 0 else pow(qinv, -dq, p)) * (pow(r, dr, p) if dr >= 0 else pow(rinv, -dr, p))
+        return s % p
 
 
 # ---------------------------------------------------------------------------

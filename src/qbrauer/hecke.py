@@ -77,11 +77,16 @@ class HeckeWindow:
         self.m = n - lo + 1
         self.field = field
         self.Q = Q
-        self.Qm1 = Q - 1
-        self._Q, self._Qm1 = field.inner(Q), field.inner(self.Qm1)
+        self._Q = field.inner(Q)
+        self._Qm1 = field.inner(self._Q - field.inner(field.one()))
         self._acc = field.acc
         self._T = sg.perm_table(n)
         self._murphy = None
+
+    @property
+    def Qm1(self):
+        """Q - 1, a value of the field."""
+        return self.Q - 1
 
     # -- generator actions --------------------------------------------------------
 

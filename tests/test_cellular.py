@@ -17,6 +17,7 @@ from qbrauer.cellular import (
     _double_cosets,
     _level_blocks,
     _universal_blocks,
+    _universal_gram,
     closed_form_criterion,
     det,
     rank,
@@ -980,6 +981,32 @@ def test_editing_a_gram_matrix_leaves_the_form_unchanged(n, kwargs):
         for cell in (det_first, rank_first):
             cell.gram(k, lam)[0][0] += one
             assert (cell.gram_det(k, lam), cell.radical_dim(k, lam)) == want, (k, lam)
+
+
+@pytest.mark.parametrize("p", [101, 2**61 - 1])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_packed_forms_unpack_to_the_ring_gram_entry_by_entry(n, p):
+    # over F_p a level k >= 1 form is held as packed rows of unreduced
+    # slots; gram() must read back exactly the ring Gram matrix evaluated
+    # one entry at a time in Fp arithmetic, the lower triangle mirrored, for
+    # every cell that builds (k = 2 raises a rewriting cycle from n = 5 on)
+    alg = QBrAlgebra(n, spec=Specialization.prime_field(p, 3, 5))
+    cell, one = Cellular(alg), Fp(p, 1)
+    checked = 0
+    for k, lam in cell.labels():
+        built = _universal_gram(n, k, lam) if k else None
+        if k == 0 or isinstance(built, str):
+            continue
+        monomials, rows, _ = built
+        value = {m: alg.Q ** i * alg.a ** j * alg.b ** l for m, (i, j, l) in monomials}
+        want = [[None] * len(rows) for _ in rows]
+        for i, row in enumerate(rows):
+            for j, (keys, coeffs) in enumerate(row, i):
+                want[i][j] = want[j][i] = sum((value[m] * c for m, c in zip(keys, coeffs)), 0 * one)
+        assert isinstance(cell._form(k, lam)[0], cellular._Packed)
+        assert cell.gram(k, lam) == want, (k, lam)
+        checked += 1
+    assert checked == (len(sg.partitions(n - 2)) if n >= 5 else sum(len(sg.partitions(n - 2 * k)) for k in range(1, n // 2 + 1)))
 
 
 def test_mutating_a_level0_gram_matrix_leaks_into_no_other_algebra():

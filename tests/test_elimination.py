@@ -133,20 +133,59 @@ def gauss_mod_p(mat, cols, p=P):
     return (d % p if rk == rows else 0) if rows == cols else None, rk
 
 
-@given(matrices(fps, FP.zero(), max_dim=5), matrices(st.integers(-3 * P, 3 * P), 0, max_dim=5))
-@settings(max_examples=150, deadline=None)
-def test_fp_det_rank_matches_gauss(drawn, drawn_ints):
-    # det_rank also takes ints, as Cellular's forms hold residues: any int,
-    # negative or >= p included, gives the (det, rank) of its Fp value, and
-    # the determinant comes back as an Fp
-    check_against_gauss(*drawn, FP)
-    mat, cols = drawn
-    assert det_rank([[x.v for x in row] for row in mat], FP) == det_rank(mat, FP)
-    ints, cols = drawn_ints
-    d, rk = det_rank(ints, FP)
-    assert (d, rk) == det_rank([[Fp(P, x) for x in row] for row in ints], FP)
+SMALL_PRIMES = {p: Specialization.prime_field(p, 1, 1) for p in (2, 3, P)}
+
+
+@given(st.sampled_from(sorted(SMALL_PRIMES)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_fp_det_rank_matches_gauss(p, data):
+    # shapes up to 9 x 9, square or not, plain or rank deficient, at p = 2,
+    # 3 and 7; det_rank also takes ints: any int, negative or >= p
+    # included, gives the (det, rank) of its Fp value, and the determinant
+    # comes back as an Fp
+    spec = SMALL_PRIMES[p]
+    mat, cols = data.draw(matrices(st.integers(0, p - 1).map(lambda v: Fp(p, v)), spec.zero(), max_dim=9))
+    check_against_gauss(mat, cols, spec)
+    assert det_rank([[x.v for x in row] for row in mat], spec) == det_rank(mat, spec)
+    ints, cols = data.draw(matrices(st.integers(-3 * p, 3 * p), 0, max_dim=9))
+    d, rk = det_rank(ints, spec)
+    assert (d, rk) == det_rank([[Fp(p, x) for x in row] for row in ints], spec)
     assert d is None or d.__class__ is Fp
-    assert (d if d is None else d.v, rk) == gauss_mod_p(ints, cols)
+    assert (d if d is None else d.v, rk) == gauss_mod_p(ints, cols, p)
+
+
+def fastest_growing(p, d):
+    """Matrices of d rows whose entries are all p - 1 where nonzero: the
+    all-(p - 1) matrix (rank 1), p - 1 off the diagonal, and p - 1 on and
+    above it, each pivot step adding (p - 1)^2 to slots of p - 1."""
+    top = p - 1
+    yield [[top] * d for _ in range(d)]
+    yield [[top * (i != j) for j in range(d)] for i in range(d)]
+    yield [[top * (i <= j) for j in range(d)] for i in range(d)]
+    yield [[top] * (d + 2) for _ in range(d)]
+    yield [[top * (i >= j) for j in range(d)] for i in range(d + 3)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 2**61 - 1])
+def test_fp_det_rank_at_the_slot_bound(p):
+    # the matrices of residues p - 1, and packed matrices whose every entry
+    # is the largest that a slot may start with, m (p - 1)^2 for m products
+    # of two residues: no carry may cross a slot on the way to the pivots
+    spec = Specialization.prime_field(p, 1, 1)
+    for d in range(1, 13):
+        for mat in fastest_growing(p, d):
+            d_, rk = det_rank(mat, spec)
+            assert (d_ if d_ is None else d_.v, rk) == gauss_mod_p(mat, len(mat[0]), p), (d, mat)
+    rng = random.Random(p)
+    for m in (1, 2, 41):
+        for d in (1, 2, 5, 12):
+            top = m * (p - 1) ** 2
+            for entries in ([[top] * d for _ in range(d)], [[rng.choice((0, top, rng.randrange(top + 1))) for _ in range(d)] for _ in range(d)]):
+                w = cellular._slot_bytes(m, d, p)
+                packed = cellular._Packed([cellular._pack(row, w) for row in entries], d, w)
+                got, rk = det_rank(packed, spec)
+                assert (got.v, rk) == gauss_mod_p(entries, d, p), (m, d, entries)
+                assert packed.residues(p) == [[x % p for x in row] for row in entries]
 
 
 def check_against_gauss(mat, cols, spec):
@@ -161,7 +200,7 @@ FP61 = Specialization.prime_field(MERSENNE61, 3, 5)
 fp61s = st.integers(0, MERSENNE61 - 1).map(lambda v: Fp(MERSENNE61, v))
 
 
-@given(matrices(fp61s, FP61.zero(), max_dim=5))
+@given(matrices(fp61s, FP61.zero(), max_dim=9))
 @settings(max_examples=60, deadline=None)
 def test_fp_det_rank_matches_gauss_at_a_61_bit_prime(drawn):
     check_against_gauss(*drawn, FP61)
