@@ -442,11 +442,11 @@ def _universal_blocks(n, k):
 
 def _universal_gram(n, k, lam):
     """The Gram matrix of C(k, lam), k >= 1, over the parameter ring, once
-    per process for each (n, k, lam) (module docstring): (monomials, rows,
-    tables) with ``rows`` as from ``Cellular._rows``, each entry as its
-    monomial keys and their coefficients, ``monomials`` the pairs (key, (i,
-    j, l)) of the keys used and ``tables`` the ``_fp_table`` of each prime
-    met; or the message of the level's build, for every lam."""
+    per process for each (n, k, lam) (module docstring): (monomials, rows)
+    with ``rows`` as from ``Cellular._rows``, each entry as its monomial
+    keys and their coefficients, and ``monomials`` the pairs (key, (i, j,
+    l)) of the keys used; or the message of the level's build, for every
+    lam."""
     built = _universal_blocks(n, k)
     if isinstance(built, str):
         return built
@@ -457,32 +457,31 @@ def _universal_gram(n, k, lam):
         grams[lam] = (
             tuple((m, _exponents(m)) for m in keys),
             [[(tuple(x.terms), tuple(x.terms.values())) for x in row] for row in rows],
-            {},
         )
     return grams[lam]
 
 
-def _fp_table(gram, p):
-    """The Gram matrix ``gram`` of ``_universal_gram`` mod p, once per
-    process for each (n, k, lam, p): (w, table), table[i][a] the packed row
-    i of the coefficients mod p of monomial a, the lower triangle mirrored.
-    Row i at an algebra is the sum over a of the residue of monomial a times
-    table[i][a], each slot a sum of at most m products of two residues for
-    m monomials, so w is ``_slot_bytes`` for that m."""
-    monomials, rows, tables = gram
-    if p not in tables:
-        index = {m: a for a, (m, _) in enumerate(monomials)}
-        w = _slot_bytes(len(monomials), len(rows), p)
-        W, table = 8 * w, [[0] * len(monomials) for _ in rows]
-        for i, row in enumerate(rows):
-            for j, (keys, coeffs) in enumerate(row, i):
-                for m, c in zip(keys, coeffs):
-                    a, c = index[m], c % p
-                    table[i][a] += c << W * j
-                    if j > i:
-                        table[j][a] += c << W * i
-        tables[p] = w, table
-    return tables[p]
+@lru_cache(maxsize=None)
+def _fp_table(n, k, lam, p):
+    """The Gram matrix of ``_universal_gram`` of a cell C(k, lam) that
+    builds, mod p, once per process for each (n, k, lam, p): (w, table),
+    table[i][a] the packed row i of the coefficients mod p of monomial a,
+    the lower triangle mirrored.  Row i at an algebra is the sum over a of
+    the residue of monomial a times table[i][a], each slot a sum of at most
+    m products of two residues for m monomials, so w is ``_slot_bytes`` for
+    that m."""
+    monomials, rows = _universal_gram(n, k, lam)
+    index = {m: a for a, (m, _) in enumerate(monomials)}
+    w = _slot_bytes(len(monomials), len(rows), p)
+    W, table = 8 * w, [[0] * len(monomials) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, (keys, coeffs) in enumerate(row, i):
+            for m, c in zip(keys, coeffs):
+                a, c = index[m], c % p
+                table[i][a] += c << W * j
+                if j > i:
+                    table[j][a] += c << W * i
+    return w, table
 
 
 # The level-0 cells met so far (module docstring): (n, lam, field, Q in
@@ -680,10 +679,10 @@ class Cellular:
         built = _universal_gram(self.n, k, lam)
         if isinstance(built, str):
             raise InternalInconsistency(built)
-        monomials, rows, _ = built
+        monomials, rows = built
         if f.field[0] == "fp":
             p = f.field[1]
-            w, table = _fp_table(built, p)
+            w, table = _fp_table(self.n, k, lam, p)
             Q, a, b = alg._Q, alg._a, alg._b
             values = [pow(Q, i, p) * pow(a, j, p) * pow(b, l, p) % p for _, (i, j, l) in monomials]
             mat = _Packed([sum(map(mul, values, row)) for row in table], len(table), w)

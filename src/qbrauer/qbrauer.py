@@ -94,7 +94,7 @@ import os
 from functools import cached_property, lru_cache
 
 from . import symgrp as sg
-from .coefficients import Fp, ParamPoly, RatFunc, Specialization, _acc
+from .coefficients import ParamPoly, RatFunc, Specialization, _acc
 from .hecke import HeckeWindow
 
 __all__ = [
@@ -219,17 +219,9 @@ class QBrAlgebra:
         self.version = version
         self.N = N
         self.spec = spec if spec is not None else Specialization.generic()
-        sc, spec = _version_scalars(version, N), self.spec
-        if spec.field[0] == "fp":
-            # on residues, with an Fp made only for each public scalar
-            p, residue = spec.field[1], spec.residue
-            Q, a, b = residue(sc["Q"]), residue(sc["a"]), residue(sc["b"])
-            internal = (Q, pow(Q, -1, p), a, b)
-            scalars = [Fp(p, x) for x in internal]
-        else:
-            Q = spec(sc["Q"])
-            scalars = internal = (Q, spec.one() / Q, spec(sc["a"]), spec(sc["b"]))
-        self._setup(n, spec, scalars, internal)
+        sc = _version_scalars(version, N)
+        Q = self.spec(sc["Q"])
+        self._setup(n, self.spec, Q, self.spec.one() / Q, self.spec(sc["a"]), self.spec(sc["b"]))
 
     @classmethod
     def over_parameters(cls, n):
@@ -239,7 +231,7 @@ class QBrAlgebra:
         alg = cls.__new__(cls)
         alg.version = alg.N = alg.spec = None
         R = ParamPoly
-        alg._setup(n, R, (R.Q, R.Qinv, R.a, R.b), (R.Q, R.Qinv, R.a, R.b))
+        alg._setup(n, R, R.Q, R.Qinv, R.a, R.b)
         return alg
 
     @cached_property
@@ -248,17 +240,17 @@ class QBrAlgebra:
         ``verify_relations`` reads it."""
         return self.Qinv * self.b + (self.Qinv - 1) * self.a
 
-    def _setup(self, n, field, scalars, internal):
-        """The field and its scalars Q, Q^{-1}, a and b, given as field
-        values and in the field's internal form, the engine's constants in
-        the internal form, the tables and the memos."""
+    def _setup(self, n, field, Q, Qinv, a, b):
+        """The field and its scalars Q, Q^{-1}, a and b, the engine's
+        constants in the field's internal form, the tables and the memos."""
         self.n = n
         self.field = field
-        self.Q, self.Qinv, self.a, self.b = scalars
-        self.hecke = HeckeWindow(n, 1, field, self.Q)
-        # the engine's constants, reduced by ``inner`` (mod p over F_p)
-        Q, Qinv, a, b = internal
-        inner, one = field.inner, field.inner(field.one())
+        self.Q, self.Qinv, self.a, self.b = Q, Qinv, a, b
+        self.hecke = HeckeWindow(n, 1, field, Q)
+        # the engine's constants, derived in the internal form (ints mod p
+        # over F_p), each reduced by ``inner``
+        inner = field.inner
+        Q, Qinv, a, b, one = map(inner, (Q, Qinv, a, b, field.one()))
         Qm1 = inner(Q - one)
         self._acc, self._scale = field.acc, field.scale
         (

@@ -997,7 +997,7 @@ def test_packed_forms_unpack_to_the_ring_gram_entry_by_entry(n, p):
         built = _universal_gram(n, k, lam) if k else None
         if k == 0 or isinstance(built, str):
             continue
-        monomials, rows, _ = built
+        monomials, rows = built
         value = {m: alg.Q ** i * alg.a ** j * alg.b ** l for m, (i, j, l) in monomials}
         want = [[None] * len(rows) for _ in rows]
         for i, row in enumerate(rows):
