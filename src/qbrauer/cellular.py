@@ -87,10 +87,14 @@ an algebra evaluates its m monomials once and each row with one big-int
 dot product, and ``det_rank`` eliminates the packed rows with one
 multiply-add per row and pivot; w holds (m + d)(p - 1)^2, which no slot
 reaches (``det_rank``).  Level-0 forms over F_p are lists of residues in
-[0, p), packed on entry to ``det_rank`` as any list is; off F_p a form
-is a list of field values.  ``Cellular.gram`` is the one place that
-converts to field values, handing each caller new lists, so nothing
-outside writes to a form.
+[0, p), packed on entry to ``det_rank`` as any list is.  A generic form
+of level k >= 1 has no fractions (``_Laurent``): Laurent numerators over
+powers of the denominators of the scalars, by integer arithmetic alone
+(``Cellular._laurent``), which ``det_rank`` takes over one common
+denominator by known cofactors, with no gcd.  Every other form is a list
+of field values.  ``Cellular.gram`` is the one place that converts to
+field values, handing each caller new lists, so nothing outside writes
+to a form.
 
 A Gram entry is psi_lam(g_{d(t)} H_{v,u} g_{d(s)^{-1}}) with the window
 functional psi_lam(h) = phi_lam(c_lam h c_lam), phi_lam the Murphy
@@ -117,13 +121,13 @@ against the Gram determinants.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, groupby, pairwise, permutations
 import math
 from operator import mul
 
 from . import symgrp as sg
-from .coefficients import LaurentPoly, RatFunc, _acc, _biv_divexact, _biv_gcd, _exponents, quantum_char
+from .coefficients import _ONE, LaurentPoly, RatFunc, _acc, _biv_divexact, _biv_gcd, _exponents, quantum_char
 from .hecke import HeckeWindow, is_restricted
 from .qbrauer import VERSION_MAPS, InternalInconsistency, QBrAlgebra, version_map
 
@@ -135,7 +139,11 @@ def det_rank(mat, field):
     mat is square.  Rows are pivoted and columns without a pivot skipped, so
     the pivots count the rank.
 
-    Generic field: the entries are cleared to A_ij in Z[q, r] (``_cleared``),
+    Generic field: the matrix is a ``_Laurent`` one, as ``Cellular``'s forms
+    of level k >= 1 are, or RatFunc rows, brought over the lcm of their
+    denominators on entry (``_Laurent.of``).  Its numerators, each times its
+    cofactor over one common denominator, are A_ij in Z[q, r] (``_cleared``,
+    which takes no gcd),
     q^g and r^h become q and r for g and h the gcds of the q and r exponents
     (an injective ring map, so the rank is kept and the determinant's
     exponents are multiplied back; a two_param entry is (q/r)^k times a
@@ -150,7 +158,7 @@ def det_rank(mat, field):
     entry of the fraction-free elimination (Bareiss, Math. Comp. 22, 1968) is
     a minor, so it runs over Z with exact zero tests, every division is exact
     by Sylvester's identity (``_bareiss_step`` checks), and the last pivot
-    decodes to the cleared determinant.
+    decodes to the cleared determinant, the one RatFunc made.
 
     F_p: Gaussian elimination on packed rows (``_packed_det_rank``), the
     matrix a ``_Packed`` one, as ``Cellular``'s forms are, or rows of Fp
@@ -178,7 +186,7 @@ def det_rank(mat, field):
         d, rk = _packed_det_rank(mat, p)
         return (None if d is None else field.outer(d)), rk
     if kind == "generic":
-        m, shift, den = _cleared(mat)
+        m, shift, den = _cleared(mat if isinstance(mat, _Laurent) else _Laurent.of(mat))
         g = [math.gcd(*(e[i] for row in m for x in row for e in x)) or 1 for i in (0, 1)]
         m = [[{(i // g[0], j // g[1]): c for (i, j), c in x.items()} for x in row] for row in m]
         B = math.prod(max(1, sum(abs(c) for x in row for c in x.values())) for row in m).bit_length() + 1
@@ -298,21 +306,48 @@ def _packed_det_rank(mat, p):
     return (d % p if rk == n else 0), rk
 
 
+class _Laurent(list):
+    """A matrix over Q(q, r) without fractions, as its rows: entry (i, j) is
+    (num, t), a LaurentPoly num over prod_s dens[s]^t[s], the dens being
+    LaurentPolys with no monomial factor."""
+
+    __slots__ = ("dens",)
+
+    def __init__(self, rows, dens):
+        super().__init__(rows)
+        self.dens = dens
+
+    @classmethod
+    def of(cls, mat):
+        """RatFunc rows over the lcm of their denominators, which starts from
+        the first one and takes one gcd per further one."""
+        dens = {x.den for row in mat for x in row}
+        rest = iter(dens)
+        den = next(rest, _ONE)
+        for d in rest:
+            den = den * LaurentPoly(_biv_divexact(d.terms, _biv_gcd(den.terms, d.terms)))
+        cofactor = {d: LaurentPoly(_biv_divexact(den.terms, d.terms)) for d in dens if d != den}
+        return cls([[(x.num * cofactor[x.den] if x.den in cofactor else x.num, (1,)) for x in row] for row in mat], (den,))
+
+    def power(self, t):
+        """prod_s dens[s]^t[s]."""
+        return math.prod((d ** x for d, x in zip(self.dens, t) if x), start=_ONE)
+
+
 def _cleared(mat):
-    """RatFunc entries as polynomials in Z[q, r]: (A, (dq, dr), D) with
-    mat[i][j] = A[i][j] q^dq r^dr / D, where D is the lcm of the entries'
-    denominators and q^dq r^dr the least monomial of the cleared entries."""
-    dens = {x.den for row in mat for x in row}
-    rest = iter(dens)
-    den = next(rest, LaurentPoly.const(1))
-    for d in rest:
-        den = den * LaurentPoly(_biv_divexact(d.terms, _biv_gcd(den.terms, d.terms)))
-    cofactor = {d: LaurentPoly(_biv_divexact(den.terms, d.terms)) for d in dens if d != den}
-    laurent = [[x.num * cofactor[x.den] if x.den in cofactor else x.num for x in row] for row in mat]
+    """A ``_Laurent`` matrix as polynomials in Z[q, r]: (A, (dq, dr), D) with
+    entry (i, j) = A[i][j] q^dq r^dr / D.  With T the largest powers t met,
+    D = prod_s dens[s]^T[s], each numerator is taken times its cofactor
+    prod_s dens[s]^(T[s] - t[s]), and q^dq r^dr is the least monomial of
+    the results: no gcd is needed."""
+    ts = {t for row in mat for _, t in row}
+    T = tuple(map(max, zip(*ts)))
+    cofactor = {t: mat.power([a - b for a, b in zip(T, t)]) for t in ts if t != T}
+    laurent = [[num * cofactor[t] if t in cofactor else num for num, t in row] for row in mat]
     keys = [k for row in laurent for x in row for k in x.terms]
     shift = (min((k[0] for k in keys), default=0), min((k[1] for k in keys), default=0))
     polys = [[x.shifted(-shift[0], -shift[1]).terms for x in row] for row in laurent]
-    return polys, shift, den
+    return polys, shift, mat.power(T)
 
 
 def _unpacked(n, B, D):
@@ -500,10 +535,11 @@ def _mirrored(rows):
 
 @lru_cache(maxsize=None)
 def _labels(n):
-    """The cell labels (k, lam) of n, most dominant first, and their set,
-    once per process for each n."""
+    """The cell labels (k, lam) of n, most dominant first, and a map from
+    each to itself, which any (k, tuple) equal to a label also finds, once
+    per process for each n."""
     out = tuple((k, lam) for k in range(n // 2, -1, -1) for lam in sg.partitions(n - 2 * k))
-    return out, frozenset(out)
+    return out, {key: key for key in out}
 
 
 @lru_cache(maxsize=None)
@@ -551,7 +587,8 @@ class Cellular:
         self._windows = {}
         self._forms = {}  # (k, lam) -> ``_form``
         self._level0 = None  # the one level-0 block H_{1,1}
-        self._monomials = {}  # monomial key -> Q^i a^j b^l, off F_p
+        self._monomials = {}  # monomial key -> Q^i a^j b^l, over Q(zeta_m) and Q
+        self._products = {}  # (monomial key, t) -> its numerator terms (``_laurent``)
 
     def window(self, k):
         """The Hecke algebra of the letters 2k+1, ..., n."""
@@ -565,14 +602,13 @@ class Cellular:
 
     def _label(self, k, lam):
         """(k, lam) with lam as a Partition; ValueError unless it is one of
-        ``labels()``."""
+        ``labels()``.  A Partition is made only for a lam whose parts are
+        not a label's as they stand, as (3, 0)."""
+        labels = _labels(self.n)[1]
         try:
-            key = (k, sg.Partition(lam))
-        except (TypeError, ValueError):
-            key = None
-        if key not in _labels(self.n)[1]:
-            raise ValueError(f"no cell ({k!r}, {lam!r}) for n = {self.n}")
-        return key
+            return labels.get((k, tuple(lam))) or labels[k, sg.Partition(lam)]
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"no cell ({k!r}, {lam!r}) for n = {self.n}") from None
 
     def dominates(self, kl1, kl2):
         (k1, l1), (k2, l2) = kl1, kl2
@@ -630,13 +666,18 @@ class Cellular:
         ``module_index``, as field values.
 
         The form is held in the field's internal form (``_form``), packed
-        over F_p at level k >= 1, and this is the one place that unpacks
-        and converts it: each call hands out new lists, so
-        a caller's edit reaches neither the form nor its determinant and
-        rank.  A level whose parameter-ring build raised, at a term off
-        level k or at a rewriting cycle, raises its message.
+        over F_p and without fractions over the generic field at level
+        k >= 1, and this is the one place that unpacks and converts it, a
+        generic entry i <= j by one RatFunc(num, den), mirrored: each call
+        hands out new lists, so a caller's edit reaches neither the form nor
+        its determinant and rank.  A level whose parameter-ring build
+        raised, at a term off level k or at a rewriting cycle, raises its
+        message.
         """
         mat, f = self._form(k, lam)[0], self.field
+        if isinstance(mat, _Laurent):
+            power = {t: mat.power(t) for t in {t for row in mat for _, t in row}}
+            return _mirrored([[RatFunc(num, power[t]) for num, t in row[i:]] for i, row in enumerate(mat)])
         if isinstance(mat, _Packed):
             mat = mat.residues(f.field[1])
         return [list(map(f.outer, row)) for row in mat]
@@ -648,8 +689,10 @@ class Cellular:
         Level k >= 1 evaluates the Gram matrix of ``_universal_gram``.  Over
         F_p each monomial Q^i a^j b^l is evaluated once as a residue and
         each row as one dot product of those values with its packed rows of
-        ``_fp_table``, a ``_Packed`` matrix; otherwise each monomial once
-        per algebra in field values, then each entry i <= j, mirrored.
+        ``_fp_table``, a ``_Packed`` matrix; over the generic field it is a
+        ``_Laurent`` matrix of numerators over known denominator powers
+        (``_laurent``); otherwise each monomial once per algebra in field
+        values, then each entry i <= j, mirrored.
 
         Level 0 (module docstring) takes its block H_{1,1} = 1 from one
         product 1 . 1 per algebra, then the shared entry of ``_LEVEL0``,
@@ -686,6 +729,8 @@ class Cellular:
             Q, a, b = alg._Q, alg._a, alg._b
             values = [pow(Q, i, p) * pow(a, j, p) * pow(b, l, p) % p for _, (i, j, l) in monomials]
             mat = _Packed([sum(map(mul, values, row)) for row in table], len(table), w)
+        elif f.field[0] == "generic":
+            mat = self._laurent(monomials, rows)
         else:
             m = self._monomials
             for mono, (i, j, l) in monomials:
@@ -695,6 +740,39 @@ class Cellular:
             mat = _mirrored([[dot(map(get, keys), coeffs) for keys, coeffs in row] for row in rows])
         self._forms[key] = form = [mat, None]
         return form
+
+    def _laurent(self, monomials, rows):
+        """The ring Gram matrix of ``_universal_gram`` at this generic algebra
+        as a ``_Laurent`` matrix.  The scalars s = Q, Q^-1, a, b are canonical
+        N_s / D_s, and an entry sum_m c_m prod_s s^e_s (Q^i = (Q^-1)^-i for
+        i < 0), t_s the largest e_s of its monomials, is exactly
+        (sum_m c_m prod_s N_s^e_s D_s^(t_s - e_s)) / prod_s D_s^t_s: integer
+        Laurent arithmetic alone.  Only the s with D_s != 1 enter t.  Each
+        product is made once per algebra for each (monomial, t)."""
+        alg, products = self.alg, self._products
+        scalars = (alg.Q, alg.Qinv, alg.a, alg.b)
+        fractions = [s for s, x in enumerate(scalars) if not x.den.is_one()]
+        bases = [x.num for x in scalars] + [scalars[s].den for s in fractions]
+        exps = {m: (max(i, 0), max(-i, 0), j, l) for m, (i, j, l) in monomials}
+        power = lru_cache(maxsize=None)(lambda i, y: bases[i] ** y)
+        out = []
+        for row in rows:
+            out.append(entries := [])
+            for keys, coeffs in row:
+                t = tuple(max((exps[m][s] for m in keys), default=0) for s in fractions)
+                num = {}
+                get = num.get
+                for m, c in zip(keys, coeffs):
+                    terms = products.get((m, t))
+                    if terms is None:
+                        e = exps[m]
+                        x = e + tuple(ts - e[s] for s, ts in zip(fractions, t))  # the exponents of bases
+                        factors = [power(i, y) for i, y in enumerate(x) if y and not bases[i].is_one()]
+                        terms = products[m, t] = reduce(mul, factors or [_ONE]).terms
+                    for key, v in terms.items():
+                        num[key] = get(key, 0) + c * v
+                entries.append((LaurentPoly(num), t))
+        return _Laurent(_mirrored(out), tuple(bases[4:]))
 
     def _rows(self, k, lam, blocks):
         """The Gram matrix of C(k, lam) from the block matrix of

@@ -14,7 +14,10 @@ division everywhere.
 
 Each arithmetic job is written once.  One gcd, :func:`_biv_gcd`, serves
 Z[q, r]: the heuristic gcd of Char, Geddes and Gonnet, from integer gcds
-of evaluations, checked by exact division.  One univariate toolkit on
+of evaluations, checked by exact division.  A gcd with a denominator in
+Z[q], the only kind the algebras' scalars and Gram forms have, reduces to
+Z[q] (:func:`_gcd_with`) and is taken by the same heuristic gcd's
+univariate level.  One univariate toolkit on
 exponent dicts (the ``_uni_*`` helpers) serves that gcd's images in Z[r],
 the cyclotomic polynomials Phi_m, the arithmetic of Q(zeta_m) and the sums
 and products of the parameter ring, whose packed monomial keys
@@ -595,14 +598,32 @@ def _gcd_with(x, d):
     monomial factor, such as a canonical denominator.
 
     d has no monomial factor, so neither has the gcd, and the gcd of a
-    monomial c q^i r^j with d is the integer gcd(c, content of d)."""
+    monomial c q^i r^j with d is the integer gcd(c, content of d).
+
+    A d in Z[q], as every denominator of the algebras' scalars and Gram
+    forms is, reduces to Z[q]: with x = q^i r^j sum_k x_k r^k, x_k in Z[q],
+    a common divisor of x and d divides d, so it is r-free, and an r-free g
+    divides x iff it divides every x_k (x = g sum_k h_k r^k iff x_k = g h_k).
+    So gcd(x, d) is the gcd in Z[q] of d and the x_k, unique up to sign:
+    ``_heu_gcd``'s univariate level, one x_k at a time until it is +-1,
+    signed as :func:`_biv_gcd` signs."""
     if d.is_one():
         return d
     if len(x.terms) == 1:
         (c,) = x.terms.values()
         return LaurentPoly.const(math.gcd(c, _uni_content(d.terms)))
     nq, nr = x.min_exps()
-    return LaurentPoly(_biv_gcd(x.shifted(-nq, -nr).terms, d.terms))
+    if any(dr for _, dr in d.terms):
+        return LaurentPoly(_biv_gcd(x.shifted(-nq, -nr).terms, d.terms))
+    coeffs = {}
+    for (dq, dr), c in x.terms.items():
+        coeffs.setdefault(dr, {})[dq - nq] = c
+    g = {dq: c for (dq, _), c in d.terms.items()}
+    for xk in coeffs.values():
+        if len(g) == 1 and abs(g.get(0, 0)) == 1:
+            break
+        g = _heu_gcd(g, xk, False)
+    return LaurentPoly(_biv_positive({(dq, 0): c for dq, c in g.items()}))
 
 
 def _divexact(x, g):

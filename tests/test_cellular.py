@@ -1009,6 +1009,43 @@ def test_packed_forms_unpack_to_the_ring_gram_entry_by_entry(n, p):
     assert checked == (len(sg.partitions(n - 2)) if n >= 5 else sum(len(sg.partitions(n - 2 * k)) for k in range(1, n // 2 + 1)))
 
 
+@pytest.mark.parametrize("version,N", ALL_VERSIONS)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_generic_forms_convert_to_the_ring_gram_entry_by_entry(n, version, N):
+    # over the generic field a level k >= 1 form is held as Laurent
+    # numerators over powers of the scalars' denominators; gram() must give
+    # exactly the ring Gram matrix evaluated one entry at a time in RatFunc
+    # arithmetic, for every cell that builds (k = 2 raises a rewriting cycle
+    # at n = 5).  gram_det must be the determinant of gram()'s list, taken
+    # through the list path, and an edit of that list must reach neither it
+    # nor radical_dim; the 20 x 20 (1, (2, 1)) at n = 5 of two_param and
+    # one_param, whose generic determinant takes about 40 s, is compared
+    # entry by entry only
+    alg = QBrAlgebra(n, version=version, N=N)
+    cell, one = Cellular(alg), alg.field.one()
+    checked = 0
+    for k, lam in cell.labels():
+        built = _universal_gram(n, k, lam) if k else None
+        if k == 0 or isinstance(built, str):
+            continue
+        monomials, rows = built
+        value = {m: alg.Q ** i * alg.a ** j * alg.b ** l for m, (i, j, l) in monomials}
+        want = [[None] * len(rows) for _ in rows]
+        for i, row in enumerate(rows):
+            for j, (keys, coeffs) in enumerate(row, i):
+                want[i][j] = want[j][i] = sum((value[m] * c for m, c in zip(keys, coeffs)), 0 * one)
+        assert isinstance(cell._form(k, lam)[0], cellular._Laurent)
+        g = cell.gram(k, lam)
+        assert g == want, (k, lam)
+        checked += 1
+        if len(g) > 10 and version in ("two_param", "one_param"):
+            continue
+        g[0][0] += one
+        assert cell.gram_det(k, lam) == det(want, alg.field), (k, lam)
+        assert cell.radical_dim(k, lam) == len(want) - rank(want, alg.field), (k, lam)
+    assert checked == (len(sg.partitions(n - 2)) if n >= 5 else sum(len(sg.partitions(n - 2 * k)) for k in range(1, n // 2 + 1)))
+
+
 def test_mutating_a_level0_gram_matrix_leaks_into_no_other_algebra():
     _LEVEL0.clear()
     first, second = (Cellular(QBrAlgebra(4, spec=FP101)) for _ in range(2))

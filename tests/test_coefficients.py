@@ -9,7 +9,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qbrauer import coefficients
 from qbrauer.cli import build_spec
@@ -621,6 +621,30 @@ def test_biv_gcd_matches_sympy(g, u, v, cu, cv):
     # a planted common factor g, cofactors with integer contents; degree <= 8
     a, b = (g * u * cu).terms, (g * v * cv).terms
     assert _biv_gcd(a, b) == sympy_gcd(a, b)
+
+
+def q_polys(max_exp):
+    """Polynomials in Z[q] with a nonzero constant term, so no monomial
+    factor, and leading coefficients of either sign; constants included."""
+    coeffs = st.integers(-50, 50).filter(bool)
+    rest = st.dictionaries(st.integers(1, max_exp), coeffs, max_size=3)
+    return st.tuples(coeffs, rest).map(lambda t: LaurentPoly({(e, 0): c for e, c in t[1].items()} | {(0, 0): t[0]}))
+
+
+@given(q_polys(3), q_polys(3), biv_polys(4), st.integers(-12, 12).filter(bool), st.integers(-12, 12).filter(bool),
+       st.integers(-4, 4), st.integers(-4, 4))
+@settings(max_examples=150, deadline=None)
+@example(L1, L1, QL + RL, -1, 1, -1, -2)
+def test_gcd_with_an_r_free_denominator_matches_biv_gcd_and_sympy(g, u, v, cd, cx, i, j):
+    # d in Z[q] takes the reduction to the gcd in Z[q] of d and the
+    # r-coefficients of x: a planted common factor g, integer contents on
+    # both sides, and x shifted to negative q and r exponents; d = -1, the
+    # one gcd that the sign rule has to turn, is pinned
+    d = g * u * cd
+    x = (g * v * cx).shifted(i, j)
+    nq, nr = x.min_exps()
+    poly = x.shifted(-nq, -nr).terms
+    assert coefficients._gcd_with(x, d).terms == _biv_gcd(poly, d.terms) == sympy_gcd(poly, d.terms)
 
 
 def const(c):

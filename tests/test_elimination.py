@@ -297,7 +297,9 @@ def count_det_rank(monkeypatch):
 def test_each_generic_gram_matrix_is_eliminated_once(monkeypatch):
     # as in a fresh process, where no level-0 form is known yet; every form
     # is eliminated from the internal matrix that ``_form`` holds (at level
-    # 0 the shared one), never from a copy that ``gram`` hands out
+    # 0 the shared one), never from a copy that ``gram`` hands out; a form
+    # of level k >= 1 is held as Laurent numerators over powers of known
+    # denominators, and ``gram`` hands out its entries as RatFuncs
     _LEVEL0.clear()
     calls = count_det_rank(monkeypatch)
     cell = Cellular(QBrAlgebra(3))
@@ -307,7 +309,14 @@ def test_each_generic_gram_matrix_is_eliminated_once(monkeypatch):
     assert cell.is_semisimple() == (True, None)
     grams = [id(cell._form(k, lam)[0]) for k, lam in cell.labels()]
     assert sorted(calls) == sorted(grams)
-    assert [cell._form(k, lam)[0] for k, lam in cell.labels()] == [cell.gram(k, lam) for k, lam in cell.labels()]
+
+    def converted(mat):
+        if isinstance(mat, cellular._Laurent):
+            return [[RatFunc(num, mat.power(t)) for num, t in row] for row in mat]
+        return mat
+
+    assert [converted(cell._form(k, lam)[0]) for k, lam in cell.labels()] == [cell.gram(k, lam) for k, lam in cell.labels()]
+    assert all(isinstance(cell._form(k, lam)[0], cellular._Laurent) == (k > 0) for k, lam in cell.labels())
 
 
 def test_singular_gram_matrices_take_a_second_pass_only_for_det_then_rank(monkeypatch):
