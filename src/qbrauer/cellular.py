@@ -90,11 +90,14 @@ reaches (``det_rank``).  Level-0 forms over F_p are lists of residues in
 [0, p), packed on entry to ``det_rank`` as any list is.  A generic form
 of level k >= 1 has no fractions (``_Laurent``): Laurent numerators over
 powers of the denominators of the scalars, by integer arithmetic alone
-(``Cellular._laurent``), which ``det_rank`` takes over one common
-denominator by known cofactors, with no gcd.  Every other form is a list
-of field values.  ``Cellular.gram`` is the one place that converts to
-field values, handing each caller new lists, so nothing outside writes
-to a form.
+(``Cellular._laurent``).  Its determinant is b^{k d} D(Q, a / b), D(Q, t)
+one determinant per cell (``_universal_det``) into which each algebra
+substitutes its scalars (``_substituted``); only a zero result, or a list
+of RatFuncs, is eliminated, over one common denominator by known
+cofactors, with no gcd.  Every other form is a list of field values.
+``Cellular.gram`` is the one place that converts to field values, once
+per cell and algebra, handing each caller new lists, so nothing outside
+writes to a form.
 
 A Gram entry is psi_lam(g_{d(t)} H_{v,u} g_{d(s)^{-1}}) with the window
 functional psi_lam(h) = phi_lam(c_lam h c_lam), phi_lam the Murphy
@@ -135,6 +138,23 @@ __all__ = ["Cellular", "closed_form_criterion", "det", "det_rank", "rank"]
 
 
 def det_rank(mat, field):
+    """(det, rank) of mat; det is None unless mat is square.
+
+    A generic form of level k >= 1 (a ``_Laurent`` matrix with its ``cell``)
+    takes its determinant from its cell's universal one: b^{k d} D(Q, t) for
+    d rows, t = a / b and D of ``_universal_det``, by ``_substituted``.  A
+    nonzero one fixes the rank at d.  A zero one, where the version's map
+    kills a factor of D, and every other matrix go through the elimination
+    of ``_eliminated``."""
+    if isinstance(mat, _Laurent) and mat.cell:
+        n, k, lam, Q, a, b = mat.cell
+        d = _substituted(_universal_det(n, k, lam), Q, a / b, b, k * len(mat))
+        if not d.is_zero():
+            return d, len(mat)
+    return _eliminated(mat, field)
+
+
+def _eliminated(mat, field):
     """(det, rank) of mat from one forward elimination; det is None unless
     mat is square.  Rows are pivoted and columns without a pivot skipped, so
     the pivots count the rank.
@@ -196,6 +216,24 @@ def det_rank(mat, field):
     else:
         m = [list(row) for row in mat]
         step, nonzero = _field_step, lambda x: not x.is_zero()
+    pivots, sign = _forward(m, step, nonzero)
+    rows, cols, rk = len(m), len(m[0]) if m else 0, len(pivots)
+    if rows != cols:
+        return None, rk
+    if rk < rows:
+        return field.zero(), rk
+    if kind == "generic":
+        num = _unpacked(sign * (pivots[-1] if pivots else 1), B, D)
+        num = LaurentPoly({(i * g[0], j * g[1]): c for (i, j), c in num.items()})
+        return RatFunc(num.shifted(rows * shift[0], rows * shift[1]), den ** rows), rk
+    d = math.prod(pivots, start=field.one())
+    return (d if sign > 0 else -d), rk
+
+
+def _forward(m, step, nonzero):
+    """(pivots, sign) of the forward elimination of the rows m in place:
+    rows are pivoted (sign the parity of the swaps) and columns without a
+    pivot skipped, each pivot row applying ``step`` to the rows below."""
     rows, cols = len(m), len(m[0]) if m else 0
     pivots, sign = [], 1
     for col in range(cols):
@@ -210,17 +248,7 @@ def det_rank(mat, field):
             sign = -sign
         step(m[rk], m[rk + 1:], col, pivots[-1] if pivots else 1)
         pivots.append(m[rk][col])
-    rk = len(pivots)
-    if rows != cols:
-        return None, rk
-    if rk < rows:
-        return field.zero(), rk
-    if kind == "generic":
-        num = _unpacked(sign * (pivots[-1] if pivots else 1), B, D)
-        num = LaurentPoly({(i * g[0], j * g[1]): c for (i, j), c in num.items()})
-        return RatFunc(num.shifted(rows * shift[0], rows * shift[1]), den ** rows), rk
-    d = math.prod(pivots, start=field.one())
-    return (d if sign > 0 else -d), rk
+    return pivots, sign
 
 
 def det(mat, field):
@@ -309,13 +337,15 @@ def _packed_det_rank(mat, p):
 class _Laurent(list):
     """A matrix over Q(q, r) without fractions, as its rows: entry (i, j) is
     (num, t), a LaurentPoly num over prod_s dens[s]^t[s], the dens being
-    LaurentPolys with no monomial factor."""
+    LaurentPolys with no monomial factor.  A Gram form of level k >= 1 has
+    ``cell`` (n, k, lam, Q, a, b), its cell and its algebra's scalars
+    (``det_rank``); every other matrix has None."""
 
-    __slots__ = ("dens",)
+    __slots__ = ("dens", "cell")
 
     def __init__(self, rows, dens):
         super().__init__(rows)
-        self.dens = dens
+        self.dens, self.cell = dens, None
 
     @classmethod
     def of(cls, mat):
@@ -355,13 +385,62 @@ def _unpacked(n, B, D):
     being c: read off one binary string after adding the offset whose every
     digit is 2^(B-1), which makes each digit nonnegative."""
     K, half = n.bit_length() // B + 2, 1 << B - 1
-    bits = format(n + int(format(half, "b") * K, 2), "b").zfill(B * K)
+    zero = format(half, "b")
+    bits = format(n + int(zero * K, 2), "b").zfill(B * K)
     out = {}
     for k in range(K):
-        c = int(bits[B * (K - 1 - k):B * (K - k)], 2) - half
-        if c:
-            out[divmod(k, D)] = c
+        digit = bits[B * (K - 1 - k):B * (K - k)]
+        if digit != zero:
+            out[divmod(k, D)] = int(digit, 2) - half
     return out
+
+
+def _substituted(D, Q, t, b, kd):
+    """b^kd D(Q, t) as a RatFunc, for D = {(i, j): c} standing for
+    sum c Q^i t^j, t a RatFunc, and Q = q^e r^f (e, f >= 0) and b monomials
+    of coefficient 1, as they are in every version (q, q^2 or 1, and r, q r,
+    q^{2N} or 1).
+
+    With i0 the least i and J the largest j, D = Q^i0 sum_j P_j(Q) t^j for
+    P_j in Z[Q].  Take t = N_t / D_t with N_t, D_t in Z[q, r] (the canonical
+    num and den, times the monomial that makes num a polynomial); then
+    D = Q^i0 N / D_t^J with N = sum_j P_j(Q) N_t^j D_t^(J - j), which Horner's
+    rule, N <- N N_t + P_j(Q) D_t^(J - j) from j = J down, evaluates in
+    Z[q, r].  With g and h the gcds of the q and r exponents of Q, N_t and
+    D_t (2 and 2 in two_param), all of it lies in Z[q^g, r^h], on which
+    q^g -> q, r^h -> r is an injective ring map, taken first and undone on
+    the result.  It runs on Kronecker-packed ints, r -> 2^B, q -> 2^(B R), a
+    ring homomorphism, so only N itself has to fit.  By the triangle
+    inequality |N|_1 <= sum_j |P_j|_1 |N_t|_1^j |D_t|_1^(J - j)
+    <= |D|_1 max(|N_t|_1, |D_t|_1)^J = H, |.|_1 the sum of the absolute
+    values of the coefficients (|P_j(Q)|_1 = |P_j|_1 for the monomial Q),
+    and after the map the r-degree of N is at most f / h (max i - i0) +
+    J max(deg_r N_t, deg_r D_t) = R - 1.  So with B = H.bit_length() + 1
+    every coefficient of N lies strictly between -2^(B - 1) and 2^(B - 1),
+    and N decodes from its balanced base-2^B digits (``_unpacked``), digit
+    i R + j the coefficient of q^i r^j.  The one RatFunc is made at the
+    end."""
+    if not D:
+        return RatFunc(LaurentPoly(), _canonical=True)
+    [(e, f)], [(bq, br)] = Q.num.terms, b.num.terms
+    s = [min(0, x) for x in t.num.min_exps()]
+    Nt, Dt = t.num.shifted(-s[0], -s[1]), t.den.shifted(-s[0], -s[1])
+    g = [math.gcd(x, *(m[v] for y in (Nt, Dt) for m in y.terms)) or 1 for v, x in enumerate((e, f))]
+    nt, dt = ({(i // g[0], j // g[1]): c for (i, j), c in y.terms.items()} for y in (Nt, Dt))
+    i0, J = min(i for i, _ in D), max(j for _, j in D)
+    H = sum(map(abs, D.values())) * max(sum(map(abs, y.values())) for y in (nt, dt)) ** J
+    B = H.bit_length() + 1
+    R = 1 + f // g[1] * (max(i for i, _ in D) - i0) + J * max(j for y in (nt, dt) for _, j in y)
+    P, X = [0] * (J + 1), B * (e // g[0] * R + f // g[1])  # P_j(Q) packed, Q^i packed as 2^(X i)
+    for (i, j), c in D.items():
+        P[j] += c << X * (i - i0)
+    nt, dt = (sum(c << B * (i * R + j) for (i, j), c in y.items()) for y in (nt, dt))
+    N, power = P[J], 1
+    for j in range(J - 1, -1, -1):
+        power *= dt
+        N = N * nt + P[j] * power
+    num = LaurentPoly({(i * g[0], j * g[1]): c for (i, j), c in _unpacked(N, B, R).items()})
+    return RatFunc(num.shifted(e * i0 + kd * bq, f * i0 + kd * br), Dt ** J)
 
 
 def _bareiss_step(top, below, col, prev):
@@ -461,18 +540,19 @@ def _block_matrix(alg, k, lefts, pairs):
 def _universal_blocks(n, k):
     """``_level_blocks`` of level k over the parameter ring, once per process
     for each (n, k), on an algebra of its own so that no other level decides
-    its steps or its messages: (lefts, pairs, blocks, grams), ``blocks``
-    their ``_block_matrix`` and ``grams`` the Gram matrices of level k that
-    ``_universal_gram`` builds from it; or the message of the
+    its steps or its messages: (lefts, pairs, blocks, grams, dets),
+    ``blocks`` their ``_block_matrix``, ``grams`` the Gram matrices of level
+    k that ``_universal_gram`` builds from it and ``dets`` their
+    determinants of ``_universal_det``; or the message of the
     InternalInconsistency the build raised, a term off level k or a
     rewriting cycle.  RewriteBudgetExceeded is not cached.  Clearing this
-    cache clears those Gram matrices with it."""
+    cache clears those Gram matrices and determinants with it."""
     ring = QBrAlgebra.over_parameters(n)
     try:
         lefts, pairs = _level_blocks(ring, k)
     except InternalInconsistency as exc:
         return str(exc)
-    return lefts, pairs, _block_matrix(ring, k, lefts, pairs), {}
+    return lefts, pairs, _block_matrix(ring, k, lefts, pairs), {}, {}
 
 
 def _universal_gram(n, k, lam):
@@ -485,7 +565,7 @@ def _universal_gram(n, k, lam):
     built = _universal_blocks(n, k)
     if isinstance(built, str):
         return built
-    *_, blocks, grams = built
+    blocks, grams = built[2:4]
     if lam not in grams:
         rows = Cellular(QBrAlgebra.over_parameters(n))._rows(k, lam, blocks)
         keys = {m for row in rows for x in row for m in x.terms}
@@ -494,6 +574,72 @@ def _universal_gram(n, k, lam):
             [[(tuple(x.terms), tuple(x.terms.values())) for x in row] for row in rows],
         )
     return grams[lam]
+
+
+def _universal_det(n, k, lam):
+    """D(Q, t) = det G(Q, t, 1) of a cell C(k, lam), k >= 1, that builds, G
+    the Gram matrix of ``_universal_gram``, as {(i, j): c} for c Q^i t^j in
+    Z[Q^{±1}, t], once per process for each (n, k, lam).
+
+    Grade the algebra over Z[Q^{±1}, a, b] by deg e = deg a = deg b = 1 and
+    deg g_i = deg Q = 0.  Every defining relation is homogeneous: e^2 = a e,
+    e g_2 e = b e and e g_2^{-1} e = b' e (b' = Q^{-1} b + (Q^{-1} - 1) a)
+    have degree 2, e g_1 = Q e degree 1, the relation of e_(2) degree 2,
+    and the Hecke relations degree 0.  So every rewriting step keeps the degree, a
+    normal basis element of level k has degree k, and an entry of level k,
+    a coefficient of m_lam in a product of two elements of degree k, is
+    homogeneous of degree k: a sum of c Q^i a^j b^l with j + l = k, checked
+    here on every monomial.  So G(Q, a, b) = b^k G(Q, a / b, 1) and, b
+    being a unit, det G = b^{k d} D(Q, a / b) for d rows.
+
+    Each entry has t-degree at most k, so D has t-degree at most k d
+    (Leibniz) and is fixed by its values at the k d + 1 consecutive
+    integers x_m, |x_m| <= X.  Times Q^{-i0}, i0 the least Q exponent, the
+    entries lie in Z[Q], and Q -> 2^B maps them into Z (Kronecker, as in
+    ``_eliminated``).  At every node each minor, and D itself, has
+    coefficients of absolute value at most H = prod over the rows of
+    max(1, sum |c| X^j) over the row's terms c Q^i t^j, so with
+    B = H.bit_length() + 1 the map is injective on all of them: the
+    fraction-free elimination (``_forward``, ``_bareiss_step``) of each
+    node's packed matrix gives the packed D(Q, x_m) Q^{-d i0}.  Newton's
+    divided differences of order s then divide by x_m - x_{m-s} = s,
+    exactly, coefficient by coefficient (those of an integer polynomial at
+    integer nodes are integers; checked), so the packed ints divide
+    exactly; the Newton form expands into the packed coefficients of the
+    powers of t, which decode (``_unpacked``).  Small nodes keep the
+    packed ints narrow: one elimination over Z[Q^{±1}, t] packs k d + 1
+    times wider and divides in time quadratic in the width."""
+    dets = _universal_blocks(n, k)[4]
+    if lam not in dets:
+        monomials, rows = _universal_gram(n, k, lam)
+        if any(j + l != k for _, (i, j, l) in monomials):
+            raise InternalInconsistency(f"a Gram entry of C({k}, {lam}) is not of degree {k} in (a, b)")
+        rows, exps, kd = _mirrored(rows), dict(monomials), k * len(rows)
+        X, i0 = kd - kd // 2, min(i for i, _, _ in exps.values())
+        xs = range(X - kd, X + 1)
+        H = math.prod(max(1, sum(abs(c) * X ** exps[m][1] for keys, cs in row for m, c in zip(keys, cs))) for row in rows)
+        B = H.bit_length() + 1
+        packed = [[[0] * (k + 1) for _ in row] for row in rows]  # entry -> its packed coefficients of t^j
+        for row, out in zip(rows, packed):
+            for (keys, coeffs), entry in zip(row, out):
+                for m, c in zip(keys, coeffs):
+                    i, j, _ = exps[m]
+                    entry[j] += c << B * (i - i0)
+        a = []
+        for x in xs:
+            powers = [x ** j for j in range(k + 1)]
+            pivots, sign = _forward([[sum(map(mul, es, powers)) for es in row] for row in packed], _bareiss_step, bool)
+            a.append(sign * pivots[-1] if len(pivots) == len(rows) else 0)
+        for s in range(1, kd + 1):
+            for m in range(kd, s - 1, -1):
+                a[m], rem = divmod(a[m] - a[m - 1], s)
+                if rem:
+                    raise ArithmeticError("inexact divided difference")
+        p = [a[kd]]
+        for x, c in zip(xs[-2::-1], a[-2::-1]):  # p <- p (t - x) + c
+            p = [c - x * p[0]] + [u - x * w for u, w in zip(p, p[1:])] + [p[-1]]
+        dets[lam] = {(i + len(rows) * i0, j): c for j, v in enumerate(p) for (i, _), c in _unpacked(v, B, 1).items()}
+    return dets[lam]
 
 
 @lru_cache(maxsize=None)
@@ -586,6 +732,7 @@ class Cellular:
         self.field = alg.field
         self._windows = {}
         self._forms = {}  # (k, lam) -> ``_form``
+        self._values = {}  # (k, lam) -> its Gram matrix in field values (``gram``)
         self._level0 = None  # the one level-0 block H_{1,1}
         self._monomials = {}  # monomial key -> Q^i a^j b^l, over Q(zeta_m) and Q
         self._products = {}  # (monomial key, t) -> its numerator terms (``_laurent``)
@@ -668,19 +815,22 @@ class Cellular:
         The form is held in the field's internal form (``_form``), packed
         over F_p and without fractions over the generic field at level
         k >= 1, and this is the one place that unpacks and converts it, a
-        generic entry i <= j by one RatFunc(num, den), mirrored: each call
-        hands out new lists, so a caller's edit reaches neither the form nor
-        its determinant and rank.  A level whose parameter-ring build
-        raised, at a term off level k or at a rewriting cycle, raises its
-        message.
+        generic entry i <= j by one RatFunc(num, den), mirrored, once per
+        cell and algebra.  Each call hands out new lists of those values, so
+        a caller's edit reaches neither the form nor its determinant and
+        rank.  A level whose parameter-ring build raised, at a term off
+        level k or at a rewriting cycle, raises its message.
         """
-        mat, f = self._form(k, lam)[0], self.field
-        if isinstance(mat, _Laurent):
-            power = {t: mat.power(t) for t in {t for row in mat for _, t in row}}
-            return _mirrored([[RatFunc(num, power[t]) for num, t in row[i:]] for i, row in enumerate(mat)])
-        if isinstance(mat, _Packed):
-            mat = mat.residues(f.field[1])
-        return [list(map(f.outer, row)) for row in mat]
+        key = self._label(k, lam)
+        if key not in self._values:
+            mat, f = self._form(*key)[0], self.field
+            if isinstance(mat, _Laurent):
+                power = {t: mat.power(t) for t in {t for row in mat for _, t in row}}
+                mat = _mirrored([[RatFunc(num, power[t]) for num, t in row[i:]] for i, row in enumerate(mat)])
+            else:
+                mat = [list(map(f.outer, row)) for row in (mat.residues(f.field[1]) if isinstance(mat, _Packed) else mat)]
+            self._values[key] = mat
+        return [list(row) for row in self._values[key]]
 
     def _form(self, k, lam):
         """[Gram matrix, (det, rank or None) or None] of C(k, lam), the
@@ -691,8 +841,9 @@ class Cellular:
         each row as one dot product of those values with its packed rows of
         ``_fp_table``, a ``_Packed`` matrix; over the generic field it is a
         ``_Laurent`` matrix of numerators over known denominator powers
-        (``_laurent``); otherwise each monomial once per algebra in field
-        values, then each entry i <= j, mirrored.
+        (``_laurent``) with its ``cell`` for ``det_rank``; otherwise each
+        monomial once per algebra in field values, then each entry i <= j,
+        mirrored.
 
         Level 0 (module docstring) takes its block H_{1,1} = 1 from one
         product 1 . 1 per algebra, then the shared entry of ``_LEVEL0``,
@@ -731,6 +882,7 @@ class Cellular:
             mat = _Packed([sum(map(mul, values, row)) for row in table], len(table), w)
         elif f.field[0] == "generic":
             mat = self._laurent(monomials, rows)
+            mat.cell = (self.n, k, lam, alg.Q, alg.a, alg.b)
         else:
             m = self._monomials
             for mono, (i, j, l) in monomials:

@@ -7,9 +7,11 @@ Q(q, r) on random small matrices of rational functions, on matrices with
 wide coefficients and degrees that reach the bounds of the Kronecker
 packing, and its fraction-field determinant on every generic n = 4 Gram
 matrix.  Over F_p it is the plain Gaussian elimination below, at p = 7
-and p = 2^61 - 1.  The generic Gram matrices are all nonsingular, so only
-the random matrices here reach the column-skipping path of the
-fraction-free elimination.
+and p = 2^61 - 1.  The generic Gram matrices of the default versions are
+all nonsingular, so only the random matrices here reach the
+column-skipping path of the fraction-free elimination; n_version at
+N = 1 and N = -2 has singular ones, whose rank the elimination gives
+after the universal determinant substitutes to zero.
 """
 
 import random
@@ -18,8 +20,10 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbrauer import cellular
-from qbrauer.cellular import _LEVEL0, Cellular, det_rank
+from qbrauer import cellular, coefficients
+from qbrauer.cellular import (
+    _LEVEL0, Cellular, _eliminated, _substituted, _universal_blocks, _universal_det, _universal_gram, det_rank,
+)
 from qbrauer.coefficients import DenominatorVanishes, Fp, LaurentPoly, RatFunc, Specialization
 from qbrauer.qbrauer import QBrAlgebra
 
@@ -396,8 +400,7 @@ def test_cleared_takes_one_gcd_per_further_denominator(monkeypatch, version, N):
 
 @pytest.mark.parametrize("lam", [(3,), (1, 1, 1)])
 def test_n5_level1_generic_dets_in_bound_and_specialise(lam):
-    # the two_param entries are polynomials in q^2 and r^2 after the shift,
-    # so the elimination runs on halved exponents; the generic determinant
+    # the generic determinant, substituted into the cell's universal one,
     # specialises to the F_p one at random admissible points
     cell = Cellular(QBrAlgebra(5, version="two_param"))
     start = time.process_time()
@@ -415,3 +418,125 @@ def test_n5_level1_generic_dets_in_bound_and_specialise(lam):
             continue
         assert got == want, (p, q, r)
         checked += 1
+
+
+# -- one universal determinant per cell ---------------------------------------------
+
+NS = (-2, -1, 1, 2, 3)
+EVERY_VERSION = (("two_param", None), ("one_param", None), ("classical", None)) + tuple(("n_version", N) for N in NS)
+
+
+def upper_cells(n):
+    """The labels (k, lam) with k >= 1 whose parameter-ring build succeeds."""
+    return [
+        (k, lam) for k, lam in Cellular(QBrAlgebra(n)).labels()
+        if k and not isinstance(_universal_gram(n, k, lam), str)
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_ring_gram_entries_are_homogeneous_of_degree_k(n):
+    # deg e = deg a = deg b = 1 grades the algebra, so every monomial
+    # Q^i a^j b^l of a level-k entry has j + l = k
+    cells = upper_cells(n)
+    assert cells
+    for k, lam in cells:
+        monomials, _ = _universal_gram(n, k, lam)
+        assert monomials and all(j + l == k for _, (i, j, l) in monomials), (k, lam)
+
+
+def assert_substitution_is_elimination(n, version, N, cells):
+    cell = Cellular(QBrAlgebra(n, version=version, N=N))
+    for k, lam in cells:
+        form = cell._form(k, lam)[0]
+        assert form.cell is not None
+        assert det_rank(form, GENERIC) == _eliminated(form, GENERIC), (n, version, N, k, lam)
+
+
+@pytest.mark.parametrize("version,N", EVERY_VERSION)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_substituted_dets_are_the_eliminated_ones_up_to_n4(n, version, N):
+    assert_substitution_is_elimination(n, version, N, upper_cells(n))
+
+
+@pytest.mark.parametrize("version", ["two_param", "one_param"])
+def test_substituted_dets_are_the_eliminated_ones_at_n5(version):
+    assert_substitution_is_elimination(5, version, None, [(1, (3,)), (1, (1, 1, 1))])
+
+
+@pytest.mark.parametrize("version,N", EVERY_VERSION)
+def test_substitution_is_b_to_the_kd_times_d_of_q_and_a_over_b(version, N):
+    # the packed Horner against RatFunc arithmetic on D itself
+    alg = QBrAlgebra(4, version=version, N=N)
+    t = alg.a / alg.b
+    for n in (3, 4):
+        for k, lam in upper_cells(n):
+            D, d = _universal_det(n, k, lam), len(_universal_gram(n, k, lam)[1])
+            want = sum((c * alg.Q ** i * t ** j for (i, j), c in D.items()), GENERIC.zero()) * alg.b ** (k * d)
+            assert _substituted(D, alg.Q, t, alg.b, k * d) == want, (n, k, lam)
+
+
+def test_universal_dets_are_cleared_with_the_blocks():
+    D = _universal_det(4, 1, (2,))
+    assert _universal_blocks(4, 1)[4][(2,)] is D
+    _universal_blocks.cache_clear()
+    assert _universal_blocks(4, 1)[4] == {}
+    assert _universal_det(4, 1, (2,)) == D
+
+
+@pytest.mark.parametrize("N,rk", [(1, 1), (-2, 2)])
+def test_singular_generic_cells_take_their_rank_from_the_elimination(N, rk):
+    # at N = 1 and N = -2 the n_version map kills a factor of D(Q, t) for
+    # C(1, (1)) at n = 3: the substitution is zero, and the rank comes from
+    # the elimination, as sympy finds it for gram()
+    cell = Cellular(QBrAlgebra(3, version="n_version", N=N))
+    form = cell._form(1, (1,))[0]
+    alg = cell.alg
+    assert _substituted(_universal_det(3, 1, (1,)), alg.Q, alg.a / alg.b, alg.b, len(form)).is_zero()
+    g = cell.gram(1, (1,))
+    assert cell.gram_det(1, (1,)).is_zero()
+    assert len(g) - cell.radical_dim(1, (1,)) == rk
+    assert sympy.Matrix([[to_sympy(x) for x in row] for row in g]).rank(simplify=True) == rk
+
+
+def at_the_slot_bound():
+    """(D, Q, t, b, kd): synthetic determinants whose packed Horner meets
+    the bound |N|_1 <= |D|_1 max(|N_t|_1, |D_t|_1)^J, some with one
+    coefficient equal to it."""
+    q, r, one = RatFunc.q(), RatFunc.r(), RatFunc.from_int(1)
+    for J in (1, 2, 7):
+        for C in (1, 3**7, 2**40 - 1, 2**40):
+            for c in (2, 7, 2**16 - 1):
+                # a constant t = c: N = C c^J, a single coefficient at the bound
+                yield {(0, J): C}, q, one * c, one, 0
+                yield {(0, J): -C}, q * q, one * c, r, 2
+            # t = (r + 1) / (q + 1): no cancellation, so |N|_1 meets the bound
+            full = {(i, j): C for i in range(-1, 3) for j in range(J + 1)}
+            yield full, q, (r + 1) / (q + 1), q * r, 3
+            yield full, q * r, (r + 1) / (q * r * r + 1), r ** -2, 1
+
+
+def test_packed_horner_at_the_slot_bound():
+    for D, Q, t, b, kd in at_the_slot_bound():
+        want = sum((c * Q ** i * t ** j for (i, j), c in D.items()), GENERIC.zero()) * b ** kd
+        assert _substituted(D, Q, t, b, kd) == want, (D, Q, t, b, kd)
+
+
+def test_gram_converts_once_and_hands_out_copies(monkeypatch):
+    # a second gram() makes no RatFunc canonicalisation, and an edit to a
+    # returned list reaches neither a later gram() nor gram_det
+    cell = Cellular(QBrAlgebra(4, version="one_param"))
+    g = cell.gram(1, (2,))
+    want = [list(row) for row in g]
+    calls = []
+    original = coefficients._rat_canonical
+    monkeypatch.setattr(coefficients, "_rat_canonical", lambda *args: calls.append(1) or original(*args))
+    again = cell.gram(1, (2,))
+    assert calls == [] and again == want and again is not g
+    g[0][0] += RatFunc.from_int(1)
+    g[1].append(RatFunc.from_int(1))
+    g.append(list(g[0]))
+    again[0][0] = RatFunc.from_int(0)
+    assert cell.gram(1, (2,)) == want
+    monkeypatch.undo()
+    assert cell.gram_det(1, (2,)) == cellular.det(want, GENERIC)
