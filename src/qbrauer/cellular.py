@@ -91,10 +91,11 @@ reaches (``det_rank``).  Level-0 forms over F_p are lists of residues in
 of level k >= 1 has no fractions (``_Laurent``): Laurent numerators over
 powers of the denominators of the scalars, by integer arithmetic alone
 (``Cellular._laurent``).  Its determinant is b^{k d} D(Q, a / b), D(Q, t)
-one determinant per cell (``_universal_det``) into which each algebra
-substitutes its scalars (``_substituted``); only a zero result, or a list
-of RatFuncs, is eliminated, over one common denominator by known
-cofactors, with no gcd.  Every other form is a list of field values.
+one determinant per cell (``_universal_det``), into which an algebra in
+q and r with monomial Q and b substitutes its scalars (``_substitutes``,
+``_substituted``); a zero result, a form in one variable and a list of
+RatFuncs are eliminated, over one common denominator by known cofactors,
+with no gcd.  Every other form is a list of field values.
 ``Cellular.gram`` is the one place that converts to field values, once
 per cell and algebra, handing each caller new lists, so nothing outside
 writes to a form.
@@ -140,12 +141,12 @@ __all__ = ["Cellular", "closed_form_criterion", "det", "det_rank", "rank"]
 def det_rank(mat, field):
     """(det, rank) of mat; det is None unless mat is square.
 
-    A generic form of level k >= 1 (a ``_Laurent`` matrix with its ``cell``)
-    takes its determinant from its cell's universal one: b^{k d} D(Q, t) for
-    d rows, t = a / b and D of ``_universal_det``, by ``_substituted``.  A
-    nonzero one fixes the rank at d.  A zero one, where the version's map
-    kills a factor of D, and every other matrix go through the elimination
-    of ``_eliminated``."""
+    A generic form of level k >= 1 with its ``cell`` (a ``_Laurent`` matrix
+    whose scalars ``_substitutes`` takes) takes its determinant from its
+    cell's universal one: b^{k d} D(Q, t) for d rows, t = a / b and D of
+    ``_universal_det``, by ``_substituted``.  A nonzero one fixes the rank
+    at d.  A zero one, where the algebra's scalars kill a factor of D, and
+    every other matrix go through the elimination of ``_eliminated``."""
     if isinstance(mat, _Laurent) and mat.cell:
         n, k, lam, Q, a, b = mat.cell
         d = _substituted(_universal_det(n, k, lam), Q, a / b, b, k * len(mat))
@@ -208,10 +209,11 @@ def _eliminated(mat, field):
     if kind == "generic":
         m, shift, den = _cleared(mat if isinstance(mat, _Laurent) else _Laurent.of(mat))
         g = [math.gcd(*(e[i] for row in m for x in row for e in x)) or 1 for i in (0, 1)]
-        m = [[{(i // g[0], j // g[1]): c for (i, j), c in x.items()} for x in row] for row in m]
+        if g != [1, 1]:
+            m = [[{(i // g[0], j // g[1]): c for (i, j), c in x.items()} for x in row] for row in m]
         B = math.prod(max(1, sum(abs(c) for x in row for c in x.values())) for row in m).bit_length() + 1
         D = 1 + sum(max((j for x in row for _, j in x), default=0) for row in m)
-        m = [[sum(c << B * (i * D + j) for (i, j), c in x.items()) for x in row] for row in m]
+        m = [[_packed(x, B, D) for x in row] for row in m]
         step, nonzero = _bareiss_step, bool
     else:
         m = [list(row) for row in mat]
@@ -337,9 +339,10 @@ def _packed_det_rank(mat, p):
 class _Laurent(list):
     """A matrix over Q(q, r) without fractions, as its rows: entry (i, j) is
     (num, t), a LaurentPoly num over prod_s dens[s]^t[s], the dens being
-    LaurentPolys with no monomial factor.  A Gram form of level k >= 1 has
-    ``cell`` (n, k, lam, Q, a, b), its cell and its algebra's scalars
-    (``det_rank``); every other matrix has None."""
+    LaurentPolys with no monomial factor.  A Gram form of level k >= 1
+    whose scalars ``_substitutes`` takes has ``cell`` (n, k, lam, Q, a, b),
+    its cell and its algebra's scalars (``det_rank``); every other matrix
+    has None."""
 
     __slots__ = ("dens", "cell")
 
@@ -380,6 +383,13 @@ def _cleared(mat):
     return polys, shift, mat.power(T)
 
 
+def _packed(x, B, D):
+    """The Kronecker image of x = {(i, j): c}, i, j >= 0, standing for
+    sum c q^i r^j, under r -> 2^B, q -> 2^(B D): digit i D + j is c
+    (``_unpacked`` reads it back)."""
+    return sum(c << B * (i * D + j) for (i, j), c in x.items())
+
+
 def _unpacked(n, B, D):
     """{(i, j): c} from the balanced base-2^B digits of n, digit i D + j
     being c: read off one binary string after adding the offset whose every
@@ -395,11 +405,26 @@ def _unpacked(n, B, D):
     return out
 
 
+def _substitutes(Q, a, b):
+    """Whether ``det_rank`` takes the determinant of a generic form with the
+    scalars Q, a, b from its cell's D (``_substituted``): Q and b must be
+    monomials of coefficient 1 over 1, Q's exponents nonnegative, as in
+    two_param and one_param but not under every specialisation (q -> -q,
+    r -> -r, q -> 1 / q), and the scalars must involve both q and r.  A
+    form in one variable (n_version in q, classical in r) is eliminated in
+    that variable at about the cost of one of the k d + 1 eliminations
+    that build D, so it goes without D."""
+    def unit(x):
+        return x.den.is_one() and list(x.num.terms.values()) == [1]
+
+    used = {v for x in (Q, a, b) for y in (x.num, x.den) for e in y.terms for v in (0, 1) if e[v]}
+    return unit(Q) and unit(b) and min(Q.num.min_exps()) >= 0 and len(used) == 2
+
+
 def _substituted(D, Q, t, b, kd):
     """b^kd D(Q, t) as a RatFunc, for D = {(i, j): c} standing for
     sum c Q^i t^j, t a RatFunc, and Q = q^e r^f (e, f >= 0) and b monomials
-    of coefficient 1, as they are in every version (q, q^2 or 1, and r, q r,
-    q^{2N} or 1).
+    of coefficient 1 (``_substitutes``).
 
     With i0 the least i and J the largest j, D = Q^i0 sum_j P_j(Q) t^j for
     P_j in Z[Q].  Take t = N_t / D_t with N_t, D_t in Z[q, r] (the canonical
@@ -413,7 +438,7 @@ def _substituted(D, Q, t, b, kd):
     ring homomorphism, so only N itself has to fit.  By the triangle
     inequality |N|_1 <= sum_j |P_j|_1 |N_t|_1^j |D_t|_1^(J - j)
     <= |D|_1 max(|N_t|_1, |D_t|_1)^J = H, |.|_1 the sum of the absolute
-    values of the coefficients (|P_j(Q)|_1 = |P_j|_1 for the monomial Q),
+    values of the coefficients (|P_j(Q)|_1 <= |P_j|_1 for the monomial Q),
     and after the map the r-degree of N is at most f / h (max i - i0) +
     J max(deg_r N_t, deg_r D_t) = R - 1.  So with B = H.bit_length() + 1
     every coefficient of N lies strictly between -2^(B - 1) and 2^(B - 1),
@@ -431,10 +456,11 @@ def _substituted(D, Q, t, b, kd):
     H = sum(map(abs, D.values())) * max(sum(map(abs, y.values())) for y in (nt, dt)) ** J
     B = H.bit_length() + 1
     R = 1 + f // g[1] * (max(i for i, _ in D) - i0) + J * max(j for y in (nt, dt) for _, j in y)
-    P, X = [0] * (J + 1), B * (e // g[0] * R + f // g[1])  # P_j(Q) packed, Q^i packed as 2^(X i)
+    P = [{} for _ in range(J + 1)]  # P_j(Q), Q = q^e r^f, which may be 1
     for (i, j), c in D.items():
-        P[j] += c << X * (i - i0)
-    nt, dt = (sum(c << B * (i * R + j) for (i, j), c in y.items()) for y in (nt, dt))
+        key = ((i - i0) * e // g[0], (i - i0) * f // g[1])
+        P[j][key] = P[j].get(key, 0) + c
+    P, nt, dt = [_packed(x, B, R) for x in P], _packed(nt, B, R), _packed(dt, B, R)
     N, power = P[J], 1
     for j in range(J - 1, -1, -1):
         power *= dt
@@ -595,40 +621,45 @@ def _universal_det(n, k, lam):
     Each entry has t-degree at most k, so D has t-degree at most k d
     (Leibniz) and is fixed by its values at the k d + 1 consecutive
     integers x_m, |x_m| <= X.  Times Q^{-i0}, i0 the least Q exponent, the
-    entries lie in Z[Q], and Q -> 2^B maps them into Z (Kronecker, as in
+    entries lie in Z[Q], and Q -> 2^B maps them into Z (``_packed``, as in
     ``_eliminated``).  At every node each minor, and D itself, has
     coefficients of absolute value at most H = prod over the rows of
     max(1, sum |c| X^j) over the row's terms c Q^i t^j, so with
     B = H.bit_length() + 1 the map is injective on all of them: the
     fraction-free elimination (``_forward``, ``_bareiss_step``) of each
-    node's packed matrix gives the packed D(Q, x_m) Q^{-d i0}.  Newton's
-    divided differences of order s then divide by x_m - x_{m-s} = s,
-    exactly, coefficient by coefficient (those of an integer polynomial at
-    integer nodes are integers; checked), so the packed ints divide
-    exactly; the Newton form expands into the packed coefficients of the
-    powers of t, which decode (``_unpacked``).  Small nodes keep the
-    packed ints narrow: one elimination over Z[Q^{±1}, t] packs k d + 1
-    times wider and divides in time quadratic in the width."""
+    node's packed matrix, a sum of the packed coefficients of t^j times
+    x_m^j, gives the packed D(Q, x_m) Q^{-d i0}.  Newton's divided
+    differences of order s then divide by x_m - x_{m-s} = s, exactly,
+    coefficient by coefficient (those of an integer polynomial at integer
+    nodes are integers; checked), so the packed ints divide exactly; the
+    Newton form expands into the packed coefficients of the powers of t,
+    which decode (``_unpacked``).  Small nodes keep the packed ints narrow:
+    one elimination over Z[Q^{±1}, t] packs k d + 1 times wider and divides
+    in time quadratic in the width.  One packing serves every node; an
+    ``_eliminated`` call per node would convert, pack and decode each
+    node's matrix anew, several times the cost on the small cells."""
     dets = _universal_blocks(n, k)[4]
     if lam not in dets:
         monomials, rows = _universal_gram(n, k, lam)
         if any(j + l != k for _, (i, j, l) in monomials):
             raise InternalInconsistency(f"a Gram entry of C({k}, {lam}) is not of degree {k} in (a, b)")
-        rows, exps, kd = _mirrored(rows), dict(monomials), k * len(rows)
+        exps, kd = dict(monomials), k * len(rows)
+        rows = [[[(exps[m][:2], c) for m, c in zip(keys, cs)] for keys, cs in row] for row in _mirrored(rows)]
         X, i0 = kd - kd // 2, min(i for i, _, _ in exps.values())
         xs = range(X - kd, X + 1)
-        H = math.prod(max(1, sum(abs(c) * X ** exps[m][1] for keys, cs in row for m, c in zip(keys, cs))) for row in rows)
-        B = H.bit_length() + 1
-        packed = [[[0] * (k + 1) for _ in row] for row in rows]  # entry -> its packed coefficients of t^j
-        for row, out in zip(rows, packed):
-            for (keys, coeffs), entry in zip(row, out):
-                for m, c in zip(keys, coeffs):
-                    i, j, _ = exps[m]
-                    entry[j] += c << B * (i - i0)
+        B = math.prod(max(1, sum(abs(c) * X ** j for entry in row for (_, j), c in entry)) for row in rows).bit_length() + 1
+
+        def packed(entry):  # its coefficients of t^0 .. t^k times Q^-i0, packed
+            out = [{} for _ in range(k + 1)]
+            for (i, j), c in entry:
+                out[j][i - i0, 0] = c  # (i, j) fixes the monomial, l being k - j
+            return [_packed(x, B, 1) for x in out]
+
+        rows = [list(map(packed, row)) for row in rows]
         a = []
         for x in xs:
             powers = [x ** j for j in range(k + 1)]
-            pivots, sign = _forward([[sum(map(mul, es, powers)) for es in row] for row in packed], _bareiss_step, bool)
+            pivots, sign = _forward([[sum(map(mul, es, powers)) for es in row] for row in rows], _bareiss_step, bool)
             a.append(sign * pivots[-1] if len(pivots) == len(rows) else 0)
         for s in range(1, kd + 1):
             for m in range(kd, s - 1, -1):
@@ -841,7 +872,8 @@ class Cellular:
         each row as one dot product of those values with its packed rows of
         ``_fp_table``, a ``_Packed`` matrix; over the generic field it is a
         ``_Laurent`` matrix of numerators over known denominator powers
-        (``_laurent``) with its ``cell`` for ``det_rank``; otherwise each
+        (``_laurent``), with its ``cell`` for ``det_rank`` where
+        ``_substitutes`` takes the scalars; otherwise each
         monomial once per algebra in field values, then each entry i <= j,
         mirrored.
 
@@ -882,7 +914,8 @@ class Cellular:
             mat = _Packed([sum(map(mul, values, row)) for row in table], len(table), w)
         elif f.field[0] == "generic":
             mat = self._laurent(monomials, rows)
-            mat.cell = (self.n, k, lam, alg.Q, alg.a, alg.b)
+            if _substitutes(alg.Q, alg.a, alg.b):
+                mat.cell = (self.n, k, lam, alg.Q, alg.a, alg.b)
         else:
             m = self._monomials
             for mono, (i, j, l) in monomials:

@@ -446,11 +446,17 @@ def test_ring_gram_entries_are_homogeneous_of_degree_k(n):
 
 
 def assert_substitution_is_elimination(n, version, N, cells):
-    cell = Cellular(QBrAlgebra(n, version=version, N=N))
+    # b^{kd} D(Q, a/b) is the eliminated determinant in every version, and
+    # det_rank takes it where the scalars are in both q and r
+    alg = QBrAlgebra(n, version=version, N=N)
+    cell = Cellular(alg)
     for k, lam in cells:
         form = cell._form(k, lam)[0]
-        assert form.cell is not None
-        assert det_rank(form, GENERIC) == _eliminated(form, GENERIC), (n, version, N, k, lam)
+        assert (form.cell is not None) == (version in ("two_param", "one_param")), (n, version, k, lam)
+        want = _eliminated(form, GENERIC)
+        D = _universal_det(n, k, lam)
+        assert _substituted(D, alg.Q, alg.a / alg.b, alg.b, k * len(form)) == want[0], (n, version, N, k, lam)
+        assert det_rank(form, GENERIC) == want, (n, version, N, k, lam)
 
 
 @pytest.mark.parametrize("version,N", EVERY_VERSION)
@@ -484,10 +490,33 @@ def test_universal_dets_are_cleared_with_the_blocks():
     assert _universal_det(4, 1, (2,)) == D
 
 
+Q_, R_, ONE = RatFunc.q(), RatFunc.r(), RatFunc.from_int(1)
+
+
+@pytest.mark.parametrize("images,substitutes", [
+    ((-Q_, R_), False), ((Q_, -R_), False), ((ONE / Q_, R_), False), ((ONE / (Q_ + ONE), R_), False),
+    ((Q_ * Q_, R_ * R_), True), ((Q_, Q_ * R_), True), ((Q_ * R_, Q_ * R_), True),
+])
+@pytest.mark.parametrize("version", ["two_param", "one_param"])
+def test_specialised_generic_dets_are_the_eliminated_ones(version, images, substitutes):
+    # the packed Horner reads only the exponents of Q and b: a sign, a
+    # negative exponent or a denominator keeps the form off it, and q r in
+    # both slots makes a = 1, t = Q^-1, where the substitution vanishes on
+    # some cells and the rank comes from the elimination
+    alg = QBrAlgebra(4, version=version, spec=Specialization(("generic",), *images))
+    cell = Cellular(alg)
+    for k, lam in upper_cells(4):
+        form = cell._form(k, lam)[0]
+        assert (form.cell is not None) == substitutes, (k, lam)
+        assert det_rank(form, GENERIC) == _eliminated(form, GENERIC), (k, lam)
+    if images == (Q_ * R_, Q_ * R_):
+        assert cell.gram_det(2, ()).is_zero() and cell.radical_dim(2, ()) == 2
+
+
 @pytest.mark.parametrize("N,rk", [(1, 1), (-2, 2)])
 def test_singular_generic_cells_take_their_rank_from_the_elimination(N, rk):
     # at N = 1 and N = -2 the n_version map kills a factor of D(Q, t) for
-    # C(1, (1)) at n = 3: the substitution is zero, and the rank comes from
+    # C(1, (1)) at n = 3: the determinant is zero, and the rank comes from
     # the elimination, as sympy finds it for gram()
     cell = Cellular(QBrAlgebra(3, version="n_version", N=N))
     form = cell._form(1, (1,))[0]
