@@ -88,17 +88,16 @@ dot product, and ``det_rank`` eliminates the packed rows with one
 multiply-add per row and pivot; w holds (m + d)(p - 1)^2, which no slot
 reaches (``det_rank``).  Level-0 forms over F_p are lists of residues in
 [0, p), packed on entry to ``det_rank`` as any list is.  A generic form
-of level k >= 1 has no fractions (``_Laurent``): Laurent numerators over
-powers of the denominators of the scalars, by integer arithmetic alone
-(``Cellular._laurent``).  Its determinant is b^{k d} D(Q, a / b), D(Q, t)
-one determinant per cell (``_universal_det``), into which an algebra in
-q and r with monomial Q and b substitutes its scalars (``_substitutes``,
-``_substituted``); a zero result, a form in one variable and a list of
-RatFuncs are eliminated, over one common denominator by known cofactors,
-with no gcd.  Every other form is a list of field values.
-``Cellular.gram`` is the one place that converts to field values, once
-per cell and algebra, handing each caller new lists, so nothing outside
-writes to a form.
+of level k >= 1 is RatFunc rows made by integer Laurent arithmetic over
+known powers of the scalars' denominators (``Cellular._laurent``).  Its
+determinant is b^{k d} D(Q, a / b), D(Q, t) one determinant per cell
+(``_universal_det``), into which an algebra in q and r with monomial Q
+and b substitutes its scalars (``_substitutes``, ``_substituted``).  D,
+a zero result and every other generic matrix come from one exact
+elimination over Z[x, y] that packs one variable and interpolates the
+other (``_poly_det_rank``).  Every other form is a list of field values.
+``Cellular.gram`` hands each caller new lists of field values, so nothing
+outside writes to a form.
 
 A Gram entry is psi_lam(g_{d(t)} H_{v,u} g_{d(s)^{-1}}) with the window
 functional psi_lam(h) = phi_lam(c_lam h c_lam), phi_lam the Murphy
@@ -141,13 +140,13 @@ __all__ = ["Cellular", "closed_form_criterion", "det", "det_rank", "rank"]
 def det_rank(mat, field):
     """(det, rank) of mat; det is None unless mat is square.
 
-    A generic form of level k >= 1 with its ``cell`` (a ``_Laurent`` matrix
-    whose scalars ``_substitutes`` takes) takes its determinant from its
-    cell's universal one: b^{k d} D(Q, t) for d rows, t = a / b and D of
+    A generic form of level k >= 1 with its ``cell`` (a ``_Form`` whose
+    scalars ``_substitutes`` takes) takes its determinant from its cell's
+    universal one: b^{k d} D(Q, t) for d rows, t = a / b and D of
     ``_universal_det``, by ``_substituted``.  A nonzero one fixes the rank
     at d.  A zero one, where the algebra's scalars kill a factor of D, and
     every other matrix go through the elimination of ``_eliminated``."""
-    if isinstance(mat, _Laurent) and mat.cell:
+    if isinstance(mat, _Form) and mat.cell:
         n, k, lam, Q, a, b = mat.cell
         d = _substituted(_universal_det(n, k, lam), Q, a / b, b, k * len(mat))
         if not d.is_zero():
@@ -160,26 +159,11 @@ def _eliminated(mat, field):
     mat is square.  Rows are pivoted and columns without a pivot skipped, so
     the pivots count the rank.
 
-    Generic field: the matrix is a ``_Laurent`` one, as ``Cellular``'s forms
-    of level k >= 1 are, or RatFunc rows, brought over the lcm of their
-    denominators on entry (``_Laurent.of``).  Its numerators, each times its
-    cofactor over one common denominator, are A_ij in Z[q, r] (``_cleared``,
-    which takes no gcd),
-    q^g and r^h become q and r for g and h the gcds of the q and r exponents
-    (an injective ring map, so the rank is kept and the determinant's
-    exponents are multiplied back; a two_param entry is (q/r)^k times a
-    polynomial in q^2 and r^2, so g = h = 2 there), and A is mapped into Z
-    by the Kronecker substitution r -> 2^B, q -> 2^(B D)
-    (Harvey, J. Symbolic Comput. 44, 2009), a ring homomorphism.  By the
-    Leibniz expansion every minor of A has coefficients of absolute value at
-    most H = prod over the rows of max(1, sum_j |A_ij|_1), and r-degree at
-    most d_r = sum over the rows of max_j deg_r A_ij.  With B = H.bit_length()
-    + 1 and D = d_r + 1 its image has balanced base-2^B digits, digit i D + j
-    the coefficient of q^i r^j, so the map is injective on minors.  Every
-    entry of the fraction-free elimination (Bareiss, Math. Comp. 22, 1968) is
-    a minor, so it runs over Z with exact zero tests, every division is exact
-    by Sylvester's identity (``_bareiss_step`` checks), and the last pivot
-    decodes to the cleared determinant, the one RatFunc made.
+    Generic field: RatFunc rows become polynomials A_ij in Z[q, r] over the
+    lcm of their denominators (``_cleared``); q^g and r^h become q and r for
+    g and h the gcds of the q and r exponents, an injective ring map undone
+    on the determinant (g = h = 2 in two_param, whose entries are (q/r)^k
+    times polynomials in q^2 and r^2); and ``_poly_det_rank`` eliminates A.
 
     F_p: Gaussian elimination on packed rows (``_packed_det_rank``), the
     matrix a ``_Packed`` one, as ``Cellular``'s forms are, or rows of Fp
@@ -207,29 +191,87 @@ def _eliminated(mat, field):
         d, rk = _packed_det_rank(mat, p)
         return (None if d is None else field.outer(d)), rk
     if kind == "generic":
-        m, shift, den = _cleared(mat if isinstance(mat, _Laurent) else _Laurent.of(mat))
+        m, shift, den = _cleared(mat)
         g = [math.gcd(*(e[i] for row in m for x in row for e in x)) or 1 for i in (0, 1)]
         if g != [1, 1]:
             m = [[{(i // g[0], j // g[1]): c for (i, j), c in x.items()} for x in row] for row in m]
-        B = math.prod(max(1, sum(abs(c) for x in row for c in x.values())) for row in m).bit_length() + 1
-        D = 1 + sum(max((j for x in row for _, j in x), default=0) for row in m)
-        m = [[_packed(x, B, D) for x in row] for row in m]
-        step, nonzero = _bareiss_step, bool
-    else:
-        m = [list(row) for row in mat]
-        step, nonzero = _field_step, lambda x: not x.is_zero()
-    pivots, sign = _forward(m, step, nonzero)
+        d, rk = _poly_det_rank(m)
+        if d is None or rk < len(m):
+            return (None if d is None else field.zero()), rk
+        num = LaurentPoly({(i * g[0], j * g[1]): c for (i, j), c in d.items()})
+        return RatFunc(num.shifted(rk * shift[0], rk * shift[1]), den ** rk), rk
+    m = [list(row) for row in mat]
+    pivots, sign = _forward(m, _field_step, lambda x: not x.is_zero())
     rows, cols, rk = len(m), len(m[0]) if m else 0, len(pivots)
     if rows != cols:
         return None, rk
     if rk < rows:
         return field.zero(), rk
-    if kind == "generic":
-        num = _unpacked(sign * (pivots[-1] if pivots else 1), B, D)
-        num = LaurentPoly({(i * g[0], j * g[1]): c for (i, j), c in num.items()})
-        return RatFunc(num.shifted(rows * shift[0], rows * shift[1]), den ** rows), rk
     d = math.prod(pivots, start=field.one())
     return (d if sign > 0 else -d), rk
+
+
+def _poly_det_rank(m):
+    """(det, rank) of a matrix m over Z[x, y], its entries {(i, j): c}
+    (i, j >= 0) for sum c x^i y^j; det is {(i, j): c}, or None unless m is
+    square.  Of the two variables, y is the one with the smaller J, the sum
+    over the rows of the row's largest exponent of it, and the second on a
+    tie.
+
+    By the Leibniz expansion every minor has y-degree at most J, so a
+    nonzero one is nonzero at one of the J + 1 nodes y = X - J, ..., X,
+    X = J - [J / 2]: the rank is the largest node rank, and a matrix in x
+    alone has the one node y = 0.  As |y| <= X at a node, the coefficients
+    of each minor there, and those of each D_j of D = det m = sum_j D_j(x)
+    y^j, sum in absolute value to at most H = prod over the rows of
+    max(1, sum |c| X^j) over the row's terms c x^i y^j (X^j >= 1 for
+    J > 0).  With B = H.bit_length() + 1 they lie strictly between
+    -2^(B - 1) and 2^(B - 1), so x -> 2^B (Kronecker; Harvey, J. Symbolic
+    Comput. 44, 2009), a ring homomorphism, is injective on all of them and
+    each D_j decodes from its balanced base-2^B digits (``_unpacked``).
+    The fraction-free elimination (Bareiss, Math. Comp. 22, 1968;
+    ``_forward``, ``_bareiss_step``) of a node's packed matrix then runs
+    over Z with exact zero tests, every division exact by Sylvester's
+    identity (checked), its pivots count the node's rank, and at full rank
+    sign times the last pivot is the packed D(x, y), else 0.  Newton's
+    divided differences of D at consecutive integers lie in Z[x], those of
+    order s dividing by s, so the packed ints divide exactly (checked), and
+    the Newton form expands into the packed D_0, ..., D_J.  Small nodes
+    keep the ints narrow: packing y too would make them J + 1 times wider,
+    and a division takes time quadratic in the width."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    tops = [[max(e) for e in zip(*[e for x in row for e in x])] or [0, 0] for row in m]
+    J = [sum(top[v] for top in tops) for v in (0, 1)]
+    v = int(J[0] >= J[1])  # the exponent of y is e[v] in a key e
+    J = J[v]
+    X = J - J // 2
+    weight = [X ** j for j in range(J + 1)]  # X^0 = 1 where J = 0 too
+    B = math.prod(max(1, sum(abs(c) * weight[e[v]] for x in row for e, c in x.items())) for row in m).bit_length() + 1
+    packed = []  # each entry as the packed coefficients of y^0 .. y^top, top its row's degree
+    for row, top in zip(m, tops):
+        packed.append(out := [])
+        for x in row:
+            out.append(cs := [0] * (top[v] + 1))
+            for e, c in x.items():
+                cs[e[v]] += c << B * e[1 - v]
+    ys, a, rk = range(X - J, X + 1), [], 0
+    for y in ys:
+        powers = [y ** j for j in range(J + 1)]
+        node = [[sum(map(mul, x, powers)) for x in row] for row in packed] if J else [[x[0] for x in row] for row in packed]
+        pivots, sign = _forward(node, _bareiss_step, bool)
+        rk = max(rk, len(pivots))
+        a.append(sign * (pivots[-1] if pivots else 1) if len(pivots) == rows else 0)
+    if rows != cols:
+        return None, rk
+    for s in range(1, J + 1):
+        for i in range(J, s - 1, -1):
+            a[i], rem = divmod(a[i] - a[i - 1], s)
+            if rem:
+                raise ArithmeticError("inexact divided difference")
+    p = [a[J]]
+    for y, c in zip(ys[-2::-1], a[-2::-1]):  # p <- p (y - y_i) + c
+        p = [c - y * p[0]] + [u - y * w for u, w in zip(p, p[1:])] + [p[-1]]
+    return {((i, j) if v else (j, i)): c for j, x in enumerate(p) for (i, _), c in _unpacked(x, B, 1).items()}, rk
 
 
 def _forward(m, step, nonzero):
@@ -336,51 +378,31 @@ def _packed_det_rank(mat, p):
     return (d % p if rk == n else 0), rk
 
 
-class _Laurent(list):
-    """A matrix over Q(q, r) without fractions, as its rows: entry (i, j) is
-    (num, t), a LaurentPoly num over prod_s dens[s]^t[s], the dens being
-    LaurentPolys with no monomial factor.  A Gram form of level k >= 1
-    whose scalars ``_substitutes`` takes has ``cell`` (n, k, lam, Q, a, b),
-    its cell and its algebra's scalars (``det_rank``); every other matrix
-    has None."""
+class _Form(list):
+    """A generic Gram form of level k >= 1 as its rows of RatFuncs, with
+    ``cell`` (n, k, lam, Q, a, b), its cell and its algebra's scalars, where
+    ``_substitutes`` takes them (``det_rank``), and None otherwise."""
 
-    __slots__ = ("dens", "cell")
-
-    def __init__(self, rows, dens):
-        super().__init__(rows)
-        self.dens, self.cell = dens, None
-
-    @classmethod
-    def of(cls, mat):
-        """RatFunc rows over the lcm of their denominators, which starts from
-        the first one and takes one gcd per further one."""
-        dens = {x.den for row in mat for x in row}
-        rest = iter(dens)
-        den = next(rest, _ONE)
-        for d in rest:
-            den = den * LaurentPoly(_biv_divexact(d.terms, _biv_gcd(den.terms, d.terms)))
-        cofactor = {d: LaurentPoly(_biv_divexact(den.terms, d.terms)) for d in dens if d != den}
-        return cls([[(x.num * cofactor[x.den] if x.den in cofactor else x.num, (1,)) for x in row] for row in mat], (den,))
-
-    def power(self, t):
-        """prod_s dens[s]^t[s]."""
-        return math.prod((d ** x for d, x in zip(self.dens, t) if x), start=_ONE)
+    cell = None
 
 
 def _cleared(mat):
-    """A ``_Laurent`` matrix as polynomials in Z[q, r]: (A, (dq, dr), D) with
-    entry (i, j) = A[i][j] q^dq r^dr / D.  With T the largest powers t met,
-    D = prod_s dens[s]^T[s], each numerator is taken times its cofactor
-    prod_s dens[s]^(T[s] - t[s]), and q^dq r^dr is the least monomial of
-    the results: no gcd is needed."""
-    ts = {t for row in mat for _, t in row}
-    T = tuple(map(max, zip(*ts)))
-    cofactor = {t: mat.power([a - b for a, b in zip(T, t)]) for t in ts if t != T}
-    laurent = [[num * cofactor[t] if t in cofactor else num for num, t in row] for row in mat]
+    """RatFunc rows as polynomials in Z[q, r]: (A, (dq, dr), D) with entry
+    (i, j) = A[i][j] q^dq r^dr / D.  D is the lcm of the denominators, which
+    starts from the first one and takes one gcd per further one; each
+    numerator is taken times its cofactor D / den, and q^dq r^dr is the
+    least monomial of the results."""
+    dens = {x.den for row in mat for x in row}
+    rest = iter(dens)
+    den = next(rest, _ONE)
+    for d in rest:
+        den = den * LaurentPoly(_biv_divexact(d.terms, _biv_gcd(den.terms, d.terms)))
+    cofactor = {d: LaurentPoly(_biv_divexact(den.terms, d.terms)) for d in dens if d != den}
+    laurent = [[x.num * cofactor[x.den] if x.den in cofactor else x.num for x in row] for row in mat]
     keys = [k for row in laurent for x in row for k in x.terms]
     shift = (min((k[0] for k in keys), default=0), min((k[1] for k in keys), default=0))
     polys = [[x.shifted(-shift[0], -shift[1]).terms for x in row] for row in laurent]
-    return polys, shift, mat.power(T)
+    return polys, shift, den
 
 
 def _packed(x, B, D):
@@ -564,21 +586,20 @@ def _block_matrix(alg, k, lefts, pairs):
 
 @lru_cache(maxsize=None)
 def _universal_blocks(n, k):
-    """``_level_blocks`` of level k over the parameter ring, once per process
-    for each (n, k), on an algebra of its own so that no other level decides
-    its steps or its messages: (lefts, pairs, blocks, grams, dets),
-    ``blocks`` their ``_block_matrix``, ``grams`` the Gram matrices of level
-    k that ``_universal_gram`` builds from it and ``dets`` their
-    determinants of ``_universal_det``; or the message of the
-    InternalInconsistency the build raised, a term off level k or a
-    rewriting cycle.  RewriteBudgetExceeded is not cached.  Clearing this
-    cache clears those Gram matrices and determinants with it."""
+    """The ``_block_matrix`` of level k over the parameter ring, once per
+    process for each (n, k), built on an algebra of its own so that no other
+    level decides its steps or its messages: (blocks, grams, dets), with
+    ``grams`` the Gram matrices of level k that ``_universal_gram`` builds
+    from the blocks and ``dets`` their determinants of ``_universal_det``;
+    or the message of the InternalInconsistency the build raised, a term off
+    level k or a rewriting cycle.  RewriteBudgetExceeded is not cached.
+    Clearing this cache clears those Gram matrices and determinants."""
     ring = QBrAlgebra.over_parameters(n)
     try:
-        lefts, pairs = _level_blocks(ring, k)
+        blocks = _block_matrix(ring, k, *_level_blocks(ring, k))
     except InternalInconsistency as exc:
         return str(exc)
-    return lefts, pairs, _block_matrix(ring, k, lefts, pairs), {}, {}
+    return blocks, {}, {}
 
 
 def _universal_gram(n, k, lam):
@@ -591,7 +612,7 @@ def _universal_gram(n, k, lam):
     built = _universal_blocks(n, k)
     if isinstance(built, str):
         return built
-    blocks, grams = built[2:4]
+    blocks, grams, _ = built
     if lam not in grams:
         rows = Cellular(QBrAlgebra.over_parameters(n))._rows(k, lam, blocks)
         keys = {m for row in rows for x in row for m in x.terms}
@@ -616,60 +637,19 @@ def _universal_det(n, k, lam):
     a coefficient of m_lam in a product of two elements of degree k, is
     homogeneous of degree k: a sum of c Q^i a^j b^l with j + l = k, checked
     here on every monomial.  So G(Q, a, b) = b^k G(Q, a / b, 1) and, b
-    being a unit, det G = b^{k d} D(Q, a / b) for d rows.
-
-    Each entry has t-degree at most k, so D has t-degree at most k d
-    (Leibniz) and is fixed by its values at the k d + 1 consecutive
-    integers x_m, |x_m| <= X.  Times Q^{-i0}, i0 the least Q exponent, the
-    entries lie in Z[Q], and Q -> 2^B maps them into Z (``_packed``, as in
-    ``_eliminated``).  At every node each minor, and D itself, has
-    coefficients of absolute value at most H = prod over the rows of
-    max(1, sum |c| X^j) over the row's terms c Q^i t^j, so with
-    B = H.bit_length() + 1 the map is injective on all of them: the
-    fraction-free elimination (``_forward``, ``_bareiss_step``) of each
-    node's packed matrix, a sum of the packed coefficients of t^j times
-    x_m^j, gives the packed D(Q, x_m) Q^{-d i0}.  Newton's divided
-    differences of order s then divide by x_m - x_{m-s} = s, exactly,
-    coefficient by coefficient (those of an integer polynomial at integer
-    nodes are integers; checked), so the packed ints divide exactly; the
-    Newton form expands into the packed coefficients of the powers of t,
-    which decode (``_unpacked``).  Small nodes keep the packed ints narrow:
-    one elimination over Z[Q^{±1}, t] packs k d + 1 times wider and divides
-    in time quadratic in the width.  One packing serves every node; an
-    ``_eliminated`` call per node would convert, pack and decode each
-    node's matrix anew, several times the cost on the small cells."""
-    dets = _universal_blocks(n, k)[4]
+    being a unit, det G = b^{k d} D(Q, a / b) for d rows.  A term
+    c Q^i a^j b^(k - j) of G becomes c Q^(i - i0) t^j in Z[Q, t], i0 the
+    least Q exponent, and the determinant (``_poly_det_rank``) is D Q^(-d i0)."""
+    dets = _universal_blocks(n, k)[2]
     if lam not in dets:
         monomials, rows = _universal_gram(n, k, lam)
         if any(j + l != k for _, (i, j, l) in monomials):
             raise InternalInconsistency(f"a Gram entry of C({k}, {lam}) is not of degree {k} in (a, b)")
-        exps, kd = dict(monomials), k * len(rows)
-        rows = [[[(exps[m][:2], c) for m, c in zip(keys, cs)] for keys, cs in row] for row in _mirrored(rows)]
-        X, i0 = kd - kd // 2, min(i for i, _, _ in exps.values())
-        xs = range(X - kd, X + 1)
-        B = math.prod(max(1, sum(abs(c) * X ** j for entry in row for (_, j), c in entry)) for row in rows).bit_length() + 1
-
-        def packed(entry):  # its coefficients of t^0 .. t^k times Q^-i0, packed
-            out = [{} for _ in range(k + 1)]
-            for (i, j), c in entry:
-                out[j][i - i0, 0] = c  # (i, j) fixes the monomial, l being k - j
-            return [_packed(x, B, 1) for x in out]
-
-        rows = [list(map(packed, row)) for row in rows]
-        a = []
-        for x in xs:
-            powers = [x ** j for j in range(k + 1)]
-            pivots, sign = _forward([[sum(map(mul, es, powers)) for es in row] for row in rows], _bareiss_step, bool)
-            a.append(sign * pivots[-1] if len(pivots) == len(rows) else 0)
-        for s in range(1, kd + 1):
-            for m in range(kd, s - 1, -1):
-                a[m], rem = divmod(a[m] - a[m - 1], s)
-                if rem:
-                    raise ArithmeticError("inexact divided difference")
-        p = [a[kd]]
-        for x, c in zip(xs[-2::-1], a[-2::-1]):  # p <- p (t - x) + c
-            p = [c - x * p[0]] + [u - x * w for u, w in zip(p, p[1:])] + [p[-1]]
-        dets[lam] = {(i + len(rows) * i0, j): c for j, v in enumerate(p) for (i, _), c in _unpacked(v, B, 1).items()}
+        exps = dict(monomials)
+        i0 = min(i for i, _, _ in exps.values())
+        mat = _mirrored([[{(exps[m][0] - i0, exps[m][1]): c for m, c in zip(keys, cs)} for keys, cs in row] for row in rows])
+        D, _ = _poly_det_rank(mat)
+        dets[lam] = {(i + len(rows) * i0, j): c for (i, j), c in D.items()}
     return dets[lam]
 
 
@@ -763,7 +743,6 @@ class Cellular:
         self.field = alg.field
         self._windows = {}
         self._forms = {}  # (k, lam) -> ``_form``
-        self._values = {}  # (k, lam) -> its Gram matrix in field values (``gram``)
         self._level0 = None  # the one level-0 block H_{1,1}
         self._monomials = {}  # monomial key -> Q^i a^j b^l, over Q(zeta_m) and Q
         self._products = {}  # (monomial key, t) -> its numerator terms (``_laurent``)
@@ -844,24 +823,14 @@ class Cellular:
         ``module_index``, as field values.
 
         The form is held in the field's internal form (``_form``), packed
-        over F_p and without fractions over the generic field at level
-        k >= 1, and this is the one place that unpacks and converts it, a
-        generic entry i <= j by one RatFunc(num, den), mirrored, once per
-        cell and algebra.  Each call hands out new lists of those values, so
-        a caller's edit reaches neither the form nor its determinant and
-        rank.  A level whose parameter-ring build raised, at a term off
-        level k or at a rewriting cycle, raises its message.
+        over F_p at level k >= 1, and this is the one place that unpacks and
+        converts it.  Each call hands out new lists, so a caller's edit
+        reaches neither the form nor its determinant and rank.  A level
+        whose parameter-ring build raised, at a term off level k or at a
+        rewriting cycle, raises its message.
         """
-        key = self._label(k, lam)
-        if key not in self._values:
-            mat, f = self._form(*key)[0], self.field
-            if isinstance(mat, _Laurent):
-                power = {t: mat.power(t) for t in {t for row in mat for _, t in row}}
-                mat = _mirrored([[RatFunc(num, power[t]) for num, t in row[i:]] for i, row in enumerate(mat)])
-            else:
-                mat = [list(map(f.outer, row)) for row in (mat.residues(f.field[1]) if isinstance(mat, _Packed) else mat)]
-            self._values[key] = mat
-        return [list(row) for row in self._values[key]]
+        mat, f = self._form(k, lam)[0], self.field
+        return [list(map(f.outer, row)) for row in (mat.residues(f.field[1]) if isinstance(mat, _Packed) else mat)]
 
     def _form(self, k, lam):
         """[Gram matrix, (det, rank or None) or None] of C(k, lam), the
@@ -871,11 +840,10 @@ class Cellular:
         F_p each monomial Q^i a^j b^l is evaluated once as a residue and
         each row as one dot product of those values with its packed rows of
         ``_fp_table``, a ``_Packed`` matrix; over the generic field it is a
-        ``_Laurent`` matrix of numerators over known denominator powers
-        (``_laurent``), with its ``cell`` for ``det_rank`` where
-        ``_substitutes`` takes the scalars; otherwise each
-        monomial once per algebra in field values, then each entry i <= j,
-        mirrored.
+        ``_Form`` of RatFuncs (``_laurent``), with its ``cell`` for
+        ``det_rank`` where ``_substitutes`` takes the scalars; otherwise
+        each monomial once per algebra in field values, then each entry
+        i <= j, mirrored.
 
         Level 0 (module docstring) takes its block H_{1,1} = 1 from one
         product 1 . 1 per algebra, then the shared entry of ``_LEVEL0``,
@@ -913,7 +881,7 @@ class Cellular:
             values = [pow(Q, i, p) * pow(a, j, p) * pow(b, l, p) % p for _, (i, j, l) in monomials]
             mat = _Packed([sum(map(mul, values, row)) for row in table], len(table), w)
         elif f.field[0] == "generic":
-            mat = self._laurent(monomials, rows)
+            mat = _Form(self._laurent(monomials, rows))
             if _substitutes(alg.Q, alg.a, alg.b):
                 mat.cell = (self.n, k, lam, alg.Q, alg.a, alg.b)
         else:
@@ -928,18 +896,20 @@ class Cellular:
 
     def _laurent(self, monomials, rows):
         """The ring Gram matrix of ``_universal_gram`` at this generic algebra
-        as a ``_Laurent`` matrix.  The scalars s = Q, Q^-1, a, b are canonical
+        as RatFunc rows.  The scalars s = Q, Q^-1, a, b are canonical
         N_s / D_s, and an entry sum_m c_m prod_s s^e_s (Q^i = (Q^-1)^-i for
         i < 0), t_s the largest e_s of its monomials, is exactly
         (sum_m c_m prod_s N_s^e_s D_s^(t_s - e_s)) / prod_s D_s^t_s: integer
-        Laurent arithmetic alone.  Only the s with D_s != 1 enter t.  Each
-        product is made once per algebra for each (monomial, t)."""
+        Laurent arithmetic alone, and one RatFunc per entry i <= j,
+        mirrored.  Only the s with D_s != 1 enter t.  Each product is made
+        once per algebra for each (monomial, t)."""
         alg, products = self.alg, self._products
         scalars = (alg.Q, alg.Qinv, alg.a, alg.b)
         fractions = [s for s, x in enumerate(scalars) if not x.den.is_one()]
         bases = [x.num for x in scalars] + [scalars[s].den for s in fractions]
         exps = {m: (max(i, 0), max(-i, 0), j, l) for m, (i, j, l) in monomials}
         power = lru_cache(maxsize=None)(lambda i, y: bases[i] ** y)
+        den = lru_cache(maxsize=None)(lambda t: math.prod((power(4 + s, y) for s, y in enumerate(t) if y), start=_ONE))
         out = []
         for row in rows:
             out.append(entries := [])
@@ -956,8 +926,8 @@ class Cellular:
                         terms = products[m, t] = reduce(mul, factors or [_ONE]).terms
                     for key, v in terms.items():
                         num[key] = get(key, 0) + c * v
-                entries.append((LaurentPoly(num), t))
-        return _Laurent(_mirrored(out), tuple(bases[4:]))
+                entries.append(RatFunc(LaurentPoly(num), den(t)))
+        return _mirrored(out)
 
     def _rows(self, k, lam, blocks):
         """The Gram matrix of C(k, lam) from the block matrix of

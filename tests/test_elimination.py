@@ -5,15 +5,19 @@ Over the generic field the reference is sympy (test-only): the
 determinant and rank of ``sympy.polys.matrices.DomainMatrix`` over
 Q(q, r) on random small matrices of rational functions, on matrices with
 wide coefficients and degrees that reach the bounds of the Kronecker
-packing, and its fraction-field determinant on every generic n = 4 Gram
-matrix.  Over F_p it is the plain Gaussian elimination below, at p = 7
-and p = 2^61 - 1.  The generic Gram matrices of the default versions are
-all nonsingular, so only the random matrices here reach the
+packing, on matrices over Z[x, y] at each bound of the one exact
+elimination (``_poly_det_rank``: y-degree J, coefficients at H where
+|y| = X, a rank that shows at one node only, one variable, constant,
+empty, non-square), and its fraction-field determinant on every generic
+n = 4 Gram matrix.  Over F_p it is the plain Gaussian elimination below,
+at p = 2, 3, 7 and 2^61 - 1.  The generic Gram matrices of the default
+versions are all nonsingular, so only the matrices here reach the
 column-skipping path of the fraction-free elimination; n_version at
 N = 1 and N = -2 has singular ones, whose rank the elimination gives
 after the universal determinant substitutes to zero.
 """
 
+import math
 import random
 import time
 
@@ -257,6 +261,143 @@ def test_generic_det_rank_wide_coefficients_match_sympy(drawn):
     check_against_sympy(*drawn)
 
 
+# -- one elimination over Z[x, y] at its bounds ---------------------------------------
+#
+# ``_poly_det_rank`` packs x and interpolates y at the J + 1 nodes
+# X - J .. X, X = J - J // 2, J the sum of the rows' largest y exponents;
+# the matrices below sit on each of its bounds, so a copy with one node
+# fewer, or with B one bit narrower, fails them
+
+
+def poly_sympy_det_rank(m, cols):
+    """(det as {(i, j): c} or None, rank) by sympy over Q(q, r), q for x and
+    r for y."""
+    from sympy.polys.matrices import DomainMatrix
+
+    if not m:
+        return {(0, 0): 1}, 0
+    K = sympy.QQ.frac_field(Q, R)
+    dm = DomainMatrix([[K.from_sympy(sum((c * Q**i * R**j for (i, j), c in x.items()), sympy.Integer(0))) for x in row]
+                       for row in m], (len(m), cols), K)
+    d = None
+    if len(m) == cols:
+        d = {k: int(c) for k, c in sympy.Poly(K.to_sympy(dm.det()), Q, R).as_dict().items() if c}
+    return d, dm.rank()
+
+
+def check_poly(m):
+    got = cellular._poly_det_rank(m)
+    assert got == poly_sympy_det_rank(m, len(m[0]) if m else 0), m
+    return got
+
+
+def swapped(m):
+    return [[{(j, i): c for (i, j), c in x.items()} for x in row] for row in m]
+
+
+def nodes(J):
+    X = J - J // 2
+    return list(range(X - J, X + 1))
+
+
+def expand(factors):
+    """{(0, j): c} of prod (y - z) over z in factors."""
+    p = [1]
+    for z in factors:
+        p = [a - z * b for a, b in zip([0] + p, p + [0])]
+    return {(0, j): c for j, c in enumerate(p) if c}
+
+
+def times(x, i):
+    return {(a + i, b): c for (a, b), c in x.items()}
+
+
+@pytest.mark.parametrize("degrees", [(1,), (3,), (0, 2), (1, 1, 1), (2, 0, 3, 1), (4, 4)])
+def test_poly_det_reaches_the_y_degree_bound(degrees):
+    # a diagonal of x^(d + 1) y^d, and of y^d + x^(d + 1), whose
+    # determinants have y-degree exactly J = sum d; and L U, L unitriangular
+    # in x and U upper triangular with y^d + x^(d + 2) on its diagonal, d
+    # ascending, whose rows have y-degree d and whose determinant reaches J;
+    # x has the larger degree in each, so y is interpolated, and with the
+    # keys swapped x is
+    d = len(degrees)
+    mats = [
+        [[{(e + 1, e): 1} if i == j else {} for j in range(d)] for i, e in enumerate(degrees)],
+        [[{(0, e): 1, (e + 1, 0): 1} if i == j else {} for j in range(d)] for i, e in enumerate(degrees)],
+    ]
+    up = sorted(degrees)
+    L = [[{(1, 0): i - j} if i > j else ({(0, 0): 1} if i == j else {}) for j in range(d)] for i in range(d)]
+    U = [[{(0, e): 1, (e + 2, 0): 1} if i == j else ({(0, e): 2, (1, 0): -1} if i < j else {}) for j in range(d)]
+         for i, e in enumerate(up)]
+    LU = [[{} for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            for t in range(d):
+                for (a, b), c in L[i][t].items():
+                    for (a2, b2), c2 in U[t][j].items():
+                        LU[i][j][a + a2, b + b2] = LU[i][j].get((a + a2, b + b2), 0) + c * c2
+            LU[i][j] = {k: c for k, c in LU[i][j].items() if c}
+    mats.append(LU)
+    for m in mats:
+        det, rk = check_poly(m)
+        assert rk == d and max(j for _, j in det) == sum(degrees)
+        det, rk = check_poly(swapped(m))
+        assert rk == d and max(i for i, _ in det) == sum(degrees)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_poly_det_coefficients_at_the_slot_bound(sign):
+    # at the node y = X a diagonal of c x^a y^d packs c X^d in each row: the
+    # node's determinant is H itself, the bound B is taken from; with J <= 2
+    # (X = 1) and H a power of two, the determinant's coefficient is H, the
+    # widest one a balanced digit of B = H.bit_length() + 1 bits holds
+    for cs, ds in (((3, 5, 7), (1, 2, 3)), ((10**6, 10**6), (4, 5)), ((2**20,), (1,)), ((2**10, 2**10), (1, 1))):
+        m = [[{(2 * e + 1, e): sign * c if i == 0 else c} if i == j else {} for j in range(len(cs))]
+             for i, (c, e) in enumerate(zip(cs, ds))]
+        det, _ = check_poly(m)
+        J = sum(ds)
+        assert det == {(sum(2 * e + 1 for e in ds), J): sign * math.prod(cs)}
+        X = nodes(J)[-1]
+        assert math.prod(c * X**e for c, e in zip(cs, ds)) == math.prod(max(1, c * X**e) for c, e in zip(cs, ds))
+    for c in (2**20, 2**40, 10**6):
+        check_poly([[{(3, 0): sign * c}]])  # x alone, one node: the coefficient is H
+        check_poly([[{(0, 0): sign * c}]])
+
+
+@pytest.mark.parametrize("J", [1, 2, 3, 4, 5])
+def test_poly_rank_shows_at_one_node_only(J):
+    # f = prod (y - z) over every node z but one has y-degree J and is
+    # nonzero at that node alone; the rank of each matrix below shows only
+    # there, the first node, a middle one or the last
+    ys = nodes(J)
+    for keep in {ys[0], ys[len(ys) // 2], ys[-1]}:
+        f = times(expand([z for z in ys if z != keep]), J + 1)  # x^(J + 1) f: y is interpolated
+        for m, rk in (
+            ([[f]], 1),
+            ([[{(J + 2, 0): 1}, {}], [{}, f]], 2),
+            ([[{(J + 2, 0): 1}, {}, {}], [{}, f, {}]], 2),
+            ([[f, f], [f, f]], 1),
+            ([[f, {}], [{}, {}], [{}, f]], 2),
+        ):
+            assert check_poly(m)[1] == rk, (keep, m)
+
+
+@pytest.mark.parametrize("m", [
+    [[{(1, 0): 1}, {(2, 0): 1}], [{(0, 0): 1}, {(3, 0): -2}]],  # x alone
+    [[{(0, 2): 1}, {(0, 0): 1}], [{(0, 1): 3}, {(0, 1): 1}]],  # y alone: x is interpolated, at one node
+    [[{(0, 0): 2}, {(0, 0): 3}], [{(0, 0): 4}, {(0, 0): 5}]],  # constant
+    [[{(0, 0): 2}, {(0, 0): 4}], [{(0, 0): 1}, {(0, 0): 2}]],  # constant, singular
+    [],  # empty: det 1, rank 0
+    [[{}]],  # zero
+    [[{(1, 1): 1}, {(0, 2): 1}, {(2, 0): -1}], [{(0, 1): 2}, {}, {(1, 0): 1}]],  # 2 x 3
+    [[{(1, 1): 1}, {(0, 2): 1}], [{(0, 1): 2}, {}], [{(1, 0): 1}, {(2, 2): 5}]],  # 3 x 2
+    [[{(1, 1): 1}, {(0, 2): 1}], [{(2, 2): 2}, {(1, 3): 2}], [{(1, 0): 1}, {(0, 1): 1}]],  # 3 x 2, rank 1
+])
+def test_poly_det_rank_small_cases(m):
+    check_poly(m)
+    check_poly(swapped(m))
+
+
 # -- the built-in check ------------------------------------------------------------
 
 def test_inexact_division_is_caught():
@@ -301,9 +442,9 @@ def count_det_rank(monkeypatch):
 def test_each_generic_gram_matrix_is_eliminated_once(monkeypatch):
     # as in a fresh process, where no level-0 form is known yet; every form
     # is eliminated from the internal matrix that ``_form`` holds (at level
-    # 0 the shared one), never from a copy that ``gram`` hands out; a form
-    # of level k >= 1 is held as Laurent numerators over powers of known
-    # denominators, and ``gram`` hands out its entries as RatFuncs
+    # 0 the shared one), never from a copy that ``gram`` hands out; every
+    # form is held as the field values that ``gram`` hands out, and the
+    # forms of level k >= 1 carry their cell for the substitution into D
     _LEVEL0.clear()
     calls = count_det_rank(monkeypatch)
     cell = Cellular(QBrAlgebra(3))
@@ -314,13 +455,8 @@ def test_each_generic_gram_matrix_is_eliminated_once(monkeypatch):
     grams = [id(cell._form(k, lam)[0]) for k, lam in cell.labels()]
     assert sorted(calls) == sorted(grams)
 
-    def converted(mat):
-        if isinstance(mat, cellular._Laurent):
-            return [[RatFunc(num, mat.power(t)) for num, t in row] for row in mat]
-        return mat
-
-    assert [converted(cell._form(k, lam)[0]) for k, lam in cell.labels()] == [cell.gram(k, lam) for k, lam in cell.labels()]
-    assert all(isinstance(cell._form(k, lam)[0], cellular._Laurent) == (k > 0) for k, lam in cell.labels())
+    assert [cell._form(k, lam)[0] for k, lam in cell.labels()] == [cell.gram(k, lam) for k, lam in cell.labels()]
+    assert all((getattr(cell._form(k, lam)[0], "cell", None) is not None) == (k > 0) for k, lam in cell.labels())
 
 
 def test_singular_gram_matrices_take_a_second_pass_only_for_det_then_rank(monkeypatch):
@@ -484,9 +620,9 @@ def test_substitution_is_b_to_the_kd_times_d_of_q_and_a_over_b(version, N):
 
 def test_universal_dets_are_cleared_with_the_blocks():
     D = _universal_det(4, 1, (2,))
-    assert _universal_blocks(4, 1)[4][(2,)] is D
+    assert _universal_blocks(4, 1)[2][(2,)] is D
     _universal_blocks.cache_clear()
-    assert _universal_blocks(4, 1)[4] == {}
+    assert _universal_blocks(4, 1)[2] == {}
     assert _universal_det(4, 1, (2,)) == D
 
 

@@ -676,3 +676,39 @@ def test_rewrite_cycle_messages_n5():
         alg._red(2, x)
     assert str(exc.value) == "straightening cycle at e_(2) g_(1, 0, 3, 2, 4)"
     assert (2, x) not in alg._red_memo
+
+
+# -- the key scan ----------------------------------------------------------------------
+
+
+def key_scan(n):
+    """(keys, raising, levels) of the key scan at n: ``_emul(k, w)`` on one
+    parameter-ring algebra for every level k >= 1 and every minimal coset
+    representative w of that level, ``raising`` the keys (k, permutation
+    of w) whose product raises InternalInconsistency and ``levels`` their
+    levels."""
+    alg = QBrAlgebra.over_parameters(n)
+    keys, raising = 0, []
+    for k in range(1, n // 2 + 1):
+        for w in sorted(alg._minrep[k]):
+            keys += 1
+            try:
+                alg._emul(k, w)
+            except InternalInconsistency:
+                raising.append((k, alg._T.perms[w]))
+    return keys, raising, sorted({k for k, _ in raising})
+
+
+@pytest.mark.parametrize(
+    "n,keys,raising,levels",
+    [(2, 1, 0, []), (3, 3, 0, []), (4, 15, 0, []), (5, 75, 2, [2]), (6, 465, 34, [2, 3]), (7, 3255, 300, [2, 3])],
+)
+def test_key_scan_pins_the_products_that_close(n, keys, raising, levels):
+    # "total at n" as a number per n: e_(k) g_w e for every key of every
+    # level k >= 1 (n! / (2^k k!) keys at level k); the keys that raise pin
+    # today's defect from n = 5 on, and a core that closes them re-aims the
+    # pin.  One algebra per n gives the counts that a fresh one per key gives
+    got = key_scan(n)
+    assert (got[0], len(got[1]), got[2]) == (keys, raising, levels)
+    if n == 5:
+        assert got[1] == [(2, (2, 3, 0, 4, 1)), (2, (2, 3, 1, 4, 0))]
