@@ -415,21 +415,29 @@ def _suite_brauer_oracle(n, alg, report):
 
 
 def _suite_cellularity(n, alg, report):
+    """Axiom (C2) of Graham and Lehrer on the generators a of Br_n: every
+    term of x_{(s,u)(t,v)} a in the cell (k, lam) of x keeps the row label
+    (s, u), every other term lies in a cell that dominates (k, lam), and
+    the row's coefficients, keyed by the column label, are the same for
+    every (s, u)."""
     cell = Cellular(alg)
-    one = alg.field.one()
     gens = [alg.g(i) for i in range(1, n)] + [alg.e_k(1)]
-    bad = []
+    bad, rows = [], {}
     for idx in cell.cellular_labels():
         k, lam, su, tv = idx
         x = cell.cell_basis_element(k, lam, su, tv)
-        for gelt in gens:
+        for a, gelt in enumerate(gens):
             y = cell.to_cellular(alg.mul(x, gelt))
+            row = {}
             for (k2, lam2, su2, tv2), c in y.items():
                 if (k2, lam2) == (k, lam):
                     if su2 != su:
                         bad.append((idx, (k2, lam2, su2, tv2)))
+                    row[tv2] = c
                 elif not cell.dominates((k2, lam2), (k, lam)):
                     bad.append((idx, (k2, lam2, su2, tv2)))
+            if rows.setdefault((k, lam, tv, a), row) != row:
+                bad.append((idx, "row coefficients", a))
     report("cellularity: filtration and row preservation", not bad, bad[:3])
     return not bad
 

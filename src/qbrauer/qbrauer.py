@@ -38,29 +38,26 @@ rank is sum_k |B_{k,n}|^2 (n-2k)!.
 Products are computed by an exact straightening algorithm.  Intermediate
 terms are triples (A, k, w) standing for g_A e_(k) g_w, with A and w
 permutation codes: ints indexing the per-n table of
-:func:`qbrauer.symgrp.perm_table`, which holds the generator actions,
-inverses, lengths, descents and reduced words, so the engine does no
-tuple arithmetic; the memos are keyed by codes too, and normal basis
-indices are tuples only at the API.  In x y every term of y is a
-generator word; the words of all of y's terms form a prefix tree, and the
-states of x are pushed through each shared prefix once.  A generator atom
-g_i or g_i^{-1} acts on a whole state dict in one pass, on the w of every
-state, with Q - 1, Q^{-1} and Q^{-1} - 1 computed once per algebra; a
-word acting on the left is taken as (states* word*)* through the
-involution, and every other Hecke product goes through the algebra's
+:func:`qbrauer.symgrp.perm_table` (generator actions, inverses, lengths,
+descents and reduced words), so the engine does no tuple arithmetic and
+its memos are keyed by codes; normal basis indices are tuples only at the
+API.  ``mul`` pushes the states of x through the prefix tree of y's
+generator words, a generator atom acting on the w of every state in one
+pass, and normalises each distinct leaf state once; a word acting on the
+left is taken as (states* word*)* through the involution, and every other
+Hecke product goes through the algebra's
 :class:`qbrauer.hecke.HeckeWindow` on all n letters, ``hecke``.
-The leaf states of all words are merged into one dict before
-normalisation, so each distinct state is normalised once per product.
 Coefficients are the field's internal values (ints in [0, p) over F_p,
 the field values themselves otherwise; see :mod:`qbrauer.coefficients`)
 in every state dict and memo: ``mul`` and ``star`` convert in at entry and
-out at exit, the engine's scalars (Q, a, b, Q^{-1}, Q - 1, Q^{-1} - 1 and
-the core constants Q^2, Q(Q-1), bQ(Q-1)) are converted once per algebra,
-and every sum goes through the field's accumulate step.  The public
-scalars ``Q``, ``a``, ``b``, ``bprime`` and ``Qinv`` are field values;
+out at exit, the engine's scalars (Q, a, b, Q^{-1}, Q - 1, Q^{-1} - 1,
+Q^2 and Q(Q-1)) are converted once per algebra, and every sum goes
+through the field's accumulate step.  The public scalars ``Q``, ``a``,
+``b``, ``bprime`` and ``Qinv`` are field values;
 ``QBrAlgebra.over_parameters`` takes Q, Q^{-1}, a and b as indeterminates
-instead, so that its products specialise.  The scalars of each version and B_{k,n} with its coset representatives
-are built once per process.  Two rewriting routines do the work:
+instead, so that its products specialise.  The scalars of each version
+and B_{k,n} with its coset representatives are built once per process.
+Two rewriting routines do the work:
 
 * e_(k) g_x is straightened onto the normal indices by reducing x to the
   minimal length representative of its coset H_k x, where H_k is the
@@ -72,12 +69,9 @@ are built once per process.  Two rewriting routines do the work:
   e_(k) g_{2j} g_{2j-1} = e_(k) g_{2j} g_{2j+1}.  Every step strictly
   decreases the Coxeter length, so this terminates.
 * e_(k) g_w e is rewritten by stripping generators that commute with or
-  are absorbed into the idempotents until w is a core element whose left
-  descents are even and at most 2k and whose only possible right descent
-  is 2.  For k = 1 the cores are s_2, absorbed at a factor b, and the
-  double transposition z_2 = s_2 s_1 s_3 s_2 which produces e_(2); for
-  k >= 2 the recursion e_(k) = e g_2 ... g_{2k-1} g_1^{-1} ... g_{2k-2}^{-1}
-  e_(k-1) shifts the level down.
+  are absorbed into the idempotents until w is a core element, valued by
+  its row of ``_CORES``; with no row, a level-1 core raises, and a higher
+  one shifts the level down through the recursion of e_(k) in e_(k-1).
 
 The amount of rewriting per product call, over all of y's words, and per
 ``straighten`` call is capped (``star`` relabels indices and does none);
@@ -179,10 +173,20 @@ def _version_scalars(version, N):
     return {"Q": Q, "a": a, "b": b, "bprime": bprime}
 
 
+# The cores e_(k) g_w e: (k, one-line form of w) -> their terms
+# Q^i (Q-1)^j b^l e_(k3) g_w3 as (i, j, l, k3, w3), in order of addition
+_CORES = {
+    (1, (0, 2, 1)): ((0, 0, 1, 1, ()),),  # s_2: the relation e g_2 e = b e
+    # z_2 = s_2 s_1 s_3 s_2: expanding e_(2) = e g_2 g_3 g_1^{-1} g_2^{-1} e
+    (1, (2, 3, 0, 1)): ((1, 1, 1, 1, (0, 1, 3, 2)), (1, 1, 1, 1, ()), (2, 0, 0, 2, ())),
+}
+
+
 @lru_cache(maxsize=None)
 def _cosets(n):
     """B_{k,n} for every level k, the minimal H_k-coset representatives,
-    and the code of z_2 = s_2 s_1 s_3 s_2 (None for n < 4).
+    and the rows of ``_CORES`` that fit in n letters, on codes, with the
+    letters past those of w and w3 fixed.
 
     The second item maps, per level k, the code of each representative
     pi * v to the codes (pi, v), for pi a permutation of the letters
@@ -206,8 +210,12 @@ def _cosets(n):
         assert len(table) == expect, "wrong number of coset representatives"
         bkn.append(bk)
         minrep.append(table)
-    z2 = code[sg.from_word(n, (2, 1, 3, 2))] if n >= 4 else None
-    return tuple(bkn), tuple(minrep), z2
+    tail = tuple(range(n))
+    cores = {
+        (k, code[w + tail[len(w):]]): tuple((i, j, l, k3, code[w3 + tail[len(w3):]]) for i, j, l, k3, w3 in terms)
+        for (k, w), terms in _CORES.items() if len(w) <= n
+    }
+    return tuple(bkn), tuple(minrep), cores
 
 
 class QBrAlgebra:
@@ -253,19 +261,15 @@ class QBrAlgebra:
         Q, Qinv, a, b, one = map(inner, (Q, Qinv, a, b, field.one()))
         Qm1 = inner(Q - one)
         self._acc, self._scale = field.acc, field.scale
-        (
-            self._one, self._Q, self._a, self._b, self._Qinv, self._Qm1,
-            self._Qinvm1, self._QQ, self._QQm1, self._bQQm1,
-        ) = (
-            one, Q, a, b, Qinv, Qm1, inner(Qinv - one), inner(Q * Q), inner(Q * Qm1), inner(b * Q * Qm1),
-        )
+        self._one, self._Q, self._a, self._b, self._Qinv, self._Qm1 = one, Q, a, b, Qinv, Qm1
+        self._Qinvm1, self._QQ, self._QQm1 = inner(Qinv - one), inner(Q * Q), inner(Q * Qm1)
         self.id = sg.identity(n)
         self.max_steps = max_rewrite_steps()
         self._steps = 0
 
         # the engine works on permutation codes (code 0 is the identity)
         self._T = sg.perm_table(n)
-        self.Bkn, self._minrep, self._z2 = _cosets(n)
+        self.Bkn, self._minrep, self._cores = _cosets(n)
 
         self._red_memo = {}
         self._red_stack = set()
@@ -533,19 +537,15 @@ class QBrAlgebra:
                     return self._scale(self._emul(k, T.rmul[1][w]), self._Q)
                 if j >= 3:
                     return self._rmul_gen_states(self._emul(k, T.rmul[j][w]), j)
-        # core elements: left descents even and <= 2k, right descents = {2}
+        # core elements: left descents even and <= 2k, right descents = {2};
+        # the _emul memo keeps their terms (acc drops (Q-1) terms at Q = 1)
+        core = self._cores.get((k, w))
+        if core is not None:
+            out, inner, Q, Qm1, b = {}, self.field.inner, self._Q, self._Qm1, self._b
+            for i, j, l, k3, w3 in core:
+                self._acc(out, (0, k3, w3), inner(Q**i * Qm1**j * b**l))
+            return out
         if k == 1:
-            if w == T.lmul[2][0]:
-                return {(0, 1, 0): self._b}
-            if w == self._z2:
-                # e g_{z_2} e with z_2 = s_2 s_1 s_3 s_2, expanded through
-                # e_(2) = e g_2 g_3 g_1^{-1} g_2^{-1} e; acc drops the
-                # b Q (Q-1) terms when Q = 1, in the classical version
-                out, acc = {}, self._acc
-                acc(out, (0, 1, T.lmul[3][0]), self._bQQm1)
-                acc(out, (0, 1, 0), self._bQQm1)
-                acc(out, (0, 2, 0), self._QQ)
-                return out
             raise InternalInconsistency(f"unexpected level-1 core {T.perms[w]}")
         # shift the level down through e_(k) = (head of _ek_atoms(k)) e_(k-1)
         return self._lmul(self._ek_atoms(k)[:4 * k - 3], self._emul(k - 1, w))

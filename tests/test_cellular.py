@@ -163,6 +163,26 @@ def test_is_semisimple():
     assert witness == (0, (2,))
 
 
+def rui_non_semisimple(n):
+    """Z(n): the x at which the Brauer algebra B_n(x) over a field of
+    characteristic 0 is not semisimple, for x != 0 (Rui, J. Combin. Theory
+    A 111, 2005).  The statement is recalled from memory, not checked
+    against the paper: the integers i with 4 - 2n <= i <= n - 2, minus the
+    odd i with 4 - 2n < i <= 3 - n."""
+    return {i for i in range(4 - 2 * n, n - 1) if not (i % 2 and 4 - 2 * n < i <= 3 - n)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_classical_semisimplicity_is_ruis_criterion(n):
+    # the classical version over Q is B_n(x) with x in the r slot; every
+    # nonzero integer x around Z(n) and a non-integer one.  x = 0 is out of
+    # reach, as r must be invertible
+    points = [x for x in range(-2 * n - 2, n + 3) if x] + [Fraction(1, 2)]
+    for x in points:
+        alg = QBrAlgebra(n, version="classical", spec=Specialization.rationals(2, x))
+        assert Cellular(alg).is_semisimple()[0] == (x not in rui_non_semisimple(n)), x
+
+
 def test_closed_form_generic():
     spec = Specialization.generic()
     for version in ("two_param", "one_param"):

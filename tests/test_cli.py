@@ -6,8 +6,10 @@ import time
 
 import pytest
 
-from qbrauer.cellular import _universal_blocks
-from qbrauer.cli import main
+from qbrauer.cellular import Cellular, _universal_blocks
+from qbrauer.cli import _suite_cellularity, main
+from qbrauer.coefficients import Specialization
+from qbrauer.qbrauer import QBrAlgebra
 
 
 def run(capsys, *argv):
@@ -448,6 +450,47 @@ def test_verify_cellularity_n4(capsys):
     code, out, _ = run(capsys, "verify", "--n", "4", "--suite", "cellularity")
     assert code == 0
     assert out.startswith("PASS cellularity")
+
+
+def cellularity(alg):
+    """(passed, [(line, passed, counterexamples)]) of the cellularity suite."""
+    lines = []
+    return _suite_cellularity(alg.n, alg, lambda *line: lines.append(line)), lines
+
+
+@pytest.mark.parametrize(
+    "n, version, spec",
+    [
+        (3, "two_param", None),
+        (3, "one_param", None),
+        (4, "two_param", None),
+        (4, "two_param", Specialization.prime_field(101, 3, 5)),
+    ],
+    ids=["n3-two_param", "n3-one_param", "n4-two_param", "n4-two_param-fp101"],
+)
+def test_cellularity_suite_holds_axiom_c2(n, version, spec):
+    # axiom (C2) in full, the paper's theorem: the row coefficients of
+    # x_{(s,u)(t,v)} a agree across (s, u) for each of the 21 cell, column
+    # label and generator triples at n = 3 and the 100 at n = 4
+    ok, lines = cellularity(QBrAlgebra(n, version=version, spec=spec))
+    assert ok and lines == [("cellularity: filtration and row preservation", True, [])]
+
+
+def test_cellularity_suite_catches_row_coefficients_that_depend_on_the_row(monkeypatch):
+    # doubling the basis elements of one row (s, u) of the cell (1, (1)) at
+    # n = 3 keeps every support, so only the coefficient part of (C2) fails
+    alg = QBrAlgebra(3)
+    row = [label for label in Cellular(alg).cellular_labels() if label[0] == 1][-1][2]
+    build = Cellular.cell_basis_element
+
+    def doubled(self, k, lam, su, tv):
+        x = build(self, k, lam, su, tv)
+        return {idx: c + c for idx, c in x.items()} if (k, su) == (1, row) else x
+
+    monkeypatch.setattr(Cellular, "cell_basis_element", doubled)
+    ok, [(_, passed, bad)] = cellularity(alg)
+    assert not ok and not passed
+    assert bad and all(b[1] == "row coefficients" and b[0][2] == row for b in bad)
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from qbrauer import brauerdiag as bd
+from qbrauer import qbrauer as qb
 from qbrauer import symgrp as sg
 from qbrauer.cellular import Cellular, _universal_blocks
 from qbrauer.coefficients import Fp, ParamPoly, RatFunc, Specialization
@@ -676,6 +677,54 @@ def test_rewrite_cycle_messages_n5():
         alg._red(2, x)
     assert str(exc.value) == "straightening cycle at e_(2) g_(1, 0, 3, 2, 4)"
     assert (2, x) not in alg._red_memo
+
+
+# -- the core table ----------------------------------------------------------------------
+
+
+def wrong_core_rows(n):
+    """(key, terms) of one wrong row per change of a row of ``_CORES`` that
+    fits in n letters: the Q exponent of its last term raised, and, for a
+    row of several terms, the row without its first term."""
+    for (k, w), terms in qb._CORES.items():
+        if len(w) <= n:
+            i, j, l, k3, w3 = terms[-1]
+            yield (k, w), terms[:-1] + ((i + 1, j, l, k3, w3),)
+            if len(terms) > 1:
+                yield (k, w), terms[1:]
+
+
+def associativity_failures(n, triples=200):
+    """How many of ``triples`` random triples of basis elements of Br_n over
+    F_101 (q = 3, r = 5) are not associative, (x y) z != x (y z)."""
+    alg = QBrAlgebra(n, spec=FP101)
+    rng = random.Random(n)
+    idxs = alg.basis_indices()
+    failures = 0
+    for _ in range(triples):
+        x, y, z = (basis_elt(alg, rng.choice(idxs)) for _ in range(3))
+        failures += alg.mul(alg.mul(x, y), z) != alg.mul(x, alg.mul(y, z))
+    return failures
+
+
+@pytest.mark.parametrize("n", [4])
+def test_random_associativity_catches_every_wrong_core_row(monkeypatch, n):
+    # the oracle of the table: the true rows pass, and each wrong row fails
+    # some triple (at n = 4, 98 for s_2's b -> Qb, 83 for z_2's Q^2 e_(2)
+    # -> Q^3 e_(2), 110 for z_2 without bQ(Q-1) e g_3, of 200).  _cosets
+    # maps the rows to codes once per process, so it is cleared around each
+    assert associativity_failures(n) == 0
+    wrong = list(wrong_core_rows(n))
+    assert len(wrong) == {4: 3}[n]
+    for key, terms in wrong:
+        monkeypatch.setitem(qb._CORES, key, terms)
+        qb._cosets.cache_clear()
+        try:
+            assert associativity_failures(n) > 0, (key, terms)
+        finally:
+            monkeypatch.undo()
+            qb._cosets.cache_clear()
+    assert associativity_failures(n) == 0
 
 
 # -- the key scan ----------------------------------------------------------------------
